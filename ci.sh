@@ -13,12 +13,13 @@
 #      blocked/SIMD/parallel-vs-naive kernel divergence, run at both the
 #      default SIMD level and NER_SIMD=off)
 #   5. inference smoke  (exp_inference --smoke at 1 and 4 threads exits
-#      non-zero if the tape-free plan's tags — or the batched [B,T]
-#      backend's — diverge from the tape path)
+#      non-zero if the tape-free batched backend's tags — scored one
+#      sentence at a time (a batch of one) or as packed [B,T] buckets —
+#      diverge from the tape path)
 #   6. training smoke   (exp_train --smoke at 1 and 4 threads exits
 #      non-zero if the batched packed-autograd trainer's loss curve
-#      diverges in any f64 bit from the per-sentence oracle under the
-#      shared bucketed schedule; zoo-wide final-weight/F1 bit-identity
+#      diverges in any f64 bit from the one-tape-per-sentence oracle under
+#      the shared bucketed schedule; zoo-wide final-weight/F1 bit-identity
 #      is covered by ner-core's train_parity suite in step 3)
 #   7. prometheus lint  (the /metrics exposition must have typed, unique
 #      families with cumulative histogram buckets)
@@ -29,6 +30,9 @@
 #      hot-reloads it under load, and drains it, exiting non-zero if a
 #      batched response diverges from offline annotate, an accepted
 #      request is lost, or the server fails to recover after overload)
+#   9. benchmark build  (perfbench's own package: it builds against the
+#      workspace crates by path, and its plumbing tests run, so an API
+#      change in ner-core/ner-tensor that breaks the benchmark fails here)
 #
 # The build is fully offline: every external dependency is a vendored stub
 # under compat/, so no network access is required.
@@ -62,10 +66,10 @@ cargo run --release -p ner-bench --bin exp_kernels -- --smoke
 echo "== kernel smoke again with SIMD forced off (NER_SIMD=off) =="
 NER_SIMD=off cargo run --release -p ner-bench --bin exp_kernels -- --smoke
 
-echo "== inference smoke: plan and batched [B,T] must reproduce the tape (NER_THREADS=1) =="
+echo "== inference smoke: batched backend must reproduce the tape (NER_THREADS=1) =="
 NER_THREADS=1 cargo run --release -p ner-bench --bin exp_inference -- --smoke
 
-echo "== inference smoke: plan and batched [B,T] must reproduce the tape (NER_THREADS=4) =="
+echo "== inference smoke: batched backend must reproduce the tape (NER_THREADS=4) =="
 NER_THREADS=4 cargo run --release -p ner-bench --bin exp_inference -- --smoke
 
 echo "== training smoke: batched trainer must reproduce the per-sentence oracle (NER_THREADS=1) =="
@@ -84,5 +88,8 @@ NER_THREADS=1 cargo run --release -p ner-bench --bin exp_serving -- --smoke
 echo "== serving: poll-loop integration + exp_serving soak (overload, reload, recovery; NER_THREADS=4) =="
 NER_THREADS=4 cargo test --release -p ner-serve --test serve_integration -q
 NER_THREADS=4 cargo run --release -p ner-bench --bin exp_serving -- --smoke
+
+echo "== benchmark: perfbench builds against the workspace and its plumbing tests pass =="
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

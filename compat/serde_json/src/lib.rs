@@ -58,7 +58,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 fn parse_value_strict(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error(format!("trailing characters at byte {pos}")));
@@ -164,12 +164,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Deepest array/object nesting the parser accepts. Parsing recurses once
+/// per level and request bodies are untrusted, so past this depth it
+/// returns an error instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one value that sits inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(Error("unexpected end of input".to_string())),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(Error(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos)))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -253,7 +262,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses an array whose elements sit inside `depth` enclosing containers.
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -262,7 +272,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -275,7 +285,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses an object whose values sit inside `depth` enclosing containers.
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -294,7 +305,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
             return Err(Error(format!("expected ':' at byte {pos}", pos = *pos)));
         }
         *pos += 1;
-        fields.push((key, parse_value(bytes, pos)?));
+        fields.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -349,5 +360,30 @@ mod tests {
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<Value>("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(from_str::<Value>(&arrays(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<Value>(&objects(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn a_megabyte_of_open_brackets_is_an_error_not_a_stack_overflow() {
+        // Unbounded recursion would need far more than this small stack;
+        // the depth limit turns the hostile body into an ordinary error.
+        let body = "[".repeat(1 << 20);
+        let result = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || from_str::<Value>(&body).map(|_| ()))
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread must not overflow its stack");
+        let err = result.expect_err("1 MiB of '[' must be rejected");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
     }
 }

@@ -106,7 +106,7 @@ impl MultitaskNer {
         enc: &EncodedSentence,
         rng: &mut impl Rng,
     ) -> ner_tensor::Var {
-        let x0 = self.input.forward(tape, &self.store, enc, None);
+        let x0 = self.input.forward(tape, &self.store, enc);
         let x = if self.input.dropout() > 0.0 {
             tape.dropout(x0, self.input.dropout(), rng)
         } else {
@@ -151,7 +151,7 @@ impl MultitaskNer {
     /// Predicted spans (constrained Viterbi).
     pub fn predict_spans(&self, enc: &EncodedSentence) -> Vec<EntitySpan> {
         let mut tape = Tape::new();
-        let x = self.input.forward(&mut tape, &self.store, enc, None);
+        let x = self.input.forward(&mut tape, &self.store, enc);
         let h = self.encoder.forward(&mut tape, &self.store, x);
         let emissions = self.proj.forward(&mut tape, &self.store, h);
         let (tags, _) = self.crf.viterbi(&self.store, tape.value(emissions), Some(&self.tag_set));

@@ -6,8 +6,9 @@
 //! for three variants of the same model:
 //!
 //! * **tape** — the original autograd-tape forward ([`NerPipeline::annotate_tape`]);
-//! * **plan** — the tape-free fused plan with the token cache disabled;
-//! * **plan+cache** — the plan with the LRU token-feature cache, measured
+//! * **plan** — the tape-free batched backend scoring one sentence (a batch
+//!   of one) with the token cache disabled;
+//! * **plan+cache** — the same with the LRU token-feature cache, measured
 //!   both cold (first pass after compilation) and warm (steady state).
 //!
 //! Batch throughput compares scoring sentences one at a time (fanned over
@@ -17,8 +18,8 @@
 //! wall time at the same thread count).
 //!
 //! The plan and the batched backend are *verified*, not trusted: before
-//! any timing, every sentence is decoded through tape, per-sentence plan,
-//! and the batched path, and the predicted tag sequences must be identical
+//! any timing, every sentence is decoded through the tape, alone as a batch
+//! of one, and in packed buckets, and the predicted tag sequences must be identical
 //! — any divergence makes the harness exit non-zero (CI runs this via
 //! `--smoke` at `NER_THREADS=1` and `4`).
 //!
@@ -194,8 +195,8 @@ fn main() {
 
     let mut pipeline = NerPipeline::new(encoder, model).with_token_cache_capacity(CACHE_CAPACITY);
 
-    // -- correctness gate: plan must reproduce the tape, and the batched
-    // [B,T] backend must reproduce the per-sentence plan, exactly --------
+    // -- correctness gate: a batch of one must reproduce the tape, and the
+    // packed buckets must reproduce the batch of one, exactly ------------
     ner_par::set_global_threads(1);
     let mut failures = 0usize;
     let mut planned_all = Vec::with_capacity(sentences.len());
@@ -267,8 +268,8 @@ fn main() {
     let p50_speedup = latency[0].p50_us / latency[3].p50_us;
 
     // -- batch throughput at 1/2/4 threads -------------------------------
-    // Three ways to score the same corpus: the tape, the per-sentence
-    // fused plan fanned over the pool, and the batched [B,T] backend
+    // Three ways to score the same corpus: the tape, batches of one
+    // fanned over the pool, and the batched [B,T] backend
     // (length-sorted buckets of up to 32 rows, one padded forward each).
     let mut throughput = Vec::new();
     let mut tape_1thr_ms = f64::NAN;
@@ -402,7 +403,7 @@ fn main() {
         100.0 * token_cache.hit_rate
     );
     println!("p50 speedup, plan+cache(warm) vs tape @1 thread: {p50_speedup:.2}×");
-    println!("batched [B,T] vs per-sentence plan @1 thread: {batched_speedup_1thr:.2}×");
+    println!("batched [B,T] vs batches of one @1 thread: {batched_speedup_1thr:.2}×");
 
     let report = Report {
         experiment: "exp_inference".into(),

@@ -47,7 +47,7 @@ pub fn generate(raw: Vec<String>) -> CmdResult {
 pub fn train(raw: Vec<String>) -> CmdResult {
     let a = parse(
         raw,
-        &["train", "dev", "model", "preset", "epochs", "seed", "scheme", "lr", "trainer", "batch"],
+        &["train", "dev", "model", "preset", "epochs", "seed", "scheme", "lr", "batch"],
     )?;
     let train_path = a.require("train")?.to_string();
     let model_path = a.require("model")?.to_string();
@@ -56,10 +56,6 @@ pub fn train(raw: Vec<String>) -> CmdResult {
     let seed = a.get_parsed("seed", 42u64)?;
     let lr = a.get_parsed("lr", 0.01f32)?;
     let scheme = parse_scheme(a.get("scheme").unwrap_or("bio"))?;
-    let trainer = match a.get("trainer") {
-        Some(s) => s.parse::<TrainerKind>()?,
-        None => TrainConfig::default().trainer,
-    };
     let batch = a.get_parsed("batch", TrainConfig::default().batch)?;
     if batch == 0 {
         return Err("--batch must be at least 1".into());
@@ -95,7 +91,7 @@ pub fn train(raw: Vec<String>) -> CmdResult {
     let mut model = NerModel::new(cfg, &encoder, None, &mut rng);
     let train_enc = encoder.encode_dataset(&train_ds, None);
     let dev_enc = dev_ds.map(|d| encoder.encode_dataset(&d, None));
-    let tc = TrainConfig { epochs, lr, trainer, batch, ..TrainConfig::default() };
+    let tc = TrainConfig { epochs, lr, batch, ..TrainConfig::default() };
     // Per-epoch progress is emitted by the trainer itself through the
     // observability sinks (stderr at normal verbosity, JSONL when enabled).
     let report =

@@ -14,7 +14,7 @@ neural-ner — deep-learning NER toolkit (synthetic-corpus reproduction of
 
 USAGE:
   neural-ner generate --out FILE [--n N] [--seed S] [--noisy] [--nested] [--fine-grained] [--unseen-rate R]
-  neural-ner train    --train FILE --model FILE [--dev FILE] [--preset NAME] [--epochs N] [--seed S] [--trainer batched|per-sentence] [--batch N] [--quiet]
+  neural-ner train    --train FILE --model FILE [--dev FILE] [--preset NAME] [--epochs N] [--seed S] [--batch N] [--quiet]
   neural-ner eval     --model FILE --data FILE
   neural-ner tag      --model FILE [TEXT ...]        (reads stdin when no TEXT)
   neural-ner serve    --ckpt FILE [--addr A] [--replicas N] [--poll-shards S] [--max-batch N] [--max-wait-us T] [--queue-cap Q] [--timeout-ms D] [--slo-ms B] [--read-timeout-ms R] [--trace-ring N]

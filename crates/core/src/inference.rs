@@ -1,16 +1,25 @@
 //! End-user inference pipeline: raw string in, annotated sentence out
 //! (the paper's Fig. 1 task illustration).
+//!
+//! There is one tape-free inference path: texts are featurized, grouped
+//! into length-sorted compute buckets ([`crate::plan::buckets`]) and each
+//! bucket is scored as one packed [`ner_tensor::BatchedExec`] forward
+//! ([`NerModel::predict_spans_batch`]). The single-text entry points
+//! ([`NerPipeline::extract`], [`NerPipeline::annotate`]) are batches of
+//! one. The `*_tape` methods keep the autograd-tape path — the per-sentence
+//! reference the batched path is verified against — and both produce
+//! bit-identical predictions.
 
 use crate::model::NerModel;
-use crate::plan::{BatchedPlan, ForwardPlan, DEFAULT_TOKEN_CACHE};
+use crate::plan::{self, ForwardPlan, DEFAULT_TOKEN_CACHE};
 use crate::repr::{EncodedSentence, SentenceEncoder};
 use ner_text::{tokenize, EntitySpan, Sentence};
 
 /// A trained model bundled with its data encoder — the deployable artifact.
 ///
 /// Construction compiles a [`ForwardPlan`], so `extract`/`annotate` (and
-/// their batch variants) run the tape-free fused inference path by default;
-/// the `*_tape` methods keep the original autograd-tape path available for
+/// their batch variants) run the tape-free batched inference path; the
+/// `*_tape` methods keep the original autograd-tape path available for
 /// verification and benchmarking. Both paths are bit-identical.
 pub struct NerPipeline {
     /// The data encoder (vocabularies, tag set, feature switches).
@@ -48,39 +57,22 @@ impl NerPipeline {
         &self.plan
     }
 
-    /// Tokenizes raw text and annotates it with predicted entities.
+    /// Tokenizes raw text and annotates it with predicted entities — a
+    /// batch of one through [`extract_batch`](Self::extract_batch).
     pub fn extract(&self, text: &str) -> Sentence {
-        let tokens = tokenize::tokenize(text);
-        if tokens.is_empty() {
-            return Sentence::default();
-        }
-        let sentence = Sentence::unlabeled(&tokens);
-        self.annotate(&sentence)
+        self.extract_batch(&[text]).pop().expect("one result per text")
     }
 
-    /// Annotates a pre-tokenized sentence (existing entities are ignored)
-    /// via the compiled tape-free plan.
+    /// Annotates a pre-tokenized sentence (existing entities are ignored;
+    /// an empty sentence comes back empty) — a batch of one through
+    /// [`annotate_batch`](Self::annotate_batch).
     ///
     /// Feeds the `infer.sentence_us` latency histogram and the
-    /// `infer.tokens` counter, from which tokens/sec throughput is derived;
-    /// the plan adds per-stage `infer.{featurize,embed,encode,decode}_us`
-    /// histograms and `infer.cache.{hits,misses}` counters. Each stage
-    /// observation also lands on the thread's active
-    /// [`ner_obs::trace::TraceCtx`], if one is installed.
+    /// `infer.tokens` counter, from which tokens/sec throughput is derived,
+    /// plus the per-stage `infer.{featurize,embed,encode,decode}_us`
+    /// histograms and the `infer.cache.*` counters.
     pub fn annotate(&self, sentence: &Sentence) -> Sentence {
-        use crate::plan::stage;
-        let t = std::time::Instant::now();
-        let enc = self.encoder.encode(sentence);
-        ner_obs::trace::observe_stage(
-            stage::FEATURIZE_US,
-            stage::FEATURIZE,
-            t.elapsed().as_secs_f64() * 1e6,
-        );
-        let spans = self.model.predict_spans_planned(&self.plan, &enc);
-        ner_obs::observe("infer.sentence_us", t.elapsed().as_secs_f64() * 1e6);
-        ner_obs::counter("infer.tokens", sentence.len() as f64);
-        self.export_cache_stats();
-        Sentence { tokens: sentence.tokens.clone(), entities: spans }
+        self.annotate_batch(std::slice::from_ref(sentence)).pop().expect("one result per sentence")
     }
 
     /// [`extract`](Self::extract) through the original autograd-tape path
@@ -94,7 +86,7 @@ impl NerPipeline {
     }
 
     /// [`annotate`](Self::annotate) through the original autograd-tape
-    /// path (no plan, no caches). Bit-identical to the planned path.
+    /// path (no plan, no caches). Bit-identical to the batched path.
     pub fn annotate_tape(&self, sentence: &Sentence) -> Sentence {
         let t = std::time::Instant::now();
         let enc = self.encoder.encode(sentence);
@@ -119,13 +111,13 @@ impl NerPipeline {
 
     /// Tokenizes and annotates a batch of raw texts through the **packed
     /// batched forward**: sentences are grouped into length-sorted compute
-    /// buckets ([`BatchedPlan::buckets`]) and each bucket scores as one
+    /// buckets ([`plan::buckets`]) and each bucket scores as one
     /// [`NerModel::predict_spans_batch`] call — one GEMM per op (and per
     /// timestep for the recurrent encoders) across the whole bucket,
     /// instead of one forward per sentence. Buckets fan out over the
     /// global `ner-par` pool. The batched backend is bit-identical to the
-    /// per-sentence plan, so the output equals calling
-    /// [`extract`](Self::extract) per text, at any thread count.
+    /// tape per sentence, so the output equals calling
+    /// [`extract_tape`](Self::extract_tape) per text, at any thread count.
     pub fn extract_batch(&self, texts: &[&str]) -> Vec<Sentence> {
         self.extract_batch_traced(texts, &[])
     }
@@ -241,7 +233,7 @@ impl NerPipeline {
     ) -> Vec<Vec<EntitySpan>> {
         use crate::plan::stage;
         let pool = ner_par::global();
-        let buckets = BatchedPlan::new(&self.plan).buckets(lens, pool.threads());
+        let buckets = plan::buckets(lens, pool.threads());
         let mut results: Vec<Vec<EntitySpan>> = vec![Vec::new(); encs.len()];
         if buckets.is_empty() {
             return results;
@@ -368,10 +360,11 @@ mod tests {
         assert_eq!(pipeline.plan().token_cache_capacity(), 0);
     }
 
-    #[test]
-    fn empty_text_is_handled() {
+    /// An untrained softmax-over-embeddings pipeline: enough to exercise
+    /// the plumbing, not the predictions.
+    fn identity_softmax_pipeline(seed: u64) -> NerPipeline {
         let gen = NewsGenerator::new(GeneratorConfig::default());
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = StdRng::seed_from_u64(seed);
         let ds = gen.dataset(&mut rng, 20);
         let encoder = SentenceEncoder::from_dataset(&ds, TagScheme::Bio, 1);
         let model = NerModel::new(
@@ -388,8 +381,23 @@ mod tests {
             None,
             &mut rng,
         );
-        let pipeline = NerPipeline::new(encoder, model);
+        NerPipeline::new(encoder, model)
+    }
+
+    #[test]
+    fn empty_text_is_handled() {
+        let pipeline = identity_softmax_pipeline(2);
         let out = pipeline.extract("   ");
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn annotate_returns_an_empty_sentence_empty() {
+        // An empty sentence has nothing to score: `annotate` must hand it
+        // back empty, exactly as `annotate_batch` does.
+        let pipeline = identity_softmax_pipeline(2);
+        let out = pipeline.annotate(&Sentence::default());
+        assert!(out.is_empty() && out.entities.is_empty());
+        assert_eq!(pipeline.annotate_batch(&[Sentence::default()]), vec![out]);
     }
 }

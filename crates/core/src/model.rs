@@ -10,8 +10,7 @@ use crate::repr::{EncodedSentence, InputLayer, SentenceEncoder};
 use ner_embed::WordEmbeddings;
 use ner_tensor::nn::Linear;
 use ner_tensor::{
-    BatchedExec, BatchedTapeExec, Exec, FusedExec, FusedVal, PackedExec, ParamStore, Tape, Tensor,
-    Var,
+    BatchedExec, BatchedTapeExec, BatchedVal, Exec, PackedExec, ParamStore, Tape, Tensor, Var,
 };
 use ner_text::{EntitySpan, TagSet};
 use rand::{Rng, RngCore};
@@ -123,7 +122,7 @@ impl NerModel {
         train: bool,
         rng: &mut impl Rng,
     ) -> Var {
-        let x0 = self.input.forward(tape, &self.store, enc, None);
+        let x0 = self.input.forward(tape, &self.store, enc);
         let x = if train && self.cfg.dropout > 0.0 {
             tape.dropout(x0, self.cfg.dropout, rng)
         } else {
@@ -272,7 +271,7 @@ impl NerModel {
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         let mut tape = Tape::new();
         let h = self.encode(&mut tape, enc, false, &mut rng);
-        self.decode_from_states(&mut tape, h, None)
+        self.decode_from_states(&mut tape, h)
     }
 
     /// Predicts from an externally supplied input-representation matrix
@@ -287,19 +286,11 @@ impl NerModel {
         let mut tape = Tape::new();
         let x = tape.constant(input);
         let h = self.encoder.forward(&mut tape, &self.store, x);
-        self.decode_from_states(&mut tape, h, None)
+        self.decode_from_states(&mut tape, h)
     }
 
-    /// Decodes entity spans from encoder states `h` on any backend. When
-    /// `tables` is given (the planned path), CRF Viterbi runs on the
-    /// precompiled log-space tables instead of re-deriving them — the
-    /// floats are identical either way.
-    fn decode_from_states<E: Exec>(
-        &self,
-        ex: &mut E,
-        h: E::V,
-        tables: Option<&CrfDecodeTables>,
-    ) -> Vec<EntitySpan> {
+    /// Decodes entity spans from encoder states `h` on the tape.
+    fn decode_from_states(&self, ex: &mut Tape, h: Var) -> Vec<EntitySpan> {
         match &self.head {
             Head::Softmax { proj } => {
                 let logits = proj.forward(ex, &self.store, h);
@@ -309,13 +300,8 @@ impl NerModel {
             }
             Head::Crf { proj, crf } => {
                 let emissions = proj.forward(ex, &self.store, h);
-                let tags = match tables {
-                    Some(t) => t.viterbi(ex.value(emissions)).0,
-                    None => {
-                        let constraints = self.cfg.constrained_decoding.then_some(&self.tag_set);
-                        crf.viterbi(&self.store, ex.value(emissions), constraints).0
-                    }
-                };
+                let constraints = self.cfg.constrained_decoding.then_some(&self.tag_set);
+                let tags = crf.viterbi(&self.store, ex.value(emissions), constraints).0;
                 self.tags_to_spans(&tags)
             }
             Head::SemiCrf { proj, crf } => {
@@ -356,46 +342,14 @@ impl NerModel {
         ForwardPlan::new(crf_tables, token_cache_capacity)
     }
 
-    /// Planned (tape-free) [`predict_spans`](Self::predict_spans) — the
-    /// SAME layer forwards as the tape path, driven by the `FusedExec`
-    /// backend (fused kernels, pooled buffers, plan caches), so the
-    /// predictions are bit-identical. Feeds the `infer.embed_us` /
-    /// `infer.encode_us` / `infer.decode_us` per-stage latency histograms —
-    /// and, when a [`ner_obs::trace::TraceCtx`] is installed on this
-    /// thread, attributes the same stage timings to the owning request.
-    pub fn predict_spans_planned(
-        &self,
-        plan: &ForwardPlan,
-        enc: &EncodedSentence,
-    ) -> Vec<EntitySpan> {
-        use crate::plan::stage;
-        let mut ex = FusedExec::new(&self.store).with_pe_cache(plan.pe_cache());
-        let t0 = std::time::Instant::now();
-        let x = self.input.forward(&mut ex, &self.store, enc, plan.token_cache());
-        let t1 = std::time::Instant::now();
-        let h = self.encoder.forward(&mut ex, &self.store, x);
-        let t2 = std::time::Instant::now();
-        let spans = self.decode_from_states(&mut ex, h, plan.crf_tables());
-        let tee = ner_obs::trace::observe_stage;
-        tee(stage::EMBED_US, stage::EMBED, (t1 - t0).as_secs_f64() * 1e6);
-        tee(stage::ENCODE_US, stage::ENCODE, (t2 - t1).as_secs_f64() * 1e6);
-        tee(stage::DECODE_US, stage::DECODE, t2.elapsed().as_secs_f64() * 1e6);
-        spans
-    }
-
-    /// Planned (tape-free) [`predict_tags`](Self::predict_tags).
-    pub fn predict_tags_planned(&self, plan: &ForwardPlan, enc: &EncodedSentence) -> Vec<String> {
-        let spans = self.predict_spans_planned(plan, enc);
-        self.tag_set.scheme().spans_to_tags(enc.len(), &spans)
-    }
-
     /// Scores a whole batch of (non-empty) sentences as one packed
     /// [`BatchedExec`] forward: the input layer, the encoder and the
     /// decoder's emission projection each run as single batch-wide
     /// operations; only the structured decode (Viterbi / segment DP /
     /// greedy steps) runs per sentence, over that sentence's slice of the
-    /// batched emissions. Predictions are bit-identical to
-    /// [`Self::predict_spans_planned`] on each sentence alone.
+    /// batched emissions. This is the tape-free inference path — a single
+    /// sentence is a batch of one — and its predictions are bit-identical
+    /// to [`Self::predict_spans`] (the tape) on each sentence alone.
     ///
     /// Returns one span list per input (same order) plus the wall-clock
     /// split across the embed/encode/decode stages — the caller decides
@@ -429,7 +383,7 @@ impl NerModel {
     fn decode_from_states_batch(
         &self,
         bx: &mut BatchedExec<'_>,
-        h: FusedVal,
+        h: BatchedVal,
         tables: Option<&CrfDecodeTables>,
     ) -> Vec<Vec<EntitySpan>> {
         let nseg = bx.segments();
@@ -470,14 +424,14 @@ impl NerModel {
             Head::Rnn { dec } => {
                 for s in 0..nseg {
                     let hs = bx.slice_segment(h, s);
-                    let tags = dec.decode(bx.inner_mut(), &self.store, hs);
+                    let tags = bx.scoped(s, |ex| dec.decode(ex, &self.store, hs));
                     out.push(self.tags_to_spans(&tags));
                 }
             }
             Head::Pointer { dec } => {
                 for s in 0..nseg {
                     let hs = bx.slice_segment(h, s);
-                    let segs = dec.decode(bx.inner_mut(), &self.store, hs);
+                    let segs = bx.scoped(s, |ex| dec.decode(ex, &self.store, hs));
                     out.push(SemiCrf::segments_to_spans(&segs, &self.entity_types));
                 }
             }
@@ -601,7 +555,7 @@ impl NerModel {
     /// §4.4 instance selector.
     pub fn nll_of_labels(&self, enc: &EncodedSentence) -> f64 {
         let mut tape = Tape::new();
-        let x = self.input.forward(&mut tape, &self.store, enc, None);
+        let x = self.input.forward(&mut tape, &self.store, enc);
         let h = self.encoder.forward(&mut tape, &self.store, x);
         let loss = self.loss_from_states(&mut tape, h, enc);
         tape.value(loss).item() as f64 / enc.len().max(1) as f64
@@ -616,7 +570,7 @@ impl NerModel {
         train: bool,
         rng: &mut impl Rng,
     ) -> (Var, Var) {
-        let x0 = self.input.forward(tape, &self.store, enc, None);
+        let x0 = self.input.forward(tape, &self.store, enc);
         let x = if train && self.cfg.dropout > 0.0 {
             tape.dropout(x0, self.cfg.dropout, rng)
         } else {

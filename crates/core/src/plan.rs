@@ -20,13 +20,14 @@
 //!   sentence length, shared by every Transformer forward.
 //!
 //! The evaluation itself runs through the **same layer forwards as
-//! training**, driven by the [`ner_tensor::FusedExec`] backend: no tape
-//! nodes, no backward closures, and per-sentence intermediates drawn from
-//! (and returned to) the thread-local `ner_tensor::pool` buffer arena. The
-//! contract throughout is **bit-identity with the tape backend** —
-//! `tests/plan_parity.rs` checks it across every zoo architecture, and the
-//! `exp_inference` harness exits non-zero if any benchmark sentence decodes
-//! differently.
+//! training**, driven by the packed [`ner_tensor::BatchedExec`] backend over
+//! length-sorted compute buckets ([`buckets`]; a single sentence is a
+//! bucket of one): no tape nodes, no backward closures, and intermediates
+//! drawn from (and returned to) the thread-local `ner_tensor::pool` buffer
+//! arena. The contract throughout is **bit-identity with the tape
+//! backend** — `tests/plan_parity.rs` checks it across every zoo
+//! architecture, and the `exp_inference` harness exits non-zero if any
+//! benchmark sentence decodes differently.
 
 use crate::decoder::crf::CrfDecodeTables;
 use ner_tensor::{PeCache, Tensor};
@@ -92,7 +93,7 @@ pub struct ForwardPlan {
     /// so a refresh can recompile with the same setting.
     token_cache_capacity: usize,
     /// Shared per-`(n, d)` positional-encoding tables, handed to the
-    /// `FusedExec` backend so transformer forwards skip recomputation.
+    /// `BatchedExec` backend so transformer forwards skip recomputation.
     pe_cache: PeCache,
 }
 
@@ -122,7 +123,7 @@ impl ForwardPlan {
     }
 
     /// The plan's shared positional-encoding cache, for wiring into a
-    /// [`ner_tensor::FusedExec`] backend.
+    /// [`ner_tensor::BatchedExec`] backend.
     pub(crate) fn pe_cache(&self) -> &PeCache {
         &self.pe_cache
     }
@@ -151,56 +152,27 @@ impl ForwardPlan {
     }
 }
 
-/// The batched entry point over a compiled [`ForwardPlan`]: decides how a
-/// set of sentences is grouped into packed compute batches for
+/// Groups sentence indices into length-sorted compute buckets for packed
 /// [`ner_tensor::BatchedExec`] scoring.
 ///
-/// Buckets are **length-sorted**: sentences are ordered longest-first and
-/// chunked, so each packed batch holds sentences of similar length and the
-/// per-timestep live-row prefix shrinks late — the batched recurrent GEMMs
-/// stay near-full instead of degrading toward per-sentence work. Because
-/// the batched backend is bit-identical to the per-sentence path, bucket
-/// composition (and therefore thread count) cannot change predictions —
-/// only throughput.
-pub struct BatchedPlan<'a> {
-    plan: &'a ForwardPlan,
-    max_compute_batch: usize,
-}
-
-impl<'a> BatchedPlan<'a> {
-    /// A batched entry point with the default compute-batch cap.
-    pub fn new(plan: &'a ForwardPlan) -> Self {
-        BatchedPlan { plan, max_compute_batch: DEFAULT_COMPUTE_BATCH }
+/// `lens[i]` is the token count of sentence `i`; zero-length sentences are
+/// skipped (they have nothing to score). Indices come back sorted
+/// longest-first (ties by index, so bucketing is deterministic) and chunked
+/// to at most [`DEFAULT_COMPUTE_BATCH`] sentences, while leaving at least
+/// `threads` buckets when there is enough work to go around. Similar
+/// lengths share a bucket, so the per-timestep live-row prefix shrinks late
+/// and the batched recurrent GEMMs stay near-full. Because the batched
+/// backend is bit-identical to the tape per sentence, bucket composition
+/// (and therefore thread count) cannot change predictions — only
+/// throughput.
+pub fn buckets(lens: &[usize], threads: usize) -> Vec<Vec<usize>> {
+    let mut idx: Vec<usize> = (0..lens.len()).filter(|&i| lens[i] > 0).collect();
+    idx.sort_by_key(|&i| std::cmp::Reverse(lens[i]));
+    if idx.is_empty() {
+        return Vec::new();
     }
-
-    /// Overrides the maximum number of sentences per packed batch.
-    pub fn with_max_compute_batch(mut self, cap: usize) -> Self {
-        self.max_compute_batch = cap.max(1);
-        self
-    }
-
-    /// The underlying compiled plan.
-    pub fn plan(&self) -> &'a ForwardPlan {
-        self.plan
-    }
-
-    /// Groups sentence indices into length-sorted compute buckets.
-    ///
-    /// `lens[i]` is the token count of sentence `i`; zero-length sentences
-    /// are skipped (they have nothing to score). Indices come back sorted
-    /// longest-first (ties by index, so bucketing is deterministic),
-    /// chunked to at most `max_compute_batch` sentences while leaving at
-    /// least `threads` buckets when there is enough work to go around.
-    pub fn buckets(&self, lens: &[usize], threads: usize) -> Vec<Vec<usize>> {
-        let mut idx: Vec<usize> = (0..lens.len()).filter(|&i| lens[i] > 0).collect();
-        idx.sort_by_key(|&i| std::cmp::Reverse(lens[i]));
-        if idx.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.max(1);
-        let chunk = idx.len().div_ceil(threads).clamp(1, self.max_compute_batch);
-        idx.chunks(chunk).map(|c| c.to_vec()).collect()
-    }
+    let chunk = idx.len().div_ceil(threads.max(1)).clamp(1, DEFAULT_COMPUTE_BATCH);
+    idx.chunks(chunk).map(|c| c.to_vec()).collect()
 }
 
 /// A thread-safe LRU cache of per-token base representation rows, keyed by
@@ -226,6 +198,7 @@ impl TokenFeatureCache {
 
     /// Copies the cached row for `token` into `dst` and returns `true`, or
     /// returns `false` on a miss. Counts the hit/miss either way.
+    #[cfg(test)]
     pub(crate) fn copy_into(&self, token: &str, dst: &mut [f32]) -> bool {
         let mut lru = self.inner.lock().unwrap();
         match lru.get(token) {
@@ -245,6 +218,7 @@ impl TokenFeatureCache {
 
     /// Inserts (or refreshes) the row for `token`, evicting the least
     /// recently used entry when full.
+    #[cfg(test)]
     pub(crate) fn insert(&self, token: &str, row: Vec<f32>) {
         self.inner.lock().unwrap().insert(token, row);
     }
@@ -466,14 +440,18 @@ mod tests {
 
     #[test]
     fn buckets_are_length_sorted_capped_and_skip_empties() {
-        let plan = ForwardPlan::new(None, 0);
-        let bp = BatchedPlan::new(&plan).with_max_compute_batch(2);
-        // Longest first, ties by index, zero-length dropped, chunks of ≤ 2.
-        assert_eq!(bp.buckets(&[3, 0, 7, 7, 1, 5], 1), vec![vec![2, 3], vec![5, 0], vec![4]]);
+        // Longest first, ties by index, zero-length dropped.
+        assert_eq!(buckets(&[3, 0, 7, 7, 1, 5], 1), vec![vec![2, 3, 5, 0, 4]]);
         // Enough work for every thread: 8 sentences over 4 threads → 4 buckets.
-        assert_eq!(BatchedPlan::new(&plan).buckets(&[4; 8], 4).len(), 4);
-        assert!(bp.buckets(&[0, 0], 4).is_empty());
-        assert!(bp.buckets(&[], 1).is_empty());
+        assert_eq!(buckets(&[4; 8], 4).len(), 4);
+        // More sentences than the compute-batch cap: full buckets of the
+        // longest sentences first, the remainder last.
+        let lens: Vec<usize> = (1..=DEFAULT_COMPUTE_BATCH + 8).collect();
+        let got = buckets(&lens, 1);
+        let want_first: Vec<usize> = (8..DEFAULT_COMPUTE_BATCH + 8).rev().collect();
+        assert_eq!(got, vec![want_first, (0..8).rev().collect()]);
+        assert!(buckets(&[0, 0], 4).is_empty());
+        assert!(buckets(&[], 1).is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::plan::TokenFeatureCache;
 use ner_embed::{ContextualEmbedder, WordEmbeddings};
 use ner_tensor::fused::Activation;
 use ner_tensor::nn::{Embedding, Linear, LstmCell};
-use ner_tensor::{init, BatchedExec, Exec, FusedVal, PackedExec, ParamId, ParamStore, Tensor};
+use ner_tensor::{init, BatchedExec, BatchedVal, Exec, PackedExec, ParamId, ParamStore, Tensor};
 use ner_text::features::{token_features, FEATURE_DIM};
 use ner_text::pos::{tag_sentence, POS_DIM};
 use ner_text::{Dataset, EntitySpan, Gazetteer, Sentence, TagScheme, TagSet, Vocab};
@@ -321,24 +321,12 @@ impl InputLayer {
     }
 
     /// Assembles the `[n, out_dim]` input matrix for one sentence on any
-    /// backend. Base rows (word + char [+ gate]) depend only on the token
-    /// surface, so when `cache` is given they are served from (and fed back
-    /// into) the LRU; position-dependent feature/context columns are always
-    /// appended fresh. Pass `None` on training tapes — cached rows enter as
-    /// constants and would silence embedding gradients.
-    pub fn forward<E: Exec>(
-        &self,
-        ex: &mut E,
-        store: &ParamStore,
-        enc: &EncodedSentence,
-        cache: Option<&TokenFeatureCache>,
-    ) -> E::V {
+    /// backend: the per-token base (word + char [+ gate]) followed by the
+    /// position-dependent feature/context columns.
+    pub fn forward<E: Exec>(&self, ex: &mut E, store: &ParamStore, enc: &EncodedSentence) -> E::V {
         let n = enc.len();
         assert!(n > 0, "cannot represent an empty sentence");
-        let base = match cache {
-            Some(c) => self.cached_base(ex, store, enc, c),
-            None => self.batched_base(ex, store, enc),
-        };
+        let base = self.batched_base(ex, store, enc);
 
         let mut parts: Vec<E::V> = Vec::with_capacity(3);
         parts.push(base);
@@ -388,7 +376,7 @@ impl InputLayer {
         store: &ParamStore,
         encs: &[&EncodedSentence],
         cache: Option<&TokenFeatureCache>,
-    ) -> FusedVal {
+    ) -> BatchedVal {
         debug_assert_eq!(encs.len(), bx.segments(), "one encoded sentence per segment");
         let base = match cache {
             Some(c) => self.cached_base_batch(bx, store, encs, c),
@@ -463,18 +451,21 @@ impl InputLayer {
         }
     }
 
-    /// Packed-batch analogue of [`Self::cached_base`]: hits for the whole
+    /// The packed base served through the token cache: hits for the whole
     /// batch are copied under a single cache lock, missed surfaces are
     /// computed once each (duplicates within the batch share the row), and
-    /// the fresh rows feed back in one batched insert. Values are
-    /// bit-identical to the per-sentence cached path.
+    /// the fresh rows feed back in one batched insert. Every base op treats
+    /// rows independently, so cached rows are bit-identical to
+    /// [`Self::packed_base_batch`]'s. The result enters the graph as a
+    /// single constant — gradient-free, which is why training never uses
+    /// the cache.
     fn cached_base_batch(
         &self,
         bx: &mut BatchedExec<'_>,
         store: &ParamStore,
         encs: &[&EncodedSentence],
         cache: &TokenFeatureCache,
-    ) -> FusedVal {
+    ) -> BatchedVal {
         let tokens: Vec<&str> =
             encs.iter().flat_map(|e| e.tokens.iter().map(String::as_str)).collect();
         let mut base = Tensor::zeros_pooled(tokens.len(), self.base_dim());
@@ -493,9 +484,13 @@ impl InputLayer {
                 let slot = match by_surface.get(token) {
                     Some(&f) => f,
                     None => {
-                        let ex = bx.inner_mut();
-                        let v = self.base_row(ex, store, word_ids[i], char_ids[i]);
-                        let row = ex.value(v).row(0).to_vec();
+                        // A one-token value, not packed rows: compute it in
+                        // a scope (whose segment only matters for gradient
+                        // routing, which this tape-free path has none of).
+                        let row = bx.scoped(0, |ex| {
+                            let v = self.base_row(ex, store, word_ids[i], char_ids[i]);
+                            ex.value(v).row(0).to_vec()
+                        });
                         fresh.push((token, row));
                         by_surface.insert(token, fresh.len() - 1);
                         fresh.len() - 1
@@ -539,34 +534,6 @@ impl InputLayer {
             }
             None => ex.concat_cols(&[words, chars]),
         }
-    }
-
-    /// Base matrix assembled row by row through the token cache: hits are
-    /// copied straight into the output, misses run [`Self::base_row`] and
-    /// feed the cache. The result enters the graph as a single constant —
-    /// gradient-free, which is why training passes `cache: None`. Rows are
-    /// bit-identical to [`Self::batched_base`]'s because every base op
-    /// treats rows independently.
-    fn cached_base<E: Exec>(
-        &self,
-        ex: &mut E,
-        store: &ParamStore,
-        enc: &EncodedSentence,
-        cache: &TokenFeatureCache,
-    ) -> E::V {
-        let n = enc.len();
-        let mut base = Tensor::zeros_pooled(n, self.base_dim());
-        for i in 0..n {
-            let token = enc.tokens[i].as_str();
-            if cache.copy_into(token, base.row_mut(i)) {
-                continue;
-            }
-            let v = self.base_row(ex, store, enc.word_ids[i], &enc.char_ids[i]);
-            let row = ex.value(v).row(0).to_vec();
-            base.row_mut(i).copy_from_slice(&row);
-            cache.insert(token, row);
-        }
-        ex.constant(base)
     }
 
     /// The `[1, base_dim]` representation for one token. Every op here
@@ -682,7 +649,7 @@ mod tests {
         );
         let e = enc.encode(&ds.sentences[0]);
         let mut tape = ner_tensor::Tape::new();
-        let x = layer.forward(&mut tape, &store, &e, None);
+        let x = layer.forward(&mut tape, &store, &e);
         assert_eq!(tape.value(x).shape(), (e.len(), layer.out_dim()));
         assert!(tape.value(x).all_finite());
         layer.out_dim()

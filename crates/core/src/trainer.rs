@@ -14,25 +14,26 @@
 //!   gradients into its own [`GradBuffer`], bit-identically to what a
 //!   per-sentence tape would have produced (see DESIGN.md "Batched
 //!   training").
-//! * **Per-sentence**: the historical one-tape-per-sentence formulation,
-//!   kept as the parity oracle.
+//! * **Per-sentence**: one [`Tape`] per sentence — the historical
+//!   formulation, kept as the parity oracle the batched backend is
+//!   checked against (`tests/train_parity.rs`, `exp_train`).
 //!
 //! # Threading and schedule
 //!
-//! Each epoch walks the (shuffled) order in chunks of `threads × batch`
-//! sentences: every worker processes its bucket independently, and the
-//! coordinator merges the gradient buffers **in sentence order**
-//! (deterministic for a fixed thread count and batch size), clips once,
-//! and takes one optimizer step per chunk. Gradients are summed — not
-//! averaged — over the chunk, so the total SGD displacement per epoch
-//! matches the serial path's; Adam's update is scale-invariant either way.
-//! Dropout streams are seeded per sentence from one draw per chunk, so
-//! masks depend only on a sentence's position in the order — which makes
-//! the two backends produce bit-identical loss curves and final weights at
-//! any thread count. With `NER_THREADS=1` and `batch == 1` the sentences'
-//! dropout draws come straight from the shared epoch rng and one step is
-//! taken per sentence: the historical serial trajectory, reproduced bit
-//! for bit by both backends.
+//! Every configuration runs one schedule. Each epoch walks the (shuffled)
+//! order in chunks of `threads × batch` sentences: every worker processes
+//! its bucket independently, and the coordinator merges the gradient
+//! buffers **in sentence order** (deterministic for a fixed thread count
+//! and batch size), clips once, and takes one optimizer step per chunk.
+//! Gradients are summed — not averaged — over the chunk, so the total SGD
+//! displacement per epoch matches the serial schedule's; Adam's update is
+//! scale-invariant either way. Dropout streams are seeded per sentence from
+//! one draw per chunk, so masks depend only on a sentence's position in the
+//! order — which makes the two backends produce bit-identical loss curves
+//! and final weights at any thread count. With `NER_THREADS=1` and
+//! `batch == 1` the sentences' dropout draws come straight from the shared
+//! epoch rng and one step is taken per sentence: the historical serial
+//! trajectory, reproduced bit for bit by both backends.
 
 use crate::metrics::{evaluate, EvalResult};
 use crate::model::NerModel;
@@ -59,18 +60,6 @@ pub enum TrainerKind {
     /// One tape per sentence — the historical formulation, kept as the
     /// bit-identity oracle for the batched backend.
     PerSentence,
-}
-
-impl std::str::FromStr for TrainerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "batched" => Ok(TrainerKind::Batched),
-            "per-sentence" => Ok(TrainerKind::PerSentence),
-            other => Err(format!("unknown trainer '{other}' (expected batched|per-sentence)")),
-        }
-    }
 }
 
 /// Optimizer selection.
@@ -185,181 +174,11 @@ struct EpochStats {
     peak_nodes: usize,
 }
 
-/// What one worker produced for one training sentence.
-enum SentenceOutcome {
-    /// Sentence was empty; nothing to do.
-    Empty,
-    /// Loss came out non-finite; the coordinator logs and skips it.
-    NonFinite { index: usize, loss: f64 },
-    /// A usable gradient contribution.
-    Update {
-        loss: f64,
-        grads: GradBuffer,
-        nodes: usize,
-        ops: Vec<(OpClass, u32)>,
-        pool: ner_tensor::pool::PoolStats,
-    },
-}
-
-/// The original per-sentence serial loop: one tape, one backward, one
-/// optimizer step per sentence. Kept verbatim so single-thread runs
-/// reproduce historical trajectories exactly.
-#[allow(clippy::too_many_arguments)]
-fn run_epoch_serial(
-    model: &mut NerModel,
-    train: &[EncodedSentence],
-    order: &[usize],
-    opt: &mut dyn Optimizer,
-    cfg: &TrainConfig,
-    epoch: usize,
-    rng: &mut impl Rng,
-    op_totals: &mut [u64],
-) -> EpochStats {
-    let mut stats = EpochStats::default();
-    for &i in order {
-        let sent = &train[i];
-        if sent.is_empty() {
-            continue;
-        }
-        let mut tape = Tape::new();
-        let loss = model.loss(&mut tape, sent, rng);
-        let loss_val = tape.value(loss).item() as f64;
-        if !loss_val.is_finite() {
-            stats.skipped += 1;
-            ner_obs::warn(format!(
-                "epoch {epoch}: non-finite loss ({loss_val}) on sentence {i}; update skipped"
-            ));
-            continue;
-        }
-        stats.total_loss += loss_val;
-        tape.backward(loss, &mut model.store);
-        let norm = if cfg.clip > 0.0 {
-            model.store.clip_grad_norm(cfg.clip)
-        } else {
-            model.store.grad_global_norm()
-        };
-        if !norm.is_finite() {
-            stats.skipped += 1;
-            ner_obs::warn(format!(
-                "epoch {epoch}: non-finite gradient norm on sentence {i}; update skipped"
-            ));
-            model.store.zero_grad();
-            continue;
-        }
-        stats.norm_sum += norm as f64;
-        stats.applied += 1;
-        stats.peak_nodes = stats.peak_nodes.max(tape.len());
-        for (class, n) in tape.op_counts() {
-            op_totals[class as usize] += n as u64;
-        }
-        opt.step(&mut model.store);
-    }
-    stats
-}
-
-/// Data-parallel epoch: minibatches of `pool.threads()` sentences, each
-/// sentence's forward/backward on its own worker tape, gradients merged in
-/// shard order and applied with a single clipped optimizer step per batch.
-#[allow(clippy::too_many_arguments)]
-fn run_epoch_parallel(
-    model: &mut NerModel,
-    train: &[EncodedSentence],
-    order: &[usize],
-    opt: &mut dyn Optimizer,
-    cfg: &TrainConfig,
-    epoch: usize,
-    pool: &ner_par::ThreadPool,
-    rng: &mut impl Rng,
-    op_totals: &mut [u64],
-) -> EpochStats {
-    let mut stats = EpochStats::default();
-    for chunk in order.chunks(pool.threads()) {
-        // One seed per batch; each shard derives an independent stream so
-        // dropout masks don't depend on worker scheduling.
-        let batch_seed: u64 = rng.gen();
-        let model_ref: &NerModel = model;
-        let results = pool.map(chunk.len(), |j| {
-            let i = chunk[j];
-            let sent = &train[i];
-            if sent.is_empty() {
-                return SentenceOutcome::Empty;
-            }
-            let mut shard_rng = StdRng::seed_from_u64(
-                batch_seed.wrapping_add((j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            );
-            let mut tape = Tape::new();
-            let loss = model_ref.loss(&mut tape, sent, &mut shard_rng);
-            let loss_val = tape.value(loss).item() as f64;
-            if !loss_val.is_finite() {
-                return SentenceOutcome::NonFinite { index: i, loss: loss_val };
-            }
-            let mut grads = GradBuffer::new(model_ref.store.len());
-            tape.backward_into(loss, &mut grads);
-            let ops: Vec<(OpClass, u32)> = tape.op_counts().collect();
-            let nodes = tape.len();
-            drop(tape); // recycle node buffers into this worker's pool
-            SentenceOutcome::Update {
-                loss: loss_val,
-                grads,
-                nodes,
-                ops,
-                pool: ner_tensor::pool::take_stats(),
-            }
-        });
-
-        // Merge in shard order — deterministic for a fixed thread count.
-        let mut contributed = 0usize;
-        for outcome in results {
-            match outcome {
-                SentenceOutcome::Empty => {}
-                SentenceOutcome::NonFinite { index, loss } => {
-                    stats.skipped += 1;
-                    ner_obs::warn(format!(
-                        "epoch {epoch}: non-finite loss ({loss}) on sentence {index}; update skipped"
-                    ));
-                }
-                SentenceOutcome::Update { loss, grads, nodes, ops, pool } => {
-                    stats.total_loss += loss;
-                    stats.peak_nodes = stats.peak_nodes.max(nodes);
-                    for (class, n) in ops {
-                        op_totals[class as usize] += n as u64;
-                    }
-                    ner_obs::counter("pool.hits", pool.hits as f64);
-                    ner_obs::counter("pool.misses", pool.misses as f64);
-                    ner_obs::counter("pool.recycled", pool.recycled as f64);
-                    grads.apply_to(&mut model.store);
-                    contributed += 1;
-                }
-            }
-        }
-        if contributed == 0 {
-            continue;
-        }
-        let norm = if cfg.clip > 0.0 {
-            model.store.clip_grad_norm(cfg.clip)
-        } else {
-            model.store.grad_global_norm()
-        };
-        if !norm.is_finite() {
-            stats.skipped += contributed;
-            ner_obs::warn(format!(
-                "epoch {epoch}: non-finite gradient norm on a {contributed}-sentence batch; update skipped"
-            ));
-            model.store.zero_grad();
-            continue;
-        }
-        stats.norm_sum += norm as f64;
-        stats.applied += 1;
-        opt.step(&mut model.store);
-    }
-    stats
-}
-
 /// Where a bucket's dropout streams come from.
 enum RngSrc<'a> {
     /// Each sentence's stream is `StdRng` seeded with
-    /// `base + k·SEED_STRIDE` for its within-chunk index `k` — the same
-    /// derivation [`run_epoch_parallel`] uses, so schedules agree.
+    /// `base + k·SEED_STRIDE` for its within-chunk index `k`, so masks do
+    /// not depend on worker scheduling or the backend.
     Seeded(u64),
     /// The shared epoch rng, passed straight through (the
     /// `threads == 1 && batch == 1` serial replay; at most one live
@@ -398,8 +217,7 @@ fn run_bucket(
     src: RngSrc<'_>,
 ) -> BucketResult {
     // (within-chunk index, sentence index) of the non-empty sentences;
-    // empties keep their slot in the seed derivation, as in the
-    // historical parallel path.
+    // empties keep their slot in the seed derivation.
     let live: Vec<(u64, usize)> = ids
         .iter()
         .enumerate()
@@ -505,11 +323,11 @@ fn run_bucket(
     BucketResult { items, nodes, ops, pool: ner_tensor::pool::take_stats() }
 }
 
-/// The unified bucketed epoch: chunks of `threads × batch` sentences, one
-/// bucket of `batch` per worker, gradients merged in sentence order and
-/// applied with a single clipped optimizer step per chunk. Runs both
-/// backends so the per-sentence oracle can be compared against the batched
-/// path under the *same* schedule.
+/// The epoch: chunks of `threads × batch` sentences, one bucket of `batch`
+/// per worker, gradients merged in sentence order and applied with a single
+/// clipped optimizer step per chunk. Runs both backends so the
+/// per-sentence oracle can be compared against the batched path under the
+/// *same* schedule.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_bucketed(
     model: &mut NerModel,
@@ -670,42 +488,22 @@ pub fn train(
         if cfg.shuffle {
             order.shuffle(rng);
         }
-        // The historical per-sentence runners are kept verbatim for the
-        // oracle configuration; everything else goes through the unified
-        // bucketed runner (which replays them bit for bit at batch == 1).
-        let historical = cfg.trainer == TrainerKind::PerSentence && cfg.batch <= 1;
-        let stats = if !historical {
-            run_epoch_bucketed(
-                model,
-                train,
-                &order,
-                opt.as_mut(),
-                cfg,
-                epoch,
-                &pool,
-                rng,
-                &mut op_totals,
-            )
-        } else if pool.threads() > 1 {
-            run_epoch_parallel(
-                model,
-                train,
-                &order,
-                opt.as_mut(),
-                cfg,
-                epoch,
-                &pool,
-                rng,
-                &mut op_totals,
-            )
-        } else {
-            run_epoch_serial(model, train, &order, opt.as_mut(), cfg, epoch, rng, &mut op_totals)
-        };
+        let stats = run_epoch_bucketed(
+            model,
+            train,
+            &order,
+            opt.as_mut(),
+            cfg,
+            epoch,
+            &pool,
+            rng,
+            &mut op_totals,
+        );
         let EpochStats { total_loss, norm_sum, applied, skipped, peak_nodes } = stats;
         let train_loss = total_loss / train.len() as f64;
 
         // Export the coordinator thread's buffer-pool counters (workers
-        // export their own deltas per update in the parallel path).
+        // hand theirs back with each bucket result).
         let pstats = ner_tensor::pool::take_stats();
         if pstats.hits + pstats.misses + pstats.recycled > 0 {
             ner_obs::counter("pool.hits", pstats.hits as f64);

@@ -13,6 +13,12 @@ use rand::SeedableRng;
 
 const SENTENCES: usize = 12;
 
+/// Tags through the tape-free path: the sentence scored as a batch of one.
+fn planned_tags(model: &NerModel, plan: &ForwardPlan, enc: &EncodedSentence) -> Vec<String> {
+    let (mut spans, _) = model.predict_spans_batch(plan, &[enc]);
+    model.tag_set.scheme().spans_to_tags(enc.len(), &spans.pop().expect("one result"))
+}
+
 /// Zoo presets with pretrained embeddings swapped for random ones (as the
 /// CLI does when no embedding file is supplied).
 fn materialized_zoo() -> Vec<(String, NerConfig)> {
@@ -42,7 +48,7 @@ fn planned_predictions_match_tape_predictions_for_every_zoo_model() {
         for pass in 0..2 {
             for (i, enc) in encoded.iter().enumerate() {
                 let tape_tags = model.predict_tags(enc);
-                let plan_tags = model.predict_tags_planned(&plan, enc);
+                let plan_tags = planned_tags(&model, &plan, enc);
                 assert_eq!(
                     plan_tags, tape_tags,
                     "{name}: divergence on sentence {i} (pass {pass})"
@@ -77,7 +83,7 @@ fn parity_survives_a_training_step_and_plan_refresh_for_every_zoo_model() {
 
         for (i, enc) in encoded.iter().enumerate() {
             let tape_tags = pipeline.model.predict_tags(enc);
-            let plan_tags = pipeline.model.predict_tags_planned(pipeline.plan(), enc);
+            let plan_tags = planned_tags(&pipeline.model, pipeline.plan(), enc);
             assert_eq!(plan_tags, tape_tags, "{name}: post-training divergence on sentence {i}");
         }
     }
@@ -94,7 +100,7 @@ fn plan_without_cache_also_matches() {
     let plan = model.compile_plan(0);
     assert_eq!(plan.token_cache_stats(), (0, 0));
     for enc in &encoded {
-        assert_eq!(model.predict_tags_planned(&plan, enc), model.predict_tags(enc));
+        assert_eq!(planned_tags(&model, &plan, enc), model.predict_tags(enc));
     }
 }
 

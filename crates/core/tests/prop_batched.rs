@@ -1,9 +1,11 @@
 //! Parity of the packed batched execution path (`extract_batch` /
-//! `annotate_batch` over `BatchedExec`) with the per-sentence fused plan,
+//! `annotate_batch` over `BatchedExec`) with the per-sentence tape path,
 //! across every zoo architecture, thread counts 1/2/4, and ragged batch
 //! shapes including empty and single-token sentences. The batched backend
 //! is built to be bit-identical per row, so the gate here is exact
-//! prediction equality — tags and spans, not tolerances.
+//! prediction equality — tags and spans, not tolerances. The oracle never
+//! touches the token cache, so only the batched calls (all made under
+//! `THREADS_LOCK`) move the cache counters.
 
 use ner_core::prelude::*;
 use ner_core::zoo;
@@ -79,8 +81,8 @@ fn batched_extraction_matches_per_sentence_for_every_zoo_model() {
     let texts = ragged_texts();
     for (name, cfg) in materialized_zoo() {
         let pipeline = pipeline_for(cfg, 7);
-        // Per-sentence oracle (also warms the token cache).
-        let want: Vec<Sentence> = texts.iter().map(|t| pipeline.extract(t)).collect();
+        // Per-sentence tape oracle.
+        let want: Vec<Sentence> = texts.iter().map(|t| pipeline.extract_tape(t)).collect();
         for threads in [1, 2, 4] {
             // Pass 0 scores with whatever the oracle left cached; a fresh
             // plan in between gives the batched path a cold cache too.
@@ -99,7 +101,7 @@ fn batched_extraction_matches_with_a_cold_cache_and_without_one() {
         let pipeline = pipeline_for(NerConfig::default(), 13).with_token_cache_capacity(capacity);
         // Batched goes FIRST: the batch itself is the cold-cache pass.
         let got = with_threads(4, || pipeline.extract_batch(&texts));
-        let want: Vec<Sentence> = texts.iter().map(|t| pipeline.extract(t)).collect();
+        let want: Vec<Sentence> = texts.iter().map(|t| pipeline.extract_tape(t)).collect();
         assert_sentences_eq(&got, &want, &format!("cold-cache capacity={capacity}"));
     }
 }
@@ -112,11 +114,11 @@ fn annotate_batch_matches_annotate_on_pretokenized_ragged_input() {
         .sentences;
     sentences.insert(3, Sentence::default()); // empty sentence mid-batch
     sentences.insert(5, Sentence::unlabeled(&["Solo".to_string()]));
-    // `annotate` rejects empty sentences; the batch path returns them
+    // `annotate_tape` rejects empty sentences; the batch path returns them
     // untouched, so the oracle mirrors that.
     let want: Vec<Sentence> = sentences
         .iter()
-        .map(|s| if s.is_empty() { s.clone() } else { pipeline.annotate(s) })
+        .map(|s| if s.is_empty() { s.clone() } else { pipeline.annotate_tape(s) })
         .collect();
     for threads in [1, 2, 4] {
         let got = with_threads(threads, || pipeline.annotate_batch(&sentences));
@@ -144,7 +146,7 @@ fn batched_extraction_is_identical_at_every_simd_level() {
         }
         let pipeline = pipeline_for(cfg, 23);
         let want: Vec<Sentence> = simd::with_level(SimdLevel::Off, || {
-            texts.iter().map(|t| pipeline.extract(t)).collect()
+            texts.iter().map(|t| pipeline.extract_tape(t)).collect()
         });
         for &lvl in &levels {
             for threads in [1, 2, 4] {

@@ -376,6 +376,21 @@ fn health_metrics_and_errors_speak_http() {
 }
 
 #[test]
+fn deeply_nested_body_gets_400_and_the_server_stays_live() {
+    let (addr, _state, handle) = start_server(ServeConfig::default(), None);
+    // Just under the 1 MiB body cap of '[': unbounded recursive parsing
+    // would overflow the shard's stack and abort the whole process.
+    let hostile = "[".repeat(ner_serve::http::MAX_BODY_BYTES - 1);
+    let resp = client::post(addr, "/v1/extract", &hostile).expect("hostile body");
+    assert_eq!(resp.status, 400);
+    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+    let ok = client::post(addr, "/v1/extract", "{\"text\": \"Dana met Erik in Oslo .\"}")
+        .expect("extract after the hostile body");
+    assert_eq!(ok.status, 200);
+    stop_server(addr, handle);
+}
+
+#[test]
 fn every_extraction_response_carries_a_unique_trace_id() {
     let (addr, _state, handle) = start_server(ServeConfig::default(), None);
 

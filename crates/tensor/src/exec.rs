@@ -2,34 +2,41 @@
 //!
 //! Each neural building block in [`crate::nn`] (and every module built on
 //! top of it in `ner-core`) has exactly **one** forward implementation,
-//! written against the [`Exec`] trait. The trait has two implementations:
+//! written against the [`Exec`] trait. The trait has three implementations:
 //!
 //! * [`Tape`] (aliased [`TapeExec`]) — records an autograd node per
-//!   operation so the trainer can backpropagate. The trait methods expand
-//!   coarse operations (`affine_act`, `lstm_gates`, …) into exactly the
-//!   node chains the historical per-layer forwards pushed, so training
-//!   trajectories are preserved.
-//! * [`FusedExec`] — tape-free inference. Operations write into pooled
-//!   buffers via the fused kernels in [`crate::fused`]; nothing is
+//!   operation for one sentence. The trait methods expand coarse
+//!   operations (`affine_act`, `lstm_gates`, …) into exactly the node
+//!   chains the historical per-layer forwards pushed, so training
+//!   trajectories are preserved. It is also the per-sentence reference
+//!   every parity test compares the packed backends against.
+//! * [`BatchedExec`] — tape-free inference over a packed batch of
+//!   sentences (one sentence is a batch of one). Operations write into
+//!   pooled buffers via the fused kernels in [`crate::fused`]; nothing is
 //!   recorded, parameters are borrowed rather than copied, and every
 //!   intermediate buffer is recycled into the thread-local [`crate::pool`]
 //!   when the backend is dropped.
+//! * [`BatchedTapeExec`] — autograd recording over the same packed layout,
+//!   for batched training.
 //!
-//! **Determinism contract.** For every operation the two backends perform
-//! the same floating-point arithmetic in the same order, so a forward pass
-//! is bit-identical whichever backend runs it (`tests/prop_fused.rs`,
-//! `ner-core/tests/plan_parity.rs`). Coarse operations exist precisely
+//! **Determinism contract.** For every operation the backends perform the
+//! same floating-point arithmetic in the same order, so a sentence's
+//! forward rows are bit-identical whichever backend runs it
+//! (`tests/prop_fused.rs`, `ner-core/tests/plan_parity.rs`,
+//! `ner-core/tests/prop_batched.rs`). Coarse operations exist precisely
 //! where a fused kernel can skip tape bookkeeping without touching the
 //! accumulation order.
 
 use crate::fused::{self, Activation};
 use crate::{pool, simd, OpClass, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// An execution backend for layer forwards: either records autograd nodes
-/// ([`Tape`]) or evaluates eagerly into pooled buffers ([`FusedExec`]).
+/// ([`Tape`], [`BatchedTapeExec`]) or evaluates eagerly into pooled buffers
+/// ([`BatchedExec`]).
 ///
 /// Values are lightweight `Copy` handles; [`value`](Exec::value) reads the
 /// tensor behind a handle.
@@ -107,7 +114,7 @@ pub trait Exec {
     /// state; returns `h'`.
     fn gru_gates(&mut self, xp: Self::V, hp: Self::V, h_prev: Self::V, hidden: usize) -> Self::V;
 
-    /// Sinusoidal positional encodings `[n, d]` — [`FusedExec`] serves
+    /// Sinusoidal positional encodings `[n, d]` — [`BatchedExec`] serves
     /// them from a shared [`PeCache`] when one is attached.
     fn positional_encoding(&mut self, n: usize, d: usize) -> Self::V;
 
@@ -115,8 +122,8 @@ pub trait Exec {
     /// (gate order i, f, g, o). The provided implementation expands to the
     /// historical per-step chain — lease weights and zero states, then per
     /// step `row`, two `matmul`s, `add`, `add_bias`, [`Exec::lstm_gates`] —
-    /// which is what the tape records. [`FusedExec`] overrides it with a
-    /// sequence-batched input projection and an in-place gate sweep that
+    /// which is what the tape records. The packed backends override it with
+    /// a sequence-batched input projection and an in-place gate sweep that
     /// compute the same floats in the same per-element order.
     fn lstm_sequence(
         &mut self,
@@ -150,8 +157,8 @@ pub trait Exec {
 
     /// Runs a whole GRU pass left to right, `xs [n, d_in] → [n, hidden]`
     /// (gate order z, r, n). Same contract as [`Exec::lstm_sequence`]: the
-    /// provided implementation is the historical per-step tape chain,
-    /// [`FusedExec`] overrides it with a batched equivalent.
+    /// provided implementation is the historical per-step tape chain, the
+    /// packed backends override it with a batched equivalent.
     #[allow(clippy::too_many_arguments)]
     fn gru_sequence(
         &mut self,
@@ -194,10 +201,9 @@ pub trait Exec {
 /// char compositions, decoder losses) are written once against this trait:
 /// packed row-wise operations go through the plain [`Exec`] methods, and
 /// per-segment subgraphs run inside [`scoped`](PackedExec::scoped), which
-/// routes operations to the per-sentence execution path of the backend —
-/// the inner [`FusedExec`] for inference, the raw per-sentence [`Tape`]
-/// chain (tagged with the owning segment for gradient routing) for
-/// training.
+/// treats each value as a single sentence — one run for the sequence
+/// operations at inference, the raw per-sentence [`Tape`] chain (tagged
+/// with the owning segment for gradient routing) in training.
 pub trait PackedExec: Exec {
     /// Number of segments (sentences) in the batch.
     fn segments(&self) -> usize;
@@ -218,7 +224,7 @@ pub trait PackedExec: Exec {
 }
 
 /// The recording backend: [`Tape`] itself. Named for symmetry with
-/// [`FusedExec`].
+/// [`BatchedExec`].
 pub type TapeExec = Tape;
 
 impl Exec for Tape {
@@ -413,7 +419,7 @@ impl PeCache {
     }
 }
 
-/// What a [`FusedExec`] slot holds.
+/// What a [`BatchedExec`] slot holds.
 enum Slot {
     /// A computed intermediate, recycled into the buffer pool on drop.
     Owned(Tensor),
@@ -423,26 +429,101 @@ enum Slot {
     Param(ParamId),
 }
 
-/// Handle to a [`FusedExec`] value.
+/// Handle to a [`BatchedExec`] value.
 #[derive(Clone, Copy, Debug)]
-pub struct FusedVal(usize);
+pub struct BatchedVal(usize);
 
-/// The tape-free inference backend: evaluates each operation eagerly with
-/// the fused kernels in [`crate::fused`], writing into pooled buffers.
+/// The tape-free inference backend: evaluates a whole batch of sentences as
+/// one *packed-rows* problem, eagerly, with the fused kernels in
+/// [`crate::fused`]. A single sentence is simply a batch of one.
+///
+/// The batch's token rows are packed into a single `[N, d]` matrix
+/// (`N = Σ lenᵢ`), segment `s` occupying rows
+/// `[offset_of(s), offset_of(s) + len_of(s))` in caller order. Row-wise
+/// operations (affine layers, activations, layer norm, embedding lookups)
+/// need no special handling — each packed row is computed exactly as the
+/// same row of a single sentence. The sequence-shaped operations respect
+/// segment boundaries:
+///
+/// * [`lstm_sequence`](Exec::lstm_sequence) / [`gru_sequence`](Exec::gru_sequence)
+///   run **one recurrent GEMM per timestep across the whole batch**: the
+///   hidden states of every sentence still alive at timestep `t` form a
+///   `[live, h]` matrix multiplied against `w_hh` in a single call.
+///   Segments are swept longest-first, so the live set at any timestep is
+///   a contiguous prefix — the "per-timestep live-row mask" is a prefix
+///   length, and shorter sentences drop out cleanly with no padding
+///   arithmetic.
+/// * [`conv1d_act`](Exec::conv1d_act) and
+///   [`reverse_rows`](Exec::reverse_rows) apply per segment (a convolution
+///   window must not straddle a sentence boundary).
+/// * [`positional_encoding`](Exec::positional_encoding) stacks the
+///   per-segment encodings.
+///
+/// Operations whose inputs are *not* packed token rows (per-word character
+/// matrices, per-segment attention scores, greedy decoder steps) run inside
+/// [`PackedExec::scoped`], where every sequence-shaped operation treats the
+/// value's rows as a single segment.
 ///
 /// Parameters are leased by id (no copy); every owned intermediate is
 /// returned to the thread-local buffer [`crate::pool`] when the backend is
-/// dropped, so a warm evaluation loop allocates nothing per sentence.
-pub struct FusedExec<'a> {
+/// dropped, so a warm evaluation loop allocates almost nothing per batch.
+///
+/// **Float-parity contract.** The kernels in `crate::kernels` keep the
+/// per-output-element accumulation order independent of how many rows a
+/// GEMM has, and the gate sweeps are the same scalar expressions as the
+/// tape's per-step chain, so every packed output row is **bit-identical**
+/// to running that sentence alone on the [`Tape`] — not just tag-identical
+/// (`ner-core/tests/prop_batched.rs` and `plan_parity.rs` pin this across
+/// the model zoo).
+pub struct BatchedExec<'a> {
     store: &'a ParamStore,
     pe: Option<&'a PeCache>,
     slots: Vec<Slot>,
+    /// Per-segment lengths, caller order. Every length is ≥ 1.
+    lens: Vec<usize>,
+    /// Packed row offset of each segment, caller order.
+    offsets: Vec<usize>,
+    /// `(offset, len)` of every segment sorted longest-first (ties by
+    /// index, so the ordering — and therefore every float — is
+    /// deterministic).
+    runs: Vec<(usize, usize)>,
+    /// Total packed rows, `Σ lens`.
+    total: usize,
+    /// Inside a [`PackedExec::scoped`] call the values in flight are
+    /// per-segment tensors, not packed rows: sequence operations treat
+    /// their input as one segment.
+    in_scope: bool,
 }
 
-impl<'a> FusedExec<'a> {
-    /// A fresh backend reading parameters from `store`.
-    pub fn new(store: &'a ParamStore) -> Self {
-        FusedExec { store, pe: None, slots: Vec::with_capacity(64) }
+impl<'a> BatchedExec<'a> {
+    /// A fresh batched backend reading parameters from `store`, for
+    /// segments of the given lengths.
+    ///
+    /// # Panics
+    /// Panics if `lens` is empty or contains a zero length — empty
+    /// sentences must be filtered out before packing.
+    pub fn new(store: &'a ParamStore, lens: &[usize]) -> Self {
+        assert!(!lens.is_empty(), "BatchedExec needs at least one segment");
+        assert!(lens.iter().all(|&l| l > 0), "BatchedExec segments must be non-empty");
+        let mut offsets = Vec::with_capacity(lens.len());
+        let mut total = 0;
+        for &l in lens {
+            offsets.push(total);
+            total += l;
+        }
+        let mut order: Vec<usize> = (0..lens.len()).collect();
+        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
+        let runs = order.iter().map(|&s| (offsets[s], lens[s])).collect();
+        BatchedExec {
+            store,
+            pe: None,
+            slots: Vec::with_capacity(64),
+            lens: lens.to_vec(),
+            offsets,
+            runs,
+            total,
+            in_scope: false,
+        }
     }
 
     /// Serves positional encodings from `cache` instead of recomputing.
@@ -451,21 +532,50 @@ impl<'a> FusedExec<'a> {
         self
     }
 
-    fn push(&mut self, t: Tensor) -> FusedVal {
+    fn push(&mut self, t: Tensor) -> BatchedVal {
         self.slots.push(Slot::Owned(t));
-        FusedVal(self.slots.len() - 1)
+        BatchedVal(self.slots.len() - 1)
     }
 
-    fn tensor(&self, v: FusedVal) -> &Tensor {
+    fn tensor(&self, v: BatchedVal) -> &Tensor {
         match &self.slots[v.0] {
             Slot::Owned(t) => t,
             Slot::Shared(t) => t,
             Slot::Param(id) => self.store.value(*id),
         }
     }
+
+    /// The `(offset, len)` runs a sequence-shaped operation sweeps over a
+    /// value of `rows` rows, longest first: the batch's segments for packed
+    /// token rows, or — inside [`PackedExec::scoped`] — all rows as one run.
+    fn runs(&self, rows: usize, op: &str) -> Cow<'_, [(usize, usize)]> {
+        if self.in_scope {
+            return Cow::Owned(vec![(0, rows)]);
+        }
+        assert_eq!(rows, self.total, "BatchedExec::{op} expects packed token rows");
+        Cow::Borrowed(&self.runs)
+    }
+
+    /// Elementwise `f(a, b)` into a pooled buffer.
+    fn zip_with(
+        &mut self,
+        a: BatchedVal,
+        b: BatchedVal,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> BatchedVal {
+        let out = {
+            let (av, bv) = (self.tensor(a), self.tensor(b));
+            let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
+            for ((o, &x), &y) in out.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
+                *o = f(x, y);
+            }
+            out
+        };
+        self.push(out)
+    }
 }
 
-impl Drop for FusedExec<'_> {
+impl Drop for BatchedExec<'_> {
     fn drop(&mut self) {
         // One recycling sweep instead of per-op frees — mirrors how a
         // dropped Tape returns all node buffers to the pool.
@@ -477,21 +587,26 @@ impl Drop for FusedExec<'_> {
     }
 }
 
-impl Exec for FusedExec<'_> {
-    type V = FusedVal;
+/// How many runs are still alive (length > `t`) at timestep `t`. Sorted
+/// longest-first, the live set is always the prefix `runs[..live_at(t)]`.
+fn live_at(runs: &[(usize, usize)], t: usize) -> usize {
+    runs.partition_point(|&(_, l)| l > t)
+}
 
-    fn constant(&mut self, value: Tensor) -> FusedVal {
+impl Exec for BatchedExec<'_> {
+    type V = BatchedVal;
+
+    fn constant(&mut self, value: Tensor) -> BatchedVal {
         self.push(value)
     }
 
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> FusedVal {
-        debug_assert!(std::ptr::eq(store, self.store), "FusedExec reads from its own store");
-        let _ = store;
+    fn param(&mut self, store: &ParamStore, id: ParamId) -> BatchedVal {
+        debug_assert!(std::ptr::eq(store, self.store), "BatchedExec reads from its own store");
         self.slots.push(Slot::Param(id));
-        FusedVal(self.slots.len() - 1)
+        BatchedVal(self.slots.len() - 1)
     }
 
-    fn lookup(&mut self, store: &ParamStore, id: ParamId, ids: &[usize]) -> FusedVal {
+    fn lookup(&mut self, store: &ParamStore, id: ParamId, ids: &[usize]) -> BatchedVal {
         let out = {
             let table = store.value(id);
             let mut out = Tensor::zeros_pooled(ids.len(), table.cols());
@@ -503,57 +618,33 @@ impl Exec for FusedExec<'_> {
         self.push(out)
     }
 
-    fn value(&self, v: FusedVal) -> &Tensor {
+    fn value(&self, v: BatchedVal) -> &Tensor {
         self.tensor(v)
     }
 
-    fn matmul(&mut self, a: FusedVal, b: FusedVal) -> FusedVal {
+    fn matmul(&mut self, a: BatchedVal, b: BatchedVal) -> BatchedVal {
         let out = self.tensor(a).matmul(self.tensor(b));
         self.push(out)
     }
 
-    fn transpose(&mut self, a: FusedVal) -> FusedVal {
+    fn transpose(&mut self, a: BatchedVal) -> BatchedVal {
         let out = self.tensor(a).transposed();
         self.push(out)
     }
 
-    fn add(&mut self, a: FusedVal, b: FusedVal) -> FusedVal {
-        let out = {
-            let (av, bv) = (self.tensor(a), self.tensor(b));
-            let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
-            for ((o, &x), &y) in out.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
-                *o = x + y;
-            }
-            out
-        };
-        self.push(out)
+    fn add(&mut self, a: BatchedVal, b: BatchedVal) -> BatchedVal {
+        self.zip_with(a, b, |x, y| x + y)
     }
 
-    fn sub(&mut self, a: FusedVal, b: FusedVal) -> FusedVal {
-        let out = {
-            let (av, bv) = (self.tensor(a), self.tensor(b));
-            let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
-            for ((o, &x), &y) in out.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
-                *o = x - y;
-            }
-            out
-        };
-        self.push(out)
+    fn sub(&mut self, a: BatchedVal, b: BatchedVal) -> BatchedVal {
+        self.zip_with(a, b, |x, y| x - y)
     }
 
-    fn mul(&mut self, a: FusedVal, b: FusedVal) -> FusedVal {
-        let out = {
-            let (av, bv) = (self.tensor(a), self.tensor(b));
-            let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
-            for ((o, &x), &y) in out.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
-                *o = x * y;
-            }
-            out
-        };
-        self.push(out)
+    fn mul(&mut self, a: BatchedVal, b: BatchedVal) -> BatchedVal {
+        self.zip_with(a, b, |x, y| x * y)
     }
 
-    fn scale(&mut self, a: FusedVal, s: f32) -> FusedVal {
+    fn scale(&mut self, a: BatchedVal, s: f32) -> BatchedVal {
         let out = {
             let av = self.tensor(a);
             let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
@@ -565,73 +656,94 @@ impl Exec for FusedExec<'_> {
         self.push(out)
     }
 
-    fn add_bias(&mut self, m: FusedVal, bias: FusedVal) -> FusedVal {
+    fn add_bias(&mut self, m: BatchedVal, bias: BatchedVal) -> BatchedVal {
         let out = {
-            let (mv, bv) = (self.tensor(m), self.tensor(bias));
-            let mut out = fused::pooled_copy(mv);
-            fused::add_bias_in_place(&mut out, bv);
+            let mut out = fused::pooled_copy(self.tensor(m));
+            fused::add_bias_in_place(&mut out, self.tensor(bias));
             out
         };
         self.push(out)
     }
 
-    fn activation(&mut self, a: FusedVal, act: Activation) -> FusedVal {
+    fn activation(&mut self, a: BatchedVal, act: Activation) -> BatchedVal {
         if act == Activation::None {
             return a;
         }
-        let out = {
-            let av = self.tensor(a);
-            let mut out = fused::pooled_copy(av);
-            act.apply(&mut out);
-            out
-        };
+        let mut out = fused::pooled_copy(self.tensor(a));
+        act.apply(&mut out);
         self.push(out)
     }
 
-    fn affine_act(&mut self, x: FusedVal, w: FusedVal, b: FusedVal, act: Activation) -> FusedVal {
+    fn affine_act(
+        &mut self,
+        x: BatchedVal,
+        w: BatchedVal,
+        b: BatchedVal,
+        act: Activation,
+    ) -> BatchedVal {
         let out = fused::affine_act(self.tensor(x), self.tensor(w), self.tensor(b), act);
         self.push(out)
     }
 
+    // A convolution window must not straddle a sentence boundary, so packed
+    // input is convolved per segment; each segment's rows come out
+    // bit-identical to convolving that sentence alone.
     fn conv1d_act(
         &mut self,
-        x: FusedVal,
-        w: FusedVal,
-        b: FusedVal,
+        x: BatchedVal,
+        w: BatchedVal,
+        b: BatchedVal,
         k: usize,
         dilation: usize,
         act: Activation,
-    ) -> FusedVal {
-        let out =
-            fused::conv1d_act(self.tensor(x), self.tensor(w), self.tensor(b), k, dilation, act);
-        self.push(out)
-    }
-
-    fn layer_norm(&mut self, x: FusedVal, gain: FusedVal, bias: FusedVal) -> FusedVal {
-        let out = fused::layer_norm(self.tensor(x), self.tensor(gain), self.tensor(bias));
-        self.push(out)
-    }
-
-    fn softmax_rows(&mut self, a: FusedVal) -> FusedVal {
+    ) -> BatchedVal {
         let out = {
-            let mut out = fused::pooled_copy(self.tensor(a));
-            fused::softmax_rows_in_place(&mut out);
-            out
+            let (xv, wv, bv) = (self.tensor(x), self.tensor(w), self.tensor(b));
+            let runs = self.runs(xv.rows(), "conv1d_act");
+            if runs.len() == 1 {
+                fused::conv1d_act(xv, wv, bv, k, dilation, act)
+            } else {
+                let mut out = Tensor::zeros_pooled(xv.rows(), wv.cols());
+                for &(off, len) in runs.iter() {
+                    let mut seg = Tensor::zeros_pooled(len, xv.cols());
+                    for r in 0..len {
+                        seg.row_mut(r).copy_from_slice(xv.row(off + r));
+                    }
+                    let res = fused::conv1d_act(&seg, wv, bv, k, dilation, act);
+                    for r in 0..len {
+                        out.row_mut(off + r).copy_from_slice(res.row(r));
+                    }
+                    fused::recycle(res);
+                    fused::recycle(seg);
+                }
+                out
+            }
         };
         self.push(out)
     }
 
-    fn max_over_rows(&mut self, a: FusedVal) -> FusedVal {
+    fn layer_norm(&mut self, x: BatchedVal, gain: BatchedVal, bias: BatchedVal) -> BatchedVal {
+        let out = fused::layer_norm(self.tensor(x), self.tensor(gain), self.tensor(bias));
+        self.push(out)
+    }
+
+    fn softmax_rows(&mut self, a: BatchedVal) -> BatchedVal {
+        let mut out = fused::pooled_copy(self.tensor(a));
+        fused::softmax_rows_in_place(&mut out);
+        self.push(out)
+    }
+
+    fn max_over_rows(&mut self, a: BatchedVal) -> BatchedVal {
         let out = fused::max_over_rows(self.tensor(a));
         self.push(out)
     }
 
-    fn slice_cols(&mut self, a: FusedVal, start: usize, len: usize) -> FusedVal {
+    fn slice_cols(&mut self, a: BatchedVal, start: usize, len: usize) -> BatchedVal {
         let out = fused::slice_cols(self.tensor(a), start, len);
         self.push(out)
     }
 
-    fn slice_rows(&mut self, a: FusedVal, start: usize, len: usize) -> FusedVal {
+    fn slice_rows(&mut self, a: BatchedVal, start: usize, len: usize) -> BatchedVal {
         let out = {
             let av = self.tensor(a);
             assert!(start + len <= av.rows(), "slice_rows out of bounds");
@@ -644,17 +756,11 @@ impl Exec for FusedExec<'_> {
         self.push(out)
     }
 
-    fn row(&mut self, a: FusedVal, i: usize) -> FusedVal {
-        let out = {
-            let av = self.tensor(a);
-            let mut out = Tensor::zeros_pooled(1, av.cols());
-            out.row_mut(0).copy_from_slice(av.row(i));
-            out
-        };
-        self.push(out)
+    fn row(&mut self, a: BatchedVal, i: usize) -> BatchedVal {
+        self.slice_rows(a, i, 1)
     }
 
-    fn concat_rows(&mut self, parts: &[FusedVal]) -> FusedVal {
+    fn concat_rows(&mut self, parts: &[BatchedVal]) -> BatchedVal {
         assert!(!parts.is_empty(), "concat_rows of nothing");
         let out = {
             let total: usize = parts.iter().map(|&p| self.tensor(p).rows()).sum();
@@ -674,7 +780,7 @@ impl Exec for FusedExec<'_> {
         self.push(out)
     }
 
-    fn concat_cols(&mut self, parts: &[FusedVal]) -> FusedVal {
+    fn concat_cols(&mut self, parts: &[BatchedVal]) -> BatchedVal {
         assert!(!parts.is_empty(), "concat_cols of nothing");
         let out = {
             let rows = self.tensor(parts[0]).rows();
@@ -695,13 +801,16 @@ impl Exec for FusedExec<'_> {
         self.push(out)
     }
 
-    fn reverse_rows(&mut self, a: FusedVal) -> FusedVal {
+    // Sequence reversal is per sentence: each segment's rows flip in place,
+    // never crossing its boundary.
+    fn reverse_rows(&mut self, a: BatchedVal) -> BatchedVal {
         let out = {
             let av = self.tensor(a);
-            let (n, d) = av.shape();
-            let mut out = Tensor::zeros_pooled(n, d);
-            for r in 0..n {
-                out.row_mut(r).copy_from_slice(av.row(n - 1 - r));
+            let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
+            for &(off, len) in self.runs(av.rows(), "reverse_rows").iter() {
+                for r in 0..len {
+                    out.row_mut(off + r).copy_from_slice(av.row(off + len - 1 - r));
+                }
             }
             out
         };
@@ -710,7 +819,12 @@ impl Exec for FusedExec<'_> {
 
     // The same scalar expressions the tape's expanded gate chain computes,
     // associated identically: cₙ = f·c + i·g, h = o·tanh(cₙ).
-    fn lstm_gates(&mut self, pre: FusedVal, c: FusedVal, hidden: usize) -> (FusedVal, FusedVal) {
+    fn lstm_gates(
+        &mut self,
+        pre: BatchedVal,
+        c: BatchedVal,
+        hidden: usize,
+    ) -> (BatchedVal, BatchedVal) {
         let (h_new, c_new) = {
             let (pv, cv) = (self.tensor(pre), self.tensor(c));
             assert_eq!(pv.shape(), (1, 4 * hidden), "lstm_gates pre-activation shape");
@@ -738,11 +852,11 @@ impl Exec for FusedExec<'_> {
     // sub-then-add chain.
     fn gru_gates(
         &mut self,
-        xp: FusedVal,
-        hp: FusedVal,
-        h_prev: FusedVal,
+        xp: BatchedVal,
+        hp: BatchedVal,
+        h_prev: BatchedVal,
         hidden: usize,
-    ) -> FusedVal {
+    ) -> BatchedVal {
         let out = {
             let (xv, hv, prev) = (self.tensor(xp), self.tensor(hp), self.tensor(h_prev));
             assert_eq!(xv.shape(), (1, 3 * hidden), "gru_gates projection shape");
@@ -759,457 +873,40 @@ impl Exec for FusedExec<'_> {
         self.push(out)
     }
 
-    fn positional_encoding(&mut self, n: usize, d: usize) -> FusedVal {
-        match self.pe {
-            Some(cache) => {
-                self.slots.push(Slot::Shared(cache.get(n, d)));
-                FusedVal(self.slots.len() - 1)
-            }
-            None => {
-                let pe = crate::nn::positional_encoding(n, d);
-                self.push(pe)
-            }
-        }
-    }
-
-    // Batched override: one `[n, 4h]` input projection for the whole
-    // sequence instead of n `[1, 4h]` matmuls, and the gate sweep runs in
-    // place with no per-step slot bookkeeping. Per output element the
-    // accumulation order equals the per-step chain's (row-wise matmul is
-    // the same sweep; `(x + h) + b` is the tape's add-then-add_bias
-    // association), so the floats are bit-identical to the default.
-    fn lstm_sequence(
-        &mut self,
-        store: &ParamStore,
-        w_ih: ParamId,
-        w_hh: ParamId,
-        b: ParamId,
-        hidden: usize,
-        xs: FusedVal,
-    ) -> FusedVal {
-        let out = {
-            let xsv = self.tensor(xs);
-            let n = xsv.rows();
-            let h = hidden;
-            let w_hh = store.value(w_hh);
-            let b = store.value(b);
-            let xp = xsv.matmul(store.value(w_ih)); // [n, 4h]
-            let mut out = Tensor::zeros_pooled(n, h);
-            let mut hstate = Tensor::zeros(1, h);
-            let mut c = vec![0.0f32; h];
-            let mut pre = vec![0.0f32; 4 * h];
-            // The pre-activation build `(x + h) + b` runs across SIMD
-            // lanes (same two-add sequence per element); the gate sweep
-            // below is transcendental-bound and stays scalar for
-            // bit-identity with the tape chain.
-            let lvl = simd::active();
-            for t in 0..n {
-                let hp = hstate.matmul(w_hh); // [1, 4h]
-                simd::add3(lvl, &mut pre, xp.row(t), hp.data(), b.data());
-                fused::recycle(hp);
-                let out_row = out.row_mut(t);
-                for j in 0..h {
-                    let i = Activation::Sigmoid.eval(pre[j]);
-                    let f = Activation::Sigmoid.eval(pre[h + j]);
-                    let g = Activation::Tanh.eval(pre[2 * h + j]);
-                    let o = Activation::Sigmoid.eval(pre[3 * h + j]);
-                    let cn = f * c[j] + i * g;
-                    c[j] = cn;
-                    out_row[j] = o * cn.tanh();
-                }
-                hstate.row_mut(0).copy_from_slice(out.row(t));
-            }
-            fused::recycle(xp);
-            out
-        };
-        self.push(out)
-    }
-
-    // Batched override, same contract as `lstm_sequence`: per-element
-    // float order matches the per-step chain exactly.
-    fn gru_sequence(
-        &mut self,
-        store: &ParamStore,
-        w_ih: ParamId,
-        w_hh: ParamId,
-        b_ih: ParamId,
-        b_hh: ParamId,
-        hidden: usize,
-        xs: FusedVal,
-    ) -> FusedVal {
-        let out = {
-            let xsv = self.tensor(xs);
-            let n = xsv.rows();
-            let h = hidden;
-            let w_hh = store.value(w_hh);
-            let b_hh = store.value(b_hh);
-            let mut xp = xsv.matmul(store.value(w_ih)); // [n, 3h]
-            fused::add_bias_in_place(&mut xp, store.value(b_ih));
-            let mut out = Tensor::zeros_pooled(n, h);
-            let mut hstate = Tensor::zeros(1, h);
-            for t in 0..n {
-                let mut hp = hstate.matmul(w_hh); // [1, 3h]
-                fused::add_bias_in_place(&mut hp, b_hh);
-                let x_row = xp.row(t);
-                let h_row = hp.data();
-                let h_prev = hstate.data();
-                let out_row = out.row_mut(t);
-                for j in 0..h {
-                    let z = Activation::Sigmoid.eval(x_row[j] + h_row[j]);
-                    let r = Activation::Sigmoid.eval(x_row[h + j] + h_row[h + j]);
-                    let nj = (x_row[2 * h + j] + r * h_row[2 * h + j]).tanh();
-                    // h' = (n − z⊙n) + z⊙h, associated exactly as the
-                    // tape's sub-then-add chain.
-                    out_row[j] = (nj - z * nj) + z * h_prev[j];
-                }
-                hstate.row_mut(0).copy_from_slice(out.row(t));
-                fused::recycle(hp);
-            }
-            fused::recycle(xp);
-            out
-        };
-        self.push(out)
-    }
-}
-
-/// The cross-sentence batched inference backend: evaluates a whole batch of
-/// sentences as one *packed-rows* problem.
-///
-/// The batch's token rows are packed into a single `[N, d]` matrix
-/// (`N = Σ lenᵢ`), segment `s` occupying rows
-/// `[offset_of(s), offset_of(s) + len_of(s))` in caller order. Row-wise
-/// operations (affine layers, activations, layer norm, embedding lookups)
-/// need no special handling — the inner [`FusedExec`] computes each packed
-/// row exactly as it would the same row of a single sentence. The
-/// sequence-shaped operations are overridden to respect segment
-/// boundaries:
-///
-/// * [`lstm_sequence`](Exec::lstm_sequence) / [`gru_sequence`](Exec::gru_sequence)
-///   run **one recurrent GEMM per timestep across the whole batch**: the
-///   hidden states of every sentence still alive at timestep `t` form a
-///   `[live, h]` matrix multiplied against `w_hh` in a single call.
-///   Segments are ordered longest-first internally, so the live set at any
-///   timestep is a contiguous prefix — the "per-timestep live-row mask" is
-///   a prefix length, and shorter sentences drop out cleanly with no
-///   padding arithmetic.
-/// * [`conv1d_act`](Exec::conv1d_act) and
-///   [`reverse_rows`](Exec::reverse_rows) apply per segment (a convolution
-///   window must not straddle a sentence boundary).
-/// * [`positional_encoding`](Exec::positional_encoding) stacks the
-///   per-segment encodings.
-///
-/// **Float-parity contract.** The kernels in `crate::kernels` keep the
-/// per-output-element accumulation order independent of how many rows a
-/// GEMM has, and the gate sweeps here are the same scalar expressions as
-/// the per-sentence [`FusedExec`] overrides, so every packed output row is
-/// **bit-identical** to the row the per-sentence path produces — not just
-/// tag-identical (`ner-core/tests/prop_batched.rs` pins this across the
-/// model zoo).
-///
-/// Operations whose inputs are *not* packed token rows (per-word character
-/// matrices, per-segment attention scores, greedy decoder steps) must run
-/// on the [`inner`](BatchedExec::inner_mut) backend directly; the two share
-/// one slot space, so handles interchange freely.
-pub struct BatchedExec<'a> {
-    inner: FusedExec<'a>,
-    /// Per-segment lengths, caller order. Every length is ≥ 1.
-    lens: Vec<usize>,
-    /// Packed row offset of each segment, caller order.
-    offsets: Vec<usize>,
-    /// Segment indices sorted longest-first (ties by index, so the
-    /// ordering — and therefore every float — is deterministic).
-    order: Vec<usize>,
-    /// `lens[order[p]]` — descending.
-    sorted_lens: Vec<usize>,
-    /// Total packed rows, `Σ lens`.
-    total: usize,
-    /// Inside a [`PackedExec::scoped`] call: packed overrides stand down
-    /// and delegate to the inner per-sentence backend, because the values
-    /// in flight are per-segment tensors, not packed rows.
-    in_scope: bool,
-}
-
-impl<'a> BatchedExec<'a> {
-    /// A fresh batched backend for segments of the given lengths.
-    ///
-    /// # Panics
-    /// Panics if `lens` is empty or contains a zero length — empty
-    /// sentences must be filtered out before packing.
-    pub fn new(store: &'a ParamStore, lens: &[usize]) -> Self {
-        assert!(!lens.is_empty(), "BatchedExec needs at least one segment");
-        assert!(lens.iter().all(|&l| l > 0), "BatchedExec segments must be non-empty");
-        let mut offsets = Vec::with_capacity(lens.len());
-        let mut total = 0;
-        for &l in lens {
-            offsets.push(total);
-            total += l;
-        }
-        let mut order: Vec<usize> = (0..lens.len()).collect();
-        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
-        let sorted_lens = order.iter().map(|&s| lens[s]).collect();
-        BatchedExec {
-            inner: FusedExec::new(store),
-            lens: lens.to_vec(),
-            offsets,
-            order,
-            sorted_lens,
-            total,
-            in_scope: false,
-        }
-    }
-
-    /// Serves positional encodings from `cache` instead of recomputing.
-    pub fn with_pe_cache(mut self, cache: &'a PeCache) -> Self {
-        self.inner = self.inner.with_pe_cache(cache);
-        self
-    }
-
-    /// Number of segments (sentences) in the batch.
-    pub fn segments(&self) -> usize {
-        self.lens.len()
-    }
-
-    /// Length of segment `s`.
-    pub fn len_of(&self, s: usize) -> usize {
-        self.lens[s]
-    }
-
-    /// Packed row offset of segment `s`.
-    pub fn offset_of(&self, s: usize) -> usize {
-        self.offsets[s]
-    }
-
-    /// Total packed rows across all segments.
-    pub fn total_rows(&self) -> usize {
-        self.total
-    }
-
-    /// The inner per-sentence backend, for operations on tensors that are
-    /// not packed token rows (char matrices, attention cores, decoders).
-    pub fn inner_mut(&mut self) -> &mut FusedExec<'a> {
-        &mut self.inner
-    }
-
-    /// Copies segment `s` out of a packed `[N, d]` value as its own
-    /// `[len_of(s), d]` value.
-    pub fn slice_segment(&mut self, v: FusedVal, s: usize) -> FusedVal {
-        let (off, len) = (self.offsets[s], self.lens[s]);
-        Exec::slice_rows(&mut self.inner, v, off, len)
-    }
-
-    /// How many segments are still alive (length > `t`) at timestep `t`.
-    /// Sorted longest-first, the live set is always the prefix
-    /// `order[..live_at(t)]`.
-    fn live_at(&self, t: usize) -> usize {
-        self.sorted_lens.partition_point(|&l| l > t)
-    }
-}
-
-impl Exec for BatchedExec<'_> {
-    type V = FusedVal;
-
-    fn constant(&mut self, value: Tensor) -> FusedVal {
-        self.inner.constant(value)
-    }
-
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> FusedVal {
-        self.inner.param(store, id)
-    }
-
-    fn lookup(&mut self, store: &ParamStore, id: ParamId, ids: &[usize]) -> FusedVal {
-        self.inner.lookup(store, id, ids)
-    }
-
-    fn value(&self, v: FusedVal) -> &Tensor {
-        self.inner.value(v)
-    }
-
-    fn matmul(&mut self, a: FusedVal, b: FusedVal) -> FusedVal {
-        self.inner.matmul(a, b)
-    }
-
-    fn transpose(&mut self, a: FusedVal) -> FusedVal {
-        self.inner.transpose(a)
-    }
-
-    fn add(&mut self, a: FusedVal, b: FusedVal) -> FusedVal {
-        self.inner.add(a, b)
-    }
-
-    fn sub(&mut self, a: FusedVal, b: FusedVal) -> FusedVal {
-        self.inner.sub(a, b)
-    }
-
-    fn mul(&mut self, a: FusedVal, b: FusedVal) -> FusedVal {
-        self.inner.mul(a, b)
-    }
-
-    fn scale(&mut self, a: FusedVal, s: f32) -> FusedVal {
-        self.inner.scale(a, s)
-    }
-
-    fn add_bias(&mut self, m: FusedVal, bias: FusedVal) -> FusedVal {
-        self.inner.add_bias(m, bias)
-    }
-
-    fn activation(&mut self, a: FusedVal, act: Activation) -> FusedVal {
-        self.inner.activation(a, act)
-    }
-
-    fn affine_act(&mut self, x: FusedVal, w: FusedVal, b: FusedVal, act: Activation) -> FusedVal {
-        self.inner.affine_act(x, w, b, act)
-    }
-
-    // A convolution window must not straddle a sentence boundary, so the
-    // packed input is convolved per segment; each segment's rows come out
-    // bit-identical to convolving that sentence alone.
-    fn conv1d_act(
-        &mut self,
-        x: FusedVal,
-        w: FusedVal,
-        b: FusedVal,
-        k: usize,
-        dilation: usize,
-        act: Activation,
-    ) -> FusedVal {
-        if self.in_scope || PackedExec::segments(self) <= 1 {
-            return self.inner.conv1d_act(x, w, b, k, dilation, act);
-        }
-        let out = {
-            let xv = self.inner.tensor(x);
-            let wv = self.inner.tensor(w);
-            let bv = self.inner.tensor(b);
-            assert_eq!(xv.rows(), self.total, "BatchedExec::conv1d_act expects packed token rows");
-            let mut out: Option<Tensor> = None;
-            for s in 0..self.lens.len() {
-                let (off, len) = (self.offsets[s], self.lens[s]);
-                let mut seg = Tensor::zeros_pooled(len, xv.cols());
-                for r in 0..len {
-                    seg.row_mut(r).copy_from_slice(xv.row(off + r));
-                }
-                let res = fused::conv1d_act(&seg, wv, bv, k, dilation, act);
-                let dst = out.get_or_insert_with(|| Tensor::zeros_pooled(self.total, res.cols()));
-                for r in 0..len {
-                    dst.row_mut(off + r).copy_from_slice(res.row(r));
-                }
-                fused::recycle(res);
-                fused::recycle(seg);
-            }
-            out.expect("at least one segment")
-        };
-        self.inner.push(out)
-    }
-
-    fn layer_norm(&mut self, x: FusedVal, gain: FusedVal, bias: FusedVal) -> FusedVal {
-        self.inner.layer_norm(x, gain, bias)
-    }
-
-    fn softmax_rows(&mut self, a: FusedVal) -> FusedVal {
-        self.inner.softmax_rows(a)
-    }
-
-    fn max_over_rows(&mut self, a: FusedVal) -> FusedVal {
-        self.inner.max_over_rows(a)
-    }
-
-    fn slice_cols(&mut self, a: FusedVal, start: usize, len: usize) -> FusedVal {
-        self.inner.slice_cols(a, start, len)
-    }
-
-    fn slice_rows(&mut self, a: FusedVal, start: usize, len: usize) -> FusedVal {
-        self.inner.slice_rows(a, start, len)
-    }
-
-    fn row(&mut self, a: FusedVal, i: usize) -> FusedVal {
-        self.inner.row(a, i)
-    }
-
-    fn concat_rows(&mut self, parts: &[FusedVal]) -> FusedVal {
-        self.inner.concat_rows(parts)
-    }
-
-    fn concat_cols(&mut self, parts: &[FusedVal]) -> FusedVal {
-        self.inner.concat_cols(parts)
-    }
-
-    // Sequence reversal is per sentence: each segment's rows flip in
-    // place, never crossing its boundary.
-    fn reverse_rows(&mut self, a: FusedVal) -> FusedVal {
-        if self.in_scope || PackedExec::segments(self) <= 1 {
-            return self.inner.reverse_rows(a);
-        }
-        let out = {
-            let av = self.inner.tensor(a);
-            assert_eq!(
-                av.rows(),
-                self.total,
-                "BatchedExec::reverse_rows expects packed token rows"
-            );
-            let mut out = Tensor::zeros_pooled(self.total, av.cols());
-            for s in 0..self.lens.len() {
-                let (off, len) = (self.offsets[s], self.lens[s]);
-                for r in 0..len {
-                    out.row_mut(off + r).copy_from_slice(av.row(off + len - 1 - r));
-                }
-            }
-            out
-        };
-        self.inner.push(out)
-    }
-
-    fn lstm_gates(&mut self, pre: FusedVal, c: FusedVal, hidden: usize) -> (FusedVal, FusedVal) {
-        self.inner.lstm_gates(pre, c, hidden)
-    }
-
-    fn gru_gates(
-        &mut self,
-        xp: FusedVal,
-        hp: FusedVal,
-        h_prev: FusedVal,
-        hidden: usize,
-    ) -> FusedVal {
-        self.inner.gru_gates(xp, hp, h_prev, hidden)
-    }
-
     // Each segment restarts its positional clock: the packed encoding is
-    // the per-segment `[len, d]` encodings stacked in caller order.
-    fn positional_encoding(&mut self, n: usize, d: usize) -> FusedVal {
-        if self.in_scope || PackedExec::segments(self) <= 1 {
-            return self.inner.positional_encoding(n, d);
-        }
-        assert_eq!(n, self.total, "BatchedExec::positional_encoding expects packed token rows");
-        let out = {
-            let mut out = Tensor::zeros_pooled(n, d);
-            for s in 0..self.lens.len() {
-                let (off, len) = (self.offsets[s], self.lens[s]);
-                match self.inner.pe {
-                    Some(cache) => {
-                        let pe = cache.get(len, d);
-                        for r in 0..len {
-                            out.row_mut(off + r).copy_from_slice(pe.row(r));
-                        }
-                    }
-                    None => {
-                        let pe = crate::nn::positional_encoding(len, d);
-                        for r in 0..len {
-                            out.row_mut(off + r).copy_from_slice(pe.row(r));
-                        }
-                        fused::recycle(pe);
-                    }
+    // the per-segment `[len, d]` encodings stacked in caller order. A single
+    // run is served straight from the cache, without a copy.
+    fn positional_encoding(&mut self, n: usize, d: usize) -> BatchedVal {
+        let runs = self.runs(n, "positional_encoding");
+        if let [(_, len)] = runs[..] {
+            return match self.pe {
+                Some(cache) => {
+                    self.slots.push(Slot::Shared(cache.get(len, d)));
+                    BatchedVal(self.slots.len() - 1)
                 }
+                None => self.push(crate::nn::positional_encoding(len, d)),
+            };
+        }
+        let mut out = Tensor::zeros_pooled(n, d);
+        for &(off, len) in runs.iter() {
+            let pe = match self.pe {
+                Some(cache) => cache.get(len, d),
+                None => Arc::new(crate::nn::positional_encoding(len, d)),
+            };
+            for r in 0..len {
+                out.row_mut(off + r).copy_from_slice(pe.row(r));
             }
-            out
-        };
-        self.inner.push(out)
+        }
+        self.push(out)
     }
 
     // One `[N, 4h]` input projection for the whole batch, then one
     // `[live, 4h]` recurrent GEMM per timestep shared by every sentence
-    // still alive at that timestep. Per live row the recurrent product,
-    // the `(x + h) + b` association, and the gate sweep are exactly the
-    // per-sentence override's — the kernels keep per-output-element
-    // accumulation order independent of GEMM height, so every output row
-    // is bit-identical to scoring its sentence alone.
+    // still alive at that timestep. Per row the recurrent product, the
+    // `(x + h) + b` association (the tape's add-then-add_bias), and the
+    // gate sweep equal the tape's per-step chain — the kernels keep
+    // per-output-element accumulation order independent of GEMM height, so
+    // every output row is bit-identical to scoring its sentence alone.
     fn lstm_sequence(
         &mut self,
         store: &ParamStore,
@@ -1217,47 +914,34 @@ impl Exec for BatchedExec<'_> {
         w_hh: ParamId,
         b: ParamId,
         hidden: usize,
-        xs: FusedVal,
-    ) -> FusedVal {
-        if self.in_scope || PackedExec::segments(self) <= 1 {
-            return self.inner.lstm_sequence(store, w_ih, w_hh, b, hidden, xs);
-        }
+        xs: BatchedVal,
+    ) -> BatchedVal {
         let out = {
-            let xsv = self.inner.tensor(xs);
-            assert_eq!(
-                xsv.rows(),
-                self.total,
-                "BatchedExec::lstm_sequence expects packed token rows"
-            );
+            let xsv = self.tensor(xs);
+            let runs = self.runs(xsv.rows(), "lstm_sequence");
             let h = hidden;
             let w_hh = store.value(w_hh);
             let b = store.value(b);
             let xp = xsv.matmul(store.value(w_ih)); // [N, 4h]
-            let mut out = Tensor::zeros_pooled(self.total, h);
-            let nseg = self.order.len();
-            let max_len = self.sorted_lens[0];
+            let mut out = Tensor::zeros_pooled(xsv.rows(), h);
             // Hidden/cell state per sorted position; the live prefix only
-            // ever shrinks, so positions are stable for a segment's whole
-            // lifetime.
-            let mut hstate = Tensor::zeros(nseg, h);
-            let mut c = vec![0.0f32; nseg * h];
+            // ever shrinks, so positions are stable for a run's lifetime.
+            let mut hstate = Tensor::zeros(runs.len(), h);
+            let mut c = vec![0.0f32; runs.len() * h];
+            // The pre-activation build `(x + h) + b` runs across SIMD
+            // lanes (same two-add sequence per element); the gate sweep is
+            // transcendental-bound and stays scalar for bit-identity.
             let mut pre = vec![0.0f32; 4 * h];
             let lvl = simd::active();
-            let mut live = nseg;
-            for t in 0..max_len {
-                let new_live = self.live_at(t);
-                if new_live < live {
+            for t in 0..runs[0].1 {
+                let live = live_at(&runs, t);
+                if live < hstate.rows() {
                     // Shrink the recurrent GEMM to the rows still alive.
-                    let mut shrunk = Tensor::zeros(new_live, h);
-                    for p in 0..new_live {
-                        shrunk.row_mut(p).copy_from_slice(hstate.row(p));
-                    }
-                    hstate = shrunk;
-                    live = new_live;
+                    hstate = rows_of(&hstate, 0, live);
                 }
                 let hp = hstate.matmul(w_hh); // [live, 4h]
-                for p in 0..live {
-                    let r = self.offsets[self.order[p]] + t;
+                for (p, &(off, _)) in runs[..live].iter().enumerate() {
+                    let r = off + t;
                     simd::add3(lvl, &mut pre, xp.row(r), hp.row(p), b.data());
                     let cs = &mut c[p * h..(p + 1) * h];
                     let out_row = out.row_mut(r);
@@ -1277,12 +961,12 @@ impl Exec for BatchedExec<'_> {
             fused::recycle(xp);
             out
         };
-        self.inner.push(out)
+        self.push(out)
     }
 
-    // Batched override, same contract as `lstm_sequence`: one recurrent
-    // GEMM per timestep over the live prefix, per-element float order
-    // identical to the per-sentence sweep.
+    // Same contract as `lstm_sequence`: one recurrent GEMM per timestep
+    // over the live prefix, per-element float order identical to the
+    // tape's per-step chain.
     fn gru_sequence(
         &mut self,
         store: &ParamStore,
@@ -1291,55 +975,36 @@ impl Exec for BatchedExec<'_> {
         b_ih: ParamId,
         b_hh: ParamId,
         hidden: usize,
-        xs: FusedVal,
-    ) -> FusedVal {
-        if self.in_scope || PackedExec::segments(self) <= 1 {
-            return self.inner.gru_sequence(store, w_ih, w_hh, b_ih, b_hh, hidden, xs);
-        }
+        xs: BatchedVal,
+    ) -> BatchedVal {
         let out = {
-            let xsv = self.inner.tensor(xs);
-            assert_eq!(
-                xsv.rows(),
-                self.total,
-                "BatchedExec::gru_sequence expects packed token rows"
-            );
+            let xsv = self.tensor(xs);
+            let runs = self.runs(xsv.rows(), "gru_sequence");
             let h = hidden;
             let w_hh = store.value(w_hh);
             let b_hh = store.value(b_hh);
             let mut xp = xsv.matmul(store.value(w_ih)); // [N, 3h]
             fused::add_bias_in_place(&mut xp, store.value(b_ih));
-            let mut out = Tensor::zeros_pooled(self.total, h);
-            let nseg = self.order.len();
-            let max_len = self.sorted_lens[0];
-            let mut hstate = Tensor::zeros(nseg, h);
-            let mut live = nseg;
-            for t in 0..max_len {
-                let new_live = self.live_at(t);
-                if new_live < live {
-                    let mut shrunk = Tensor::zeros(new_live, h);
-                    for p in 0..new_live {
-                        shrunk.row_mut(p).copy_from_slice(hstate.row(p));
-                    }
-                    hstate = shrunk;
-                    live = new_live;
+            let mut out = Tensor::zeros_pooled(xsv.rows(), h);
+            let mut hstate = Tensor::zeros(runs.len(), h);
+            for t in 0..runs[0].1 {
+                let live = live_at(&runs, t);
+                if live < hstate.rows() {
+                    hstate = rows_of(&hstate, 0, live);
                 }
                 let mut hp = hstate.matmul(w_hh); // [live, 3h]
                 fused::add_bias_in_place(&mut hp, b_hh);
-                for p in 0..live {
-                    let r = self.offsets[self.order[p]] + t;
-                    let x_row = xp.row(r);
-                    let h_row = hp.row(p);
+                for (p, &(off, _)) in runs[..live].iter().enumerate() {
+                    let r = off + t;
+                    let (x_row, h_row, h_prev) = (xp.row(r), hp.row(p), hstate.row(p));
                     let out_row = out.row_mut(r);
-                    {
-                        let h_prev = hstate.row(p);
-                        for j in 0..h {
-                            let z = Activation::Sigmoid.eval(x_row[j] + h_row[j]);
-                            let rr = Activation::Sigmoid.eval(x_row[h + j] + h_row[h + j]);
-                            let nj = (x_row[2 * h + j] + rr * h_row[2 * h + j]).tanh();
-                            // h' = (n − z⊙n) + z⊙h, associated exactly as
-                            // the tape's sub-then-add chain.
-                            out_row[j] = (nj - z * nj) + z * h_prev[j];
-                        }
+                    for j in 0..h {
+                        let z = Activation::Sigmoid.eval(x_row[j] + h_row[j]);
+                        let rr = Activation::Sigmoid.eval(x_row[h + j] + h_row[h + j]);
+                        let nj = (x_row[2 * h + j] + rr * h_row[2 * h + j]).tanh();
+                        // h' = (n − z⊙n) + z⊙h, associated exactly as the
+                        // tape's sub-then-add chain.
+                        out_row[j] = (nj - z * nj) + z * h_prev[j];
                     }
                     hstate.row_mut(p).copy_from_slice(out.row(r));
                 }
@@ -1348,7 +1013,7 @@ impl Exec for BatchedExec<'_> {
             fused::recycle(xp);
             out
         };
-        self.inner.push(out)
+        self.push(out)
     }
 }
 
@@ -1369,13 +1034,13 @@ impl PackedExec for BatchedExec<'_> {
         self.total
     }
 
-    fn slice_segment(&mut self, v: FusedVal, s: usize) -> FusedVal {
-        BatchedExec::slice_segment(self, v, s)
+    fn slice_segment(&mut self, v: BatchedVal, s: usize) -> BatchedVal {
+        let (off, len) = (self.offsets[s], self.lens[s]);
+        self.slice_rows(v, off, len)
     }
 
     // Inside a scope the values in flight are per-segment tensors, so the
-    // packed overrides stand down and everything runs on the inner fused
-    // backend — exactly what `inner_mut` callers did by hand.
+    // sequence operations sweep each input as a single run.
     fn scoped<R>(&mut self, _s: usize, f: impl FnOnce(&mut Self) -> R) -> R {
         let prev = self.in_scope;
         self.in_scope = true;
@@ -2358,7 +2023,7 @@ mod tests {
     const LENS: &[usize] = &[5, 1, 3, 5, 2];
 
     #[test]
-    fn batched_lstm_rows_are_bit_identical_to_per_segment_fused() {
+    fn batched_lstm_rows_are_bit_identical_to_per_segment_tape() {
         let h = 7;
         let d = 4;
         let mut store = ParamStore::default();
@@ -2374,10 +2039,10 @@ mod tests {
 
         let mut off = 0;
         for seg in &segs {
-            let mut fx = FusedExec::new(&store);
-            let xs = fx.constant(seg.clone());
-            let out = fx.lstm_sequence(&store, w_ih, w_hh, b, h, xs);
-            let want = fx.value(out);
+            let mut tape = Tape::new();
+            let xs = Tape::constant(&mut tape, seg.clone());
+            let out = Exec::lstm_sequence(&mut tape, &store, w_ih, w_hh, b, h, xs);
+            let want = Tape::value(&tape, out);
             for r in 0..seg.rows() {
                 assert_bits_eq(batched.row(off + r), want.row(r));
             }
@@ -2386,7 +2051,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_gru_rows_are_bit_identical_to_per_segment_fused() {
+    fn batched_gru_rows_are_bit_identical_to_per_segment_tape() {
         let h = 6;
         let d = 5;
         let mut store = ParamStore::default();
@@ -2403,10 +2068,10 @@ mod tests {
 
         let mut off = 0;
         for seg in &segs {
-            let mut fx = FusedExec::new(&store);
-            let xs = fx.constant(seg.clone());
-            let out = fx.gru_sequence(&store, w_ih, w_hh, b_ih, b_hh, h, xs);
-            let want = fx.value(out);
+            let mut tape = Tape::new();
+            let xs = Tape::constant(&mut tape, seg.clone());
+            let out = Exec::gru_sequence(&mut tape, &store, w_ih, w_hh, b_ih, b_hh, h, xs);
+            let want = Tape::value(&tape, out);
             for r in 0..seg.rows() {
                 assert_bits_eq(batched.row(off + r), want.row(r));
             }
@@ -2434,14 +2099,14 @@ mod tests {
 
         let mut off = 0;
         for seg in &segs {
-            let mut fx = FusedExec::new(&store);
-            let xs = fx.constant(seg.clone());
-            let (wv, bv) = (fx.param(&store, w), fx.param(&store, b));
-            let conv = fx.conv1d_act(xs, wv, bv, k, 1, Activation::Relu);
-            let rev = fx.reverse_rows(xs);
+            let mut tape = Tape::new();
+            let xs = Tape::constant(&mut tape, seg.clone());
+            let (wv, bv) = (Tape::param(&mut tape, &store, w), Tape::param(&mut tape, &store, b));
+            let conv = Exec::conv1d_act(&mut tape, xs, wv, bv, k, 1, Activation::Relu);
+            let rev = Tape::reverse_rows(&mut tape, xs);
             for r in 0..seg.rows() {
-                assert_bits_eq(conv_t.row(off + r), fx.value(conv).row(r));
-                assert_bits_eq(rev_t.row(off + r), fx.value(rev).row(r));
+                assert_bits_eq(conv_t.row(off + r), tape.value(conv).row(r));
+                assert_bits_eq(rev_t.row(off + r), tape.value(rev).row(r));
             }
             off += seg.rows();
         }
@@ -2471,8 +2136,10 @@ mod tests {
         }
     }
 
+    /// A batch of one and a scoped per-segment value both sweep their rows
+    /// as a single run: each must reproduce the tape's per-step chain.
     #[test]
-    fn single_segment_batch_delegates_to_fused() {
+    fn single_run_lstm_matches_tape_unscoped_and_scoped() {
         let h = 4;
         let d = 3;
         let mut store = ParamStore::default();
@@ -2481,15 +2148,25 @@ mod tests {
         let b = store.register("b", filled(1, 4 * h, 3));
         let x = filled(6, d, 21);
 
+        let mut tape = Tape::new();
+        let xs = Tape::constant(&mut tape, x.clone());
+        let out = Exec::lstm_sequence(&mut tape, &store, w_ih, w_hh, b, h, xs);
+        let want = tape.value(out).clone();
+
         let mut bx = BatchedExec::new(&store, &[6]);
         let xs = bx.constant(x.clone());
         let out = bx.lstm_sequence(&store, w_ih, w_hh, b, h, xs);
-        let got = bx.value(out).clone();
+        assert_bits_eq(bx.value(out).data(), want.data());
 
-        let mut fx = FusedExec::new(&store);
-        let xs = fx.constant(x);
-        let out = fx.lstm_sequence(&store, w_ih, w_hh, b, h, xs);
-        assert_bits_eq(got.data(), fx.value(out).data());
+        // Inside a scope of a multi-segment batch the 6-row value is not
+        // packed token rows; it must still run as one sequence.
+        let mut bx = BatchedExec::new(&store, &[2, 3]);
+        let got = bx.scoped(1, |ex| {
+            let xs = ex.constant(x);
+            let out = ex.lstm_sequence(&store, w_ih, w_hh, b, h, xs);
+            ex.value(out).clone()
+        });
+        assert_bits_eq(got.data(), want.data());
     }
 
     #[test]

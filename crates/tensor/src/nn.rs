@@ -4,8 +4,8 @@
 //!
 //! Every block has exactly **one** forward implementation, written against
 //! the [`Exec`] backend: run it with a [`crate::Tape`] to record autograd
-//! nodes for training, or with a [`crate::FusedExec`] for tape-free pooled
-//! inference. The two backends produce bit-identical forward values (see
+//! nodes for training, or with a [`crate::BatchedExec`] for tape-free pooled
+//! inference. The backends produce bit-identical forward values (see
 //! [`crate::exec`]).
 //!
 //! These are substrate components shared by the embedding pretrainers
@@ -171,7 +171,7 @@ impl LstmCell {
 
     /// Runs the whole sequence `xs [n, d_in] → [n, hidden]` left to right
     /// via [`Exec::lstm_sequence`] (the tape expands it to the per-step
-    /// chain of [`LstmCell::step`]; the fused backend batches it).
+    /// chain of [`LstmCell::step`]; the packed backends batch it).
     pub fn sequence<E: Exec>(&self, ex: &mut E, store: &ParamStore, xs: E::V) -> E::V {
         ex.lstm_sequence(store, self.w_ih, self.w_hh, self.b, self.hidden, xs)
     }
@@ -250,7 +250,7 @@ impl GruCell {
 
     /// Runs the whole sequence left to right, `[n, d_in] → [n, hidden]`,
     /// via [`Exec::gru_sequence`] (the tape expands it to the per-step
-    /// chain of [`GruCell::step`]; the fused backend batches it).
+    /// chain of [`GruCell::step`]; the packed backends batch it).
     pub fn sequence<E: Exec>(&self, ex: &mut E, store: &ParamStore, xs: E::V) -> E::V {
         ex.gru_sequence(store, self.w_ih, self.w_hh, self.b_ih, self.b_hh, self.hidden, xs)
     }
@@ -506,7 +506,7 @@ impl TransformerBlock {
 mod tests {
     use super::*;
     use crate::optim::{Adam, Optimizer};
-    use crate::{FusedExec, Tape, Var};
+    use crate::{BatchedExec, Tape, Var};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -672,8 +672,9 @@ mod tests {
         assert!((pe.at2(0, 1) - 1.0).abs() < 1e-6);
     }
 
-    /// One forward, two backends: the fused backend must reproduce the
-    /// tape's forward values bit for bit on every layer family.
+    /// One forward, two backends: the tape-free backend (a batch of one)
+    /// must reproduce the tape's forward values bit for bit on every layer
+    /// family.
     #[test]
     fn fused_backend_matches_tape_on_every_layer() {
         let mut rng = StdRng::seed_from_u64(6);
@@ -714,7 +715,7 @@ mod tests {
         let layers = (lin, emb, lstm_fw, lstm_bw, gru, block);
         let mut tape = Tape::new();
         let expect = run(&mut tape, &store, &layers, &ids);
-        let mut fe = FusedExec::new(&store);
+        let mut fe = BatchedExec::new(&store, &[ids.len()]);
         let got = run(&mut fe, &store, &layers, &ids);
         assert_eq!(expect.len(), got.len());
         for (i, (e, g)) in expect.iter().zip(&got).enumerate() {
