@@ -25,6 +25,11 @@
 //!   meet their SLO, instead of a deep queue timing everyone out;
 //! * the bounded queue is a hard backstop ([`SubmitError::QueueFull`] →
 //!   429) for before the cost model has its first measurement;
+//! * a request's texts are admitted all at once or not at all
+//!   ([`submit_all`](Batcher::submit_all)), so a refusal never leaves part
+//!   of a request queued to be scored for nobody; a request with more
+//!   texts than the queue holds is refused for good
+//!   ([`SubmitError::TooLarge`] → 413);
 //! * a request whose deadline passes while queued is answered
 //!   [`Outcome::TimedOut`] (→ 408) without being scored;
 //! * shutdown stops intake ([`SubmitError::ShuttingDown`] → 503) and the
@@ -58,6 +63,9 @@ pub enum SubmitError {
     /// the `slo_p99` budget; the payload is the predicted queue wait (429
     /// + `Retry-After`).
     Overloaded(Duration),
+    /// The request has more texts than `queue_cap`, so no retry can ever
+    /// admit it (413).
+    TooLarge,
     /// The server is draining for shutdown (503).
     ShuttingDown,
 }
@@ -178,7 +186,29 @@ impl Batcher {
         deadline: Instant,
         trace: Option<TraceCtx>,
     ) -> Result<mpsc::Receiver<Outcome>, SubmitError> {
-        let (reply, rx) = mpsc::sync_channel(1);
+        let mut receivers = self.submit_all(vec![text], deadline, trace)?;
+        Ok(receivers.pop().expect("one receiver per text"))
+    }
+
+    /// Enqueues every text of one request all at once or not at all: one
+    /// queue lock, one capacity check and one SLO prediction (for the last
+    /// row), so a refusal never strands part of the request in the queue.
+    /// Receivers come back in text order; every entry carries a clone of
+    /// `trace`.
+    pub fn submit_all(
+        &self,
+        texts: Vec<String>,
+        deadline: Instant,
+        trace: Option<TraceCtx>,
+    ) -> Result<Vec<mpsc::Receiver<Outcome>>, SubmitError> {
+        let n = texts.len();
+        if n > self.shared.state.config.queue_cap {
+            return Err(SubmitError::TooLarge);
+        }
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let mut receivers = Vec::with_capacity(n);
         {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             // The stop check must happen under the queue lock: dispatchers
@@ -190,16 +220,17 @@ impl Batcher {
             if self.shared.state.is_shutting_down() || self.shared.stop.load(Ordering::Acquire) {
                 return Err(SubmitError::ShuttingDown);
             }
-            if queue.len() >= self.shared.state.config.queue_cap {
+            if queue.len() + n > self.shared.state.config.queue_cap {
                 ner_obs::counter("serve.rejected", 1.0);
                 return Err(SubmitError::QueueFull);
             }
-            // SLO-aware admission: predict when this request would finish
-            // and shed it now if that misses its deadline or the p99
-            // budget — a 429 the client can retry beats a 408 after
-            // rotting in a queue that was never going to drain in time.
-            if let Some(wait) = self.shared.predicted_wait(queue.len()) {
-                let now = Instant::now();
+            // SLO-aware admission: predict when the request's last row
+            // would finish and shed it now if that misses its deadline or
+            // the p99 budget — a 429 the client can retry beats a 408
+            // after rotting in a queue that was never going to drain in
+            // time.
+            let now = Instant::now();
+            if let Some(wait) = self.shared.predicted_wait(queue.len() + n - 1) {
                 let misses_deadline = now + wait > deadline;
                 let misses_slo = wait > self.shared.state.config.slo_p99;
                 if misses_deadline || misses_slo {
@@ -208,11 +239,18 @@ impl Batcher {
                     return Err(SubmitError::Overloaded(wait));
                 }
             }
-            queue.push_back(Pending { text, enqueued: Instant::now(), deadline, reply, trace });
+            for text in texts {
+                let (reply, rx) = mpsc::sync_channel(1);
+                let trace = trace.clone();
+                queue.push_back(Pending { text, enqueued: now, deadline, reply, trace });
+                receivers.push(rx);
+            }
             ner_obs::gauge("serve.queue_depth", queue.len() as f64);
         }
-        self.shared.arrived.notify_one();
-        Ok(rx)
+        for _ in 0..n {
+            self.shared.arrived.notify_one();
+        }
+        Ok(receivers)
     }
 
     /// Stops intake, drains everything already queued, and joins the

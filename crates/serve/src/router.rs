@@ -220,11 +220,11 @@ fn attach_trace(body: &mut Value, record: &ner_obs::trace::TraceRecord) {
 }
 
 /// Parses an extraction request and submits its text(s) to the batcher.
-/// Each text is its own queue entry, so one oversized client request
-/// still interleaves fairly with concurrent single extractions — and is
-/// subject to the same admission control. Every entry carries a clone of
-/// the same request trace, so stage events from all items accumulate on
-/// it (they may overlap in time when items score in parallel).
+/// Each text is its own queue entry, so one large client request still
+/// interleaves fairly with concurrent single extractions; the entries are
+/// admitted together or not at all. Every entry carries a clone of the
+/// same request trace, so stage events from all items accumulate on it
+/// (they may overlap in time when items score in parallel).
 fn begin_extract(
     req: &Request,
     state: &ServeState,
@@ -248,15 +248,10 @@ fn begin_extract(
         }
     };
     let deadline = Instant::now() + state.config.request_timeout;
-    let mut receivers = Vec::with_capacity(texts.len());
-    for text in texts {
-        match batcher.submit_traced(text, deadline, Some(trace.clone())) {
-            Ok(rx) => receivers.push(rx),
-            // Rejecting mid-batch drops the already-accepted receivers;
-            // their dispatcher sends fail harmlessly.
-            Err(e) => return Routed::Done(finish_trace(submit_error(e), trace)),
-        }
-    }
+    let receivers = match batcher.submit_all(texts, deadline, Some(trace.clone())) {
+        Ok(receivers) => receivers,
+        Err(e) => return Routed::Done(finish_trace(submit_error(e), trace)),
+    };
     let scored = receivers.iter().map(|_| None).collect();
     Routed::Pending(PendingExtract {
         receivers,
@@ -283,6 +278,9 @@ fn submit_error(e: SubmitError) -> Response {
                 ),
             )
             .with_header("retry-after", retry_s.to_string())
+        }
+        SubmitError::TooLarge => {
+            Response::text(413, "more texts than the queue holds, split the batch")
         }
         SubmitError::ShuttingDown => Response::text(503, "server is draining"),
     }
@@ -362,5 +360,81 @@ fn json_ok(body: Result<String, serde_json::Error>) -> Response {
     match body {
         Ok(json) => Response::json(200, json),
         Err(e) => Response::text(500, format!("serialization error: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::HttpVersion;
+    use crate::state::ServeConfig;
+    use crate::test_support::tiny_pipeline;
+    use std::sync::Arc;
+
+    /// Polls a routed extraction until its response is ready.
+    fn resolve(routed: Routed) -> Response {
+        let mut pending = match routed {
+            Routed::Done(resp) => return resp,
+            Routed::Pending(pending) => pending,
+        };
+        loop {
+            if let Some(resp) = pending.poll() {
+                return resp;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_batch_is_admitted_whole_or_not_at_all() {
+        // A slow first row holds the only dispatcher and a second request
+        // takes one of the two queue slots, so a 2-text batch cannot fit.
+        // It must be refused whole: admitting its first text before
+        // refusing the second would leave that row to be scored for nobody.
+        let cfg = ServeConfig {
+            queue_cap: 2,
+            max_batch: 1,
+            replicas: 1,
+            score_delay: Duration::from_millis(300),
+            ..ServeConfig::default()
+        };
+        let state = ServeState::new(tiny_pipeline(), None, cfg);
+        let batcher = Batcher::start(Arc::clone(&state));
+        let route = |path: &str, body: String, trace: &TraceCtx| {
+            let req = Request {
+                method: "POST".into(),
+                path: path.into(),
+                version: HttpVersion::Http11,
+                headers: Vec::new(),
+                body: body.into_bytes(),
+            };
+            dispatch(&req, &state, &batcher, trace)
+        };
+        let extract = |text: &str| {
+            route("/v1/extract", format!("{{\"text\": \"{text}\"}}"), &TraceCtx::new("/v1/extract"))
+        };
+        let busy = extract("Alice went to Paris .");
+        // Give the dispatcher time to claim the first row, so one queue
+        // slot is left and a partial admission could happen. The
+        // assertions hold whether or not it has: with both rows still
+        // queued the batch does not fit either.
+        std::thread::sleep(Duration::from_millis(30));
+        let queued = extract("Bob stayed in Rome .");
+        let batch_trace = TraceCtx::new("/v1/extract_batch");
+        let texts = r#"{"texts": ["Carol flew to Oslo .", "Dan drove to Lima ."]}"#;
+        let refused = route("/v1/extract_batch", texts.into(), &batch_trace);
+        assert_eq!(resolve(refused).status, 429);
+        assert_eq!(resolve(busy).status, 200);
+        assert_eq!(resolve(queued).status, 200);
+        // One dispatcher drains the queue in order, so a row the refused
+        // batch left behind would be scored before this one.
+        assert_eq!(resolve(extract("Eve met Frank .")).status, 200);
+        assert_eq!(batch_trace.finish(429).batch_id, 0, "a row of the refused batch was scored");
+
+        // More texts than the queue can ever hold: not worth a retry.
+        let texts = r#"{"texts": ["a .", "b .", "c ."]}"#;
+        let oversized =
+            route("/v1/extract_batch", texts.into(), &TraceCtx::new("/v1/extract_batch"));
+        assert_eq!(resolve(oversized).status, 413);
     }
 }

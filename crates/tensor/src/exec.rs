@@ -17,7 +17,11 @@
 //!   intermediate buffer is recycled into the thread-local [`crate::pool`]
 //!   when the backend is dropped.
 //! * [`BatchedTapeExec`] — autograd recording over the same packed layout,
-//!   for batched training.
+//!   for batched training. Its packed forwards *are* the eager ones: the
+//!   LSTM/GRU sweeps, the per-run convolution, reversal and positional
+//!   encodings are the same functions [`BatchedExec`] calls, and the
+//!   recording backend only adds a stash for the backward and the node
+//!   that carries it.
 //!
 //! **Determinism contract.** For every operation the backends perform the
 //! same floating-point arithmetic in the same order, so a sentence's
@@ -195,12 +199,14 @@ pub trait Exec {
 /// segment `s` occupying rows `[offset_of(s), offset_of(s) + len_of(s))` in
 /// caller order.
 ///
-/// Two implementations share this shape: [`BatchedExec`] (tape-free
-/// inference) and [`BatchedTapeExec`] (autograd recording for batched
-/// training). Layer forwards that need per-segment work (attention cores,
-/// char compositions, decoder losses) are written once against this trait:
-/// packed row-wise operations go through the plain [`Exec`] methods, and
-/// per-segment subgraphs run inside [`scoped`](PackedExec::scoped), which
+/// Two implementations share this shape and one packed forward:
+/// [`BatchedExec`] (tape-free inference) and [`BatchedTapeExec`] (autograd
+/// recording for batched training, which runs the same sweeps and per-run
+/// kernels and records one node around each). Layer forwards that need
+/// per-segment work (attention cores, char compositions, decoder losses)
+/// are written once against this trait: packed row-wise operations go
+/// through the plain [`Exec`] methods, and per-segment subgraphs run
+/// inside [`scoped`](PackedExec::scoped), which
 /// treats each value as a single sentence — one run for the sequence
 /// operations at inference, the raw per-sentence [`Tape`] chain (tagged
 /// with the owning segment for gradient routing) in training.
@@ -479,20 +485,55 @@ pub struct BatchedExec<'a> {
     store: &'a ParamStore,
     pe: Option<&'a PeCache>,
     slots: Vec<Slot>,
-    /// Per-segment lengths, caller order. Every length is ≥ 1.
-    lens: Vec<usize>,
-    /// Packed row offset of each segment, caller order.
-    offsets: Vec<usize>,
-    /// `(offset, len)` of every segment sorted longest-first (ties by
-    /// index, so the ordering — and therefore every float — is
-    /// deterministic).
-    runs: Vec<(usize, usize)>,
-    /// Total packed rows, `Σ lens`.
-    total: usize,
+    pack: Packing,
     /// Inside a [`PackedExec::scoped`] call the values in flight are
     /// per-segment tensors, not packed rows: sequence operations treat
     /// their input as one segment.
     in_scope: bool,
+}
+
+/// The packed-rows layout both packed backends hold: segment `s` occupies
+/// rows `[offsets[s], offsets[s] + lens[s])` in caller order.
+struct Packing {
+    /// Per-segment lengths, caller order. Every length is ≥ 1.
+    lens: Vec<usize>,
+    /// Packed row offset of each segment, caller order.
+    offsets: Vec<usize>,
+    /// Segment indices sorted longest-first (ties by index, so the sweep
+    /// order — and therefore every float — is deterministic).
+    order: Vec<usize>,
+    /// `(offset, len)` of segment `order[p]` at position `p`: the runs the
+    /// sequence operations sweep, longest first.
+    runs: Vec<(usize, usize)>,
+    /// Total packed rows, `Σ lens`.
+    total: usize,
+}
+
+impl Packing {
+    /// # Panics
+    /// Panics if `lens` is empty or contains a zero length — empty
+    /// sentences must be filtered out before packing.
+    fn new(lens: &[usize], backend: &str) -> Packing {
+        assert!(!lens.is_empty(), "{backend} needs at least one segment");
+        assert!(lens.iter().all(|&l| l > 0), "{backend} segments must be non-empty");
+        let mut offsets = Vec::with_capacity(lens.len());
+        let mut total = 0;
+        for &l in lens {
+            offsets.push(total);
+            total += l;
+        }
+        let mut order: Vec<usize> = (0..lens.len()).collect();
+        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
+        let runs = order.iter().map(|&s| (offsets[s], lens[s])).collect();
+        Packing { lens: lens.to_vec(), offsets, order, runs, total }
+    }
+
+    /// The runs of a packed-rows value; `op` names the caller in the
+    /// panic when `rows` are not the batch's token rows.
+    fn runs(&self, rows: usize, op: &str) -> &[(usize, usize)] {
+        assert_eq!(rows, self.total, "{op} expects packed token rows");
+        &self.runs
+    }
 }
 
 impl<'a> BatchedExec<'a> {
@@ -503,25 +544,11 @@ impl<'a> BatchedExec<'a> {
     /// Panics if `lens` is empty or contains a zero length — empty
     /// sentences must be filtered out before packing.
     pub fn new(store: &'a ParamStore, lens: &[usize]) -> Self {
-        assert!(!lens.is_empty(), "BatchedExec needs at least one segment");
-        assert!(lens.iter().all(|&l| l > 0), "BatchedExec segments must be non-empty");
-        let mut offsets = Vec::with_capacity(lens.len());
-        let mut total = 0;
-        for &l in lens {
-            offsets.push(total);
-            total += l;
-        }
-        let mut order: Vec<usize> = (0..lens.len()).collect();
-        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
-        let runs = order.iter().map(|&s| (offsets[s], lens[s])).collect();
         BatchedExec {
             store,
             pe: None,
             slots: Vec::with_capacity(64),
-            lens: lens.to_vec(),
-            offsets,
-            runs,
-            total,
+            pack: Packing::new(lens, "BatchedExec"),
             in_scope: false,
         }
     }
@@ -552,8 +579,7 @@ impl<'a> BatchedExec<'a> {
         if self.in_scope {
             return Cow::Owned(vec![(0, rows)]);
         }
-        assert_eq!(rows, self.total, "BatchedExec::{op} expects packed token rows");
-        Cow::Borrowed(&self.runs)
+        Cow::Borrowed(self.pack.runs(rows, op))
     }
 
     /// Elementwise `f(a, b)` into a pooled buffer.
@@ -585,12 +611,6 @@ impl Drop for BatchedExec<'_> {
             }
         }
     }
-}
-
-/// How many runs are still alive (length > `t`) at timestep `t`. Sorted
-/// longest-first, the live set is always the prefix `runs[..live_at(t)]`.
-fn live_at(runs: &[(usize, usize)], t: usize) -> usize {
-    runs.partition_point(|&(_, l)| l > t)
 }
 
 impl Exec for BatchedExec<'_> {
@@ -686,8 +706,7 @@ impl Exec for BatchedExec<'_> {
     }
 
     // A convolution window must not straddle a sentence boundary, so packed
-    // input is convolved per segment; each segment's rows come out
-    // bit-identical to convolving that sentence alone.
+    // input is convolved per run.
     fn conv1d_act(
         &mut self,
         x: BatchedVal,
@@ -700,24 +719,7 @@ impl Exec for BatchedExec<'_> {
         let out = {
             let (xv, wv, bv) = (self.tensor(x), self.tensor(w), self.tensor(b));
             let runs = self.runs(xv.rows(), "conv1d_act");
-            if runs.len() == 1 {
-                fused::conv1d_act(xv, wv, bv, k, dilation, act)
-            } else {
-                let mut out = Tensor::zeros_pooled(xv.rows(), wv.cols());
-                for &(off, len) in runs.iter() {
-                    let mut seg = Tensor::zeros_pooled(len, xv.cols());
-                    for r in 0..len {
-                        seg.row_mut(r).copy_from_slice(xv.row(off + r));
-                    }
-                    let res = fused::conv1d_act(&seg, wv, bv, k, dilation, act);
-                    for r in 0..len {
-                        out.row_mut(off + r).copy_from_slice(res.row(r));
-                    }
-                    fused::recycle(res);
-                    fused::recycle(seg);
-                }
-                out
-            }
+            per_run(xv, &runs, wv.cols(), |seg| fused::conv1d_act(seg, wv, bv, k, dilation, act))
         };
         self.push(out)
     }
@@ -806,19 +808,11 @@ impl Exec for BatchedExec<'_> {
     fn reverse_rows(&mut self, a: BatchedVal) -> BatchedVal {
         let out = {
             let av = self.tensor(a);
-            let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
-            for &(off, len) in self.runs(av.rows(), "reverse_rows").iter() {
-                for r in 0..len {
-                    out.row_mut(off + r).copy_from_slice(av.row(off + len - 1 - r));
-                }
-            }
-            out
+            reverse_runs(av, &self.runs(av.rows(), "reverse_rows"))
         };
         self.push(out)
     }
 
-    // The same scalar expressions the tape's expanded gate chain computes,
-    // associated identically: cₙ = f·c + i·g, h = o·tanh(cₙ).
     fn lstm_gates(
         &mut self,
         pre: BatchedVal,
@@ -829,18 +823,8 @@ impl Exec for BatchedExec<'_> {
             let (pv, cv) = (self.tensor(pre), self.tensor(c));
             assert_eq!(pv.shape(), (1, 4 * hidden), "lstm_gates pre-activation shape");
             let mut h_new = Tensor::zeros_pooled(1, hidden);
-            let mut c_new = Tensor::zeros_pooled(1, hidden);
-            let p = pv.row(0);
-            let c_prev = cv.row(0);
-            for j in 0..hidden {
-                let i = Activation::Sigmoid.eval(p[j]);
-                let f = Activation::Sigmoid.eval(p[hidden + j]);
-                let g = Activation::Tanh.eval(p[2 * hidden + j]);
-                let o = Activation::Sigmoid.eval(p[3 * hidden + j]);
-                let cn = f * c_prev[j] + i * g;
-                c_new.row_mut(0)[j] = cn;
-                h_new.row_mut(0)[j] = o * cn.tanh();
-            }
+            let mut c_new = fused::pooled_copy(cv);
+            lstm_cell(pv.row(0), c_new.row_mut(0), h_new.row_mut(0), |_, _, _, _| {});
             (h_new, c_new)
         };
         let h = self.push(h_new);
@@ -848,8 +832,6 @@ impl Exec for BatchedExec<'_> {
         (h, c)
     }
 
-    // h' = (n − z⊙n) + z⊙h, associated exactly as the tape's
-    // sub-then-add chain.
     fn gru_gates(
         &mut self,
         xp: BatchedVal,
@@ -861,21 +843,14 @@ impl Exec for BatchedExec<'_> {
             let (xv, hv, prev) = (self.tensor(xp), self.tensor(hp), self.tensor(h_prev));
             assert_eq!(xv.shape(), (1, 3 * hidden), "gru_gates projection shape");
             let mut out = Tensor::zeros_pooled(1, hidden);
-            let (x, h, hp_row) = (xv.row(0), hv.row(0), prev.row(0));
-            for j in 0..hidden {
-                let z = Activation::Sigmoid.eval(x[j] + h[j]);
-                let r = Activation::Sigmoid.eval(x[hidden + j] + h[hidden + j]);
-                let nj = (x[2 * hidden + j] + r * h[2 * hidden + j]).tanh();
-                out.row_mut(0)[j] = (nj - z * nj) + z * hp_row[j];
-            }
+            gru_cell(xv.row(0), hv.row(0), prev.row(0), out.row_mut(0), |_, _| {});
             out
         };
         self.push(out)
     }
 
-    // Each segment restarts its positional clock: the packed encoding is
-    // the per-segment `[len, d]` encodings stacked in caller order. A single
-    // run is served straight from the cache, without a copy.
+    // Each segment restarts its positional clock. A single run is served
+    // straight from the cache, without a copy.
     fn positional_encoding(&mut self, n: usize, d: usize) -> BatchedVal {
         let runs = self.runs(n, "positional_encoding");
         if let [(_, len)] = runs[..] {
@@ -887,86 +862,28 @@ impl Exec for BatchedExec<'_> {
                 None => self.push(crate::nn::positional_encoding(len, d)),
             };
         }
-        let mut out = Tensor::zeros_pooled(n, d);
-        for &(off, len) in runs.iter() {
-            let pe = match self.pe {
-                Some(cache) => cache.get(len, d),
-                None => Arc::new(crate::nn::positional_encoding(len, d)),
-            };
-            for r in 0..len {
-                out.row_mut(off + r).copy_from_slice(pe.row(r));
-            }
-        }
+        let out = stacked_pe(&runs, n, d, self.pe);
         self.push(out)
     }
 
-    // One `[N, 4h]` input projection for the whole batch, then one
-    // `[live, 4h]` recurrent GEMM per timestep shared by every sentence
-    // still alive at that timestep. Per row the recurrent product, the
-    // `(x + h) + b` association (the tape's add-then-add_bias), and the
-    // gate sweep equal the tape's per-step chain — the kernels keep
-    // per-output-element accumulation order independent of GEMM height, so
-    // every output row is bit-identical to scoring its sentence alone.
     fn lstm_sequence(
         &mut self,
         store: &ParamStore,
         w_ih: ParamId,
         w_hh: ParamId,
         b: ParamId,
-        hidden: usize,
+        _hidden: usize,
         xs: BatchedVal,
     ) -> BatchedVal {
         let out = {
             let xsv = self.tensor(xs);
             let runs = self.runs(xsv.rows(), "lstm_sequence");
-            let h = hidden;
-            let w_hh = store.value(w_hh);
-            let b = store.value(b);
-            let xp = xsv.matmul(store.value(w_ih)); // [N, 4h]
-            let mut out = Tensor::zeros_pooled(xsv.rows(), h);
-            // Hidden/cell state per sorted position; the live prefix only
-            // ever shrinks, so positions are stable for a run's lifetime.
-            let mut hstate = Tensor::zeros(runs.len(), h);
-            let mut c = vec![0.0f32; runs.len() * h];
-            // The pre-activation build `(x + h) + b` runs across SIMD
-            // lanes (same two-add sequence per element); the gate sweep is
-            // transcendental-bound and stays scalar for bit-identity.
-            let mut pre = vec![0.0f32; 4 * h];
-            let lvl = simd::active();
-            for t in 0..runs[0].1 {
-                let live = live_at(&runs, t);
-                if live < hstate.rows() {
-                    // Shrink the recurrent GEMM to the rows still alive.
-                    hstate = rows_of(&hstate, 0, live);
-                }
-                let hp = hstate.matmul(w_hh); // [live, 4h]
-                for (p, &(off, _)) in runs[..live].iter().enumerate() {
-                    let r = off + t;
-                    simd::add3(lvl, &mut pre, xp.row(r), hp.row(p), b.data());
-                    let cs = &mut c[p * h..(p + 1) * h];
-                    let out_row = out.row_mut(r);
-                    for j in 0..h {
-                        let i = Activation::Sigmoid.eval(pre[j]);
-                        let f = Activation::Sigmoid.eval(pre[h + j]);
-                        let g = Activation::Tanh.eval(pre[2 * h + j]);
-                        let o = Activation::Sigmoid.eval(pre[3 * h + j]);
-                        let cn = f * cs[j] + i * g;
-                        cs[j] = cn;
-                        out_row[j] = o * cn.tanh();
-                    }
-                    hstate.row_mut(p).copy_from_slice(out.row(r));
-                }
-                fused::recycle(hp);
-            }
-            fused::recycle(xp);
-            out
+            let (w_ih, w_hh, b) = (store.value(w_ih), store.value(w_hh), store.value(b));
+            lstm_sweep(xsv, w_ih, w_hh, b, &runs, |_, _, _, _, _| {})
         };
         self.push(out)
     }
 
-    // Same contract as `lstm_sequence`: one recurrent GEMM per timestep
-    // over the live prefix, per-element float order identical to the
-    // tape's per-step chain.
     fn gru_sequence(
         &mut self,
         store: &ParamStore,
@@ -974,44 +891,15 @@ impl Exec for BatchedExec<'_> {
         w_hh: ParamId,
         b_ih: ParamId,
         b_hh: ParamId,
-        hidden: usize,
+        _hidden: usize,
         xs: BatchedVal,
     ) -> BatchedVal {
         let out = {
             let xsv = self.tensor(xs);
             let runs = self.runs(xsv.rows(), "gru_sequence");
-            let h = hidden;
-            let w_hh = store.value(w_hh);
-            let b_hh = store.value(b_hh);
-            let mut xp = xsv.matmul(store.value(w_ih)); // [N, 3h]
-            fused::add_bias_in_place(&mut xp, store.value(b_ih));
-            let mut out = Tensor::zeros_pooled(xsv.rows(), h);
-            let mut hstate = Tensor::zeros(runs.len(), h);
-            for t in 0..runs[0].1 {
-                let live = live_at(&runs, t);
-                if live < hstate.rows() {
-                    hstate = rows_of(&hstate, 0, live);
-                }
-                let mut hp = hstate.matmul(w_hh); // [live, 3h]
-                fused::add_bias_in_place(&mut hp, b_hh);
-                for (p, &(off, _)) in runs[..live].iter().enumerate() {
-                    let r = off + t;
-                    let (x_row, h_row, h_prev) = (xp.row(r), hp.row(p), hstate.row(p));
-                    let out_row = out.row_mut(r);
-                    for j in 0..h {
-                        let z = Activation::Sigmoid.eval(x_row[j] + h_row[j]);
-                        let rr = Activation::Sigmoid.eval(x_row[h + j] + h_row[h + j]);
-                        let nj = (x_row[2 * h + j] + rr * h_row[2 * h + j]).tanh();
-                        // h' = (n − z⊙n) + z⊙h, associated exactly as the
-                        // tape's sub-then-add chain.
-                        out_row[j] = (nj - z * nj) + z * h_prev[j];
-                    }
-                    hstate.row_mut(p).copy_from_slice(out.row(r));
-                }
-                fused::recycle(hp);
-            }
-            fused::recycle(xp);
-            out
+            let (w_ih, w_hh) = (store.value(w_ih), store.value(w_hh));
+            let (b_ih, b_hh) = (store.value(b_ih), store.value(b_hh));
+            gru_sweep(xsv, w_ih, w_hh, b_ih, b_hh, &runs, |_, _, _, _| {})
         };
         self.push(out)
     }
@@ -1019,23 +907,23 @@ impl Exec for BatchedExec<'_> {
 
 impl PackedExec for BatchedExec<'_> {
     fn segments(&self) -> usize {
-        self.lens.len()
+        self.pack.lens.len()
     }
 
     fn len_of(&self, s: usize) -> usize {
-        self.lens[s]
+        self.pack.lens[s]
     }
 
     fn offset_of(&self, s: usize) -> usize {
-        self.offsets[s]
+        self.pack.offsets[s]
     }
 
     fn total_rows(&self) -> usize {
-        self.total
+        self.pack.total
     }
 
     fn slice_segment(&mut self, v: BatchedVal, s: usize) -> BatchedVal {
-        let (off, len) = (self.offsets[s], self.lens[s]);
+        let (off, len) = (self.pack.offsets[s], self.pack.lens[s]);
         self.slice_rows(v, off, len)
     }
 
@@ -1050,6 +938,14 @@ impl PackedExec for BatchedExec<'_> {
     }
 }
 
+// ---- The packed forward both packed backends run ----
+
+/// How many runs are still alive (length > `t`) at timestep `t`. Sorted
+/// longest-first, the live set is always the prefix `runs[..live_at(t)]`.
+fn live_at(runs: &[(usize, usize)], t: usize) -> usize {
+    runs.partition_point(|&(_, l)| l > t)
+}
+
 /// Row-copies `[off, off + len)` of `t` into a fresh `[len, cols]` tensor —
 /// the bytes a per-sentence oracle would have seen for that segment.
 fn rows_of(t: &Tensor, off: usize, len: usize) -> Tensor {
@@ -1060,24 +956,212 @@ fn rows_of(t: &Tensor, off: usize, len: usize) -> Tensor {
     out
 }
 
+/// Applies the per-sentence kernel `f` to each run's rows of `x` on their
+/// own and writes each result back at the run's rows, `[x.rows(), cols]` in
+/// all. A single run is handed to `f` whole, without copies.
+fn per_run(
+    x: &Tensor,
+    runs: &[(usize, usize)],
+    cols: usize,
+    f: impl Fn(&Tensor) -> Tensor,
+) -> Tensor {
+    if runs.len() == 1 {
+        return f(x);
+    }
+    let (d, mut out) = (x.cols(), Tensor::zeros_pooled(x.rows(), cols));
+    for &(off, len) in runs {
+        let mut seg = Tensor::zeros_pooled(len, d);
+        seg.data_mut().copy_from_slice(&x.data()[off * d..(off + len) * d]);
+        let res = f(&seg);
+        out.data_mut()[off * cols..(off + len) * cols].copy_from_slice(res.data());
+        fused::recycle(res);
+        fused::recycle(seg);
+    }
+    out
+}
+
+/// Reverses the row order within each run, never across a run boundary.
+fn reverse_runs(x: &Tensor, runs: &[(usize, usize)]) -> Tensor {
+    let mut out = Tensor::zeros_pooled(x.rows(), x.cols());
+    for &(off, len) in runs {
+        for r in 0..len {
+            out.row_mut(off + r).copy_from_slice(x.row(off + len - 1 - r));
+        }
+    }
+    out
+}
+
+/// Each run's `[len, d]` sinusoidal encoding stacked at the run's rows —
+/// every segment restarts its positional clock.
+fn stacked_pe(runs: &[(usize, usize)], n: usize, d: usize, cache: Option<&PeCache>) -> Tensor {
+    let mut out = Tensor::zeros_pooled(n, d);
+    for &(off, len) in runs {
+        let pe = match cache {
+            Some(cache) => cache.get(len, d),
+            None => Arc::new(crate::nn::positional_encoding(len, d)),
+        };
+        out.data_mut()[off * d..(off + len) * d].copy_from_slice(pe.data());
+    }
+    out
+}
+
+/// One LSTM cell on the pre-activation `pre [4·h]` (gate order i, f, g, o):
+/// the same scalar expressions the tape's expanded gate chain computes,
+/// associated identically — cₙ = f·c + i·g, h = o·tanh(cₙ). Updates `c` to
+/// cₙ in place, writes h into `h_out`, and hands `stash` each element's
+/// post-activation gates, cₙ and tanh(cₙ).
+#[inline(always)]
+fn lstm_cell(
+    pre: &[f32],
+    c: &mut [f32],
+    h_out: &mut [f32],
+    mut stash: impl FnMut(usize, [f32; 4], f32, f32),
+) {
+    let h = c.len();
+    for j in 0..h {
+        let i = Activation::Sigmoid.eval(pre[j]);
+        let f = Activation::Sigmoid.eval(pre[h + j]);
+        let g = Activation::Tanh.eval(pre[2 * h + j]);
+        let o = Activation::Sigmoid.eval(pre[3 * h + j]);
+        let cn = f * c[j] + i * g;
+        c[j] = cn;
+        let ct = cn.tanh();
+        h_out[j] = o * ct;
+        stash(j, [i, f, g, o], cn, ct);
+    }
+}
+
+/// One GRU cell on the bias-added projections `x`/`hp [3·h]` (gate order
+/// z, r, n) and the previous state: h' = (n − z⊙n) + z⊙h, associated
+/// exactly as the tape's sub-then-add chain. Writes h' into `out` and hands
+/// `stash` each element's post-activation gates.
+#[inline(always)]
+fn gru_cell(
+    x: &[f32],
+    hp: &[f32],
+    h_prev: &[f32],
+    out: &mut [f32],
+    mut stash: impl FnMut(usize, [f32; 3]),
+) {
+    let h = out.len();
+    for j in 0..h {
+        let z = Activation::Sigmoid.eval(x[j] + hp[j]);
+        let r = Activation::Sigmoid.eval(x[h + j] + hp[h + j]);
+        let n = (x[2 * h + j] + r * hp[2 * h + j]).tanh();
+        out[j] = (n - z * n) + z * h_prev[j];
+        stash(j, [z, r, n]);
+    }
+}
+
+/// The packed LSTM forward, `xs [N, d_in] → [N, h]` over longest-first
+/// `runs`: one `[N, 4h]` input projection for the whole batch, then one
+/// `[live, 4h]` recurrent GEMM per timestep shared by every run still alive
+/// at that timestep. Per row the recurrent product, the `(x + h) + b`
+/// association (the tape's add-then-add_bias) and the cell equal the tape's
+/// per-step chain — the kernels keep per-output-element accumulation order
+/// independent of GEMM height, so every output row is bit-identical to
+/// running its sentence alone. `stash(r, j, gates, c, tanh c)` sees every
+/// cell element of output row `r`; the eager backend passes a no-op.
+fn lstm_sweep(
+    xs: &Tensor,
+    w_ih: &Tensor,
+    w_hh: &Tensor,
+    b: &Tensor,
+    runs: &[(usize, usize)],
+    mut stash: impl FnMut(usize, usize, [f32; 4], f32, f32),
+) -> Tensor {
+    let h = w_hh.rows();
+    let xp = xs.matmul(w_ih); // [N, 4h]
+    let mut out = Tensor::zeros_pooled(xs.rows(), h);
+    // Hidden/cell state per sorted position; the live prefix only ever
+    // shrinks, so positions are stable for a run's lifetime.
+    let mut hstate = Tensor::zeros(runs.len(), h);
+    let mut c = vec![0.0f32; runs.len() * h];
+    // The pre-activation build `(x + h) + b` runs across SIMD lanes (same
+    // two-add sequence per element); the cell is transcendental-bound and
+    // stays scalar for bit-identity.
+    let mut pre = vec![0.0f32; 4 * h];
+    let lvl = simd::active();
+    for t in 0..runs[0].1 {
+        let live = live_at(runs, t);
+        if live < hstate.rows() {
+            // Shrink the recurrent GEMM to the rows still alive.
+            hstate = rows_of(&hstate, 0, live);
+        }
+        let hp = hstate.matmul(w_hh); // [live, 4h]
+        for (p, &(off, _)) in runs[..live].iter().enumerate() {
+            let r = off + t;
+            simd::add3(lvl, &mut pre, xp.row(r), hp.row(p), b.data());
+            let cs = &mut c[p * h..(p + 1) * h];
+            lstm_cell(&pre, cs, out.row_mut(r), |j, gates, cn, ct| stash(r, j, gates, cn, ct));
+            hstate.row_mut(p).copy_from_slice(out.row(r));
+        }
+        fused::recycle(hp);
+    }
+    fused::recycle(xp);
+    out
+}
+
+/// The packed GRU forward, same contract as [`lstm_sweep`]: one
+/// bias-added `[N, 3h]` input projection, then one `[live, 3h]` recurrent
+/// GEMM per timestep over the live prefix. `stash(r, j, gates, hn)` sees
+/// every cell element of output row `r` with the recurrent n-projection
+/// `hn` it used.
+fn gru_sweep(
+    xs: &Tensor,
+    w_ih: &Tensor,
+    w_hh: &Tensor,
+    b_ih: &Tensor,
+    b_hh: &Tensor,
+    runs: &[(usize, usize)],
+    mut stash: impl FnMut(usize, usize, [f32; 3], f32),
+) -> Tensor {
+    let h = w_hh.rows();
+    let mut xp = xs.matmul(w_ih); // [N, 3h]
+    fused::add_bias_in_place(&mut xp, b_ih);
+    let mut out = Tensor::zeros_pooled(xs.rows(), h);
+    let mut hstate = Tensor::zeros(runs.len(), h);
+    for t in 0..runs[0].1 {
+        let live = live_at(runs, t);
+        if live < hstate.rows() {
+            hstate = rows_of(&hstate, 0, live);
+        }
+        let mut hp = hstate.matmul(w_hh); // [live, 3h]
+        fused::add_bias_in_place(&mut hp, b_hh);
+        for (p, &(off, _)) in runs[..live].iter().enumerate() {
+            let r = off + t;
+            let h_row = hp.row(p);
+            gru_cell(xp.row(r), h_row, hstate.row(p), out.row_mut(r), |j, gates| {
+                stash(r, j, gates, h_row[2 * h + j])
+            });
+            hstate.row_mut(p).copy_from_slice(out.row(r));
+        }
+        fused::recycle(hp);
+    }
+    fused::recycle(xp);
+    out
+}
+
 /// The batched **training** backend: records autograd nodes over the same
 /// packed, length-sorted `[N, d]` layout [`BatchedExec`] uses for
 /// inference, on a caller-provided [`Tape`].
 ///
 /// Packed row-wise operations (projections, bias adds, layer norm,
 /// convolutions, the whole-sequence LSTM/GRU sweeps) become *one* node for
-/// the whole batch: the forward computes the same floats in the same order
-/// as the fused batched backend (so `[B, T]` training forwards are
-/// bit-identical to serving's), and the backward rule re-derives each
-/// **segment's** parameter gradients with the per-sentence formulas on that
-/// segment's row slice, emitting them through the tape's
-/// [`SegEmitter`](crate::SegEmitter) so
-/// [`Tape::backward_into_segmented`] can keep one
-/// [`GradBuffer`](crate::GradBuffer) per sentence bit-identical to the historical
-/// one-tape-per-sentence trainer. Per-segment subgraphs (char
-/// compositions, attention cores, decoder losses) run inside
-/// [`PackedExec::scoped`], which records the ordinary per-sentence node
-/// chain tagged with the owning segment.
+/// the whole batch. Their forwards are [`BatchedExec`]'s own — the same
+/// [`crate::fused`] kernels, per-run helpers and LSTM/GRU sweeps, the
+/// sweeps filling a stash of gates and cell states as they go — so `[B, T]`
+/// training forwards are serving's forwards, not a copy of them. Only
+/// layer norm keeps its own forward loop, which also records the row
+/// statistics its backward needs. The backward rule re-derives each
+/// **segment's** parameter gradients with the per-sentence formulas on
+/// that segment's row slice, emitting them through the tape's
+/// [`SegEmitter`](crate::SegEmitter) so [`Tape::backward_into_segmented`]
+/// can keep one [`GradBuffer`](crate::GradBuffer) per sentence
+/// bit-identical to the historical one-tape-per-sentence trainer.
+/// Per-segment subgraphs (char compositions, attention cores, decoder
+/// losses) run inside [`PackedExec::scoped`], which records the ordinary
+/// per-sentence node chain tagged with the owning segment.
 ///
 /// Two deliberate deviations from naive "replay the oracle" are proven
 /// harmless in DESIGN.md ("Batched training"): zero-initialized
@@ -1087,16 +1171,7 @@ fn rows_of(t: &Tensor, off: usize, len: usize) -> Tensor {
 /// (pinned by `kernels::tests`).
 pub struct BatchedTapeExec<'t> {
     tape: &'t mut Tape,
-    /// Per-segment lengths, caller order. Every length is ≥ 1.
-    lens: Vec<usize>,
-    /// Packed row offset of each segment, caller order.
-    offsets: Vec<usize>,
-    /// Segment indices sorted longest-first (ties by index).
-    order: Vec<usize>,
-    /// `lens[order[p]]` — descending.
-    sorted_lens: Vec<usize>,
-    /// Total packed rows, `Σ lens`.
-    total: usize,
+    pack: Packing,
     /// `Some(s)` inside a [`PackedExec::scoped`] call: every operation
     /// delegates to the raw per-sentence tape chain, tagged with segment
     /// `s` for gradient routing.
@@ -1111,31 +1186,7 @@ impl<'t> BatchedTapeExec<'t> {
     /// Panics if `lens` is empty or contains a zero length — empty
     /// sentences must be filtered out before packing.
     pub fn new(tape: &'t mut Tape, lens: &[usize]) -> Self {
-        assert!(!lens.is_empty(), "BatchedTapeExec needs at least one segment");
-        assert!(lens.iter().all(|&l| l > 0), "BatchedTapeExec segments must be non-empty");
-        let mut offsets = Vec::with_capacity(lens.len());
-        let mut total = 0;
-        for &l in lens {
-            offsets.push(total);
-            total += l;
-        }
-        let mut order: Vec<usize> = (0..lens.len()).collect();
-        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
-        let sorted_lens = order.iter().map(|&s| lens[s]).collect();
-        BatchedTapeExec {
-            tape,
-            lens: lens.to_vec(),
-            offsets,
-            order,
-            sorted_lens,
-            total,
-            scope: None,
-        }
-    }
-
-    /// How many segments are still alive (length > `t`) at timestep `t`.
-    fn live_at(&self, t: usize) -> usize {
-        self.sorted_lens.partition_point(|&l| l > t)
+        BatchedTapeExec { tape, pack: Packing::new(lens, "BatchedTapeExec"), scope: None }
     }
 
     /// Inverted dropout over the packed rows, one RNG stream per segment:
@@ -1149,15 +1200,15 @@ impl<'t> BatchedTapeExec<'t> {
         if p == 0.0 {
             return a;
         }
-        assert_eq!(rngs.len(), self.lens.len(), "one RNG stream per segment");
+        assert_eq!(rngs.len(), self.pack.lens.len(), "one RNG stream per segment");
         let v = self.tape.value(a);
-        assert_eq!(v.rows(), self.total, "dropout_packed expects packed token rows");
+        assert_eq!(v.rows(), self.pack.total, "dropout_packed expects packed token rows");
         let cols = v.cols();
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
-        let mut mask: Vec<f32> = Vec::with_capacity(self.total * cols);
+        let mut mask: Vec<f32> = Vec::with_capacity(self.pack.total * cols);
         for (s, rng) in rngs.iter_mut().enumerate() {
-            let n = self.lens[s] * cols;
+            let n = self.pack.lens[s] * cols;
             mask.extend((0..n).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }));
         }
         let mut out = v.clone();
@@ -1184,7 +1235,17 @@ impl<'t> BatchedTapeExec<'t> {
 
     /// Clones of the layout vectors for capture in backward closures.
     fn layout(&self) -> (Vec<usize>, Vec<usize>) {
-        (self.lens.clone(), self.offsets.clone())
+        (self.pack.lens.clone(), self.pack.offsets.clone())
+    }
+
+    /// The parameter behind `p` when `x` is packed token rows outside any
+    /// scope — the case the packed nodes record. Anything else (`None`)
+    /// takes the per-sentence tape path.
+    fn packed_param(&self, x: Var, p: Var) -> Option<ParamId> {
+        if self.scope.is_some() || self.tape.value(x).rows() != self.pack.total {
+            return None;
+        }
+        self.tape.param_id_of(p)
     }
 }
 
@@ -1206,7 +1267,7 @@ impl Exec for BatchedTapeExec<'_> {
     // its segment tag — an unscoped non-packed lookup would panic in the
     // segmented backward, by design.
     fn lookup(&mut self, store: &ParamStore, id: ParamId, ids: &[usize]) -> Var {
-        if self.scope.is_some() || ids.len() != self.total {
+        if self.scope.is_some() || ids.len() != self.pack.total {
             return self.tape.param_rows(store, id, ids);
         }
         let (lens, offsets) = self.layout();
@@ -1231,31 +1292,22 @@ impl Exec for BatchedTapeExec<'_> {
     // and each segment's `dW = x_sᵀ·g_s` is re-derived on its row slice —
     // the per-sentence formula on the per-sentence bytes.
     fn matmul(&mut self, a: Var, b: Var) -> Var {
-        if self.scope.is_none() {
-            if let Some(id) = self.tape.param_id_of(b) {
-                if self.tape.value(a).rows() == self.total {
-                    let (lens, offsets) = self.layout();
-                    let va = self.tape.value(a).clone();
-                    let vb = self.tape.value(b).clone();
-                    let out = va.matmul(&vb);
-                    return self.tape.custom_segmented(
-                        OpClass::MatMul,
-                        out,
-                        &[a, b],
-                        move |g, em| {
-                            for s in 0..lens.len() {
-                                let (off, len) = (offsets[s], lens[s]);
-                                let xs = rows_of(&va, off, len);
-                                let gs = rows_of(g, off, len);
-                                em.dense(s, id, xs.matmul_tn(&gs));
-                            }
-                            vec![Some(g.matmul_nt(&vb)), None]
-                        },
-                    );
-                }
+        let Some(id) = self.packed_param(a, b) else {
+            return Tape::matmul(self.tape, a, b);
+        };
+        let (lens, offsets) = self.layout();
+        let va = self.tape.value(a).clone();
+        let vb = self.tape.value(b).clone();
+        let out = va.matmul(&vb);
+        self.tape.custom_segmented(OpClass::MatMul, out, &[a, b], move |g, em| {
+            for s in 0..lens.len() {
+                let (off, len) = (offsets[s], lens[s]);
+                let xs = rows_of(&va, off, len);
+                let gs = rows_of(g, off, len);
+                em.dense(s, id, xs.matmul_tn(&gs));
             }
-        }
-        Tape::matmul(self.tape, a, b)
+            vec![Some(g.matmul_nt(&vb)), None]
+        })
     }
 
     fn transpose(&mut self, a: Var) -> Var {
@@ -1278,44 +1330,30 @@ impl Exec for BatchedTapeExec<'_> {
         Tape::scale(self.tape, a, s)
     }
 
-    // Packed bias add: forward is the oracle's row loop over all packed
-    // rows; each segment's `db` is the oracle's zero-init column sum over
-    // its own rows, ascending.
+    // Packed bias add: forward is the eager backend's bias kernel over all
+    // packed rows; each segment's `db` is the oracle's zero-init column sum
+    // over its own rows, ascending.
     fn add_bias(&mut self, m: Var, bias: Var) -> Var {
-        if self.scope.is_none() {
-            if let Some(id) = self.tape.param_id_of(bias) {
-                if self.tape.value(m).rows() == self.total {
-                    let (lens, offsets) = self.layout();
-                    let vb = self.tape.value(bias).clone();
-                    let mut out = self.tape.value(m).clone();
-                    for r in 0..out.rows() {
-                        for (o, &bv) in out.row_mut(r).iter_mut().zip(vb.row(0)) {
-                            *o += bv;
-                        }
+        let Some(id) = self.packed_param(m, bias) else {
+            return Tape::add_bias(self.tape, m, bias);
+        };
+        let (lens, offsets) = self.layout();
+        let mut out = fused::pooled_copy(self.tape.value(m));
+        fused::add_bias_in_place(&mut out, self.tape.value(bias));
+        self.tape.custom_segmented(OpClass::Elementwise, out, &[m, bias], move |g, em| {
+            for s in 0..lens.len() {
+                let (off, len) = (offsets[s], lens[s]);
+                let mut gb = Tensor::zeros(1, g.cols());
+                for r in 0..len {
+                    let src = g.row(off + r);
+                    for (o, &x) in gb.data_mut().iter_mut().zip(src) {
+                        *o += x;
                     }
-                    return self.tape.custom_segmented(
-                        OpClass::Elementwise,
-                        out,
-                        &[m, bias],
-                        move |g, em| {
-                            for s in 0..lens.len() {
-                                let (off, len) = (offsets[s], lens[s]);
-                                let mut gb = Tensor::zeros(1, g.cols());
-                                for r in 0..len {
-                                    let src = g.row(off + r);
-                                    for (o, &x) in gb.data_mut().iter_mut().zip(src) {
-                                        *o += x;
-                                    }
-                                }
-                                em.dense(s, id, gb);
-                            }
-                            vec![Some(g.clone()), None]
-                        },
-                    );
                 }
+                em.dense(s, id, gb);
             }
-        }
-        Tape::add_bias(self.tape, m, bias)
+            vec![Some(g.clone()), None]
+        })
     }
 
     fn activation(&mut self, a: Var, act: Activation) -> Var {
@@ -1334,9 +1372,9 @@ impl Exec for BatchedTapeExec<'_> {
     }
 
     // Packed same-padded convolution: each segment is convolved within its
-    // own bounds (windows never straddle a boundary), forward and backward
-    // replicating `Tape::conv1d`'s loops — including its `x == 0` sparsity
-    // skip — on the segment's rows.
+    // own bounds (windows never straddle a boundary) by the eager backend's
+    // per-run kernel; the backward replicates `Tape::conv1d`'s loops —
+    // including its `x == 0` sparsity skip — on the segment's rows.
     fn conv1d_act(
         &mut self,
         x: Var,
@@ -1346,53 +1384,19 @@ impl Exec for BatchedTapeExec<'_> {
         dilation: usize,
         act: Activation,
     ) -> Var {
-        let packed = self.scope.is_none()
-            && self.tape.value(x).rows() == self.total
-            && self.tape.param_id_of(w).is_some()
-            && self.tape.param_id_of(b).is_some();
-        if !packed {
+        let (Some(w_id), Some(b_id)) = (self.packed_param(x, w), self.packed_param(x, b)) else {
             return Exec::conv1d_act(&mut *self.tape, x, w, b, k, dilation, act);
-        }
-        assert!(k % 2 == 1, "conv1d requires an odd filter width");
-        assert!(dilation >= 1, "dilation must be >= 1");
-        let w_id = self.tape.param_id_of(w).expect("checked above");
-        let b_id = self.tape.param_id_of(b).expect("checked above");
+        };
         let (lens, offsets) = self.layout();
         let vx = self.tape.value(x).clone();
         let vw = self.tape.value(w).clone();
-        let vb = self.tape.value(b).clone();
-        let d_in = vx.cols();
-        let d_out = vw.cols();
-        assert_eq!(vw.rows(), k * d_in, "filter bank shape must be [k*d_in, d_out]");
-        assert_eq!(vb.shape(), (1, d_out), "bias shape must be [1, d_out]");
+        let (d_in, d_out) = (vx.cols(), vw.cols());
+        let out = per_run(&vx, &self.pack.runs, d_out, |seg| {
+            fused::conv1d_act(seg, &vw, self.tape.value(b), k, dilation, Activation::None)
+        });
         let half = (k / 2) as isize;
 
-        let mut out = Tensor::zeros(self.total, d_out);
-        for s in 0..lens.len() {
-            let (off, len) = (offsets[s], lens[s]);
-            for t in 0..len as isize {
-                let out_row = out.row_mut(off + t as usize);
-                out_row.copy_from_slice(vb.row(0));
-                for j in 0..k as isize {
-                    let src = t + (j - half) * dilation as isize;
-                    if src < 0 || src >= len as isize {
-                        continue;
-                    }
-                    let x_row = vx.row(off + src as usize);
-                    for (i, &xv) in x_row.iter().enumerate() {
-                        if xv == 0.0 {
-                            continue;
-                        }
-                        let w_row = vw.row(j as usize * d_in + i);
-                        for (o, &wv) in out_row.iter_mut().zip(w_row) {
-                            *o += xv * wv;
-                        }
-                    }
-                }
-            }
-        }
-
-        let total = self.total;
+        let total = self.pack.total;
         let conv = self.tape.custom_segmented(OpClass::Conv, out, &[x, w, b], move |g, em| {
             let mut gx = Tensor::zeros(total, d_in);
             for s in 0..lens.len() {
@@ -1437,16 +1441,12 @@ impl Exec for BatchedTapeExec<'_> {
     // oracle's row loop over the packed matrix; `dx` is row-wise too, and
     // each segment's gain/bias sums run over its own rows, ascending.
     fn layer_norm(&mut self, x: Var, gain: Var, bias: Var) -> Var {
-        let packed = self.scope.is_none()
-            && self.tape.value(x).rows() == self.total
-            && self.tape.param_id_of(gain).is_some()
-            && self.tape.param_id_of(bias).is_some();
-        if !packed {
+        let (Some(gain_id), Some(bias_id)) =
+            (self.packed_param(x, gain), self.packed_param(x, bias))
+        else {
             return Tape::layer_norm(self.tape, x, gain, bias);
-        }
+        };
         const EPS: f32 = 1e-5;
-        let gain_id = self.tape.param_id_of(gain).expect("checked above");
-        let bias_id = self.tape.param_id_of(bias).expect("checked above");
         let (lens, offsets) = self.layout();
         let vx = self.tape.value(x).clone();
         let vg = self.tape.value(gain).clone();
@@ -1533,27 +1533,10 @@ impl Exec for BatchedTapeExec<'_> {
             return Tape::reverse_rows(self.tape, a);
         }
         let av = self.tape.value(a);
-        assert_eq!(av.rows(), self.total, "reverse_rows expects packed token rows");
-        let (lens, offsets) = self.layout();
-        let cols = av.cols();
-        let total = self.total;
-        let mut out = Tensor::zeros(total, cols);
-        for s in 0..lens.len() {
-            let (off, len) = (offsets[s], lens[s]);
-            for r in 0..len {
-                out.row_mut(off + r).copy_from_slice(av.row(off + len - 1 - r));
-            }
-        }
-        self.tape.custom_in_class(OpClass::Shape, out, &[a], move |g| {
-            let mut ga = Tensor::zeros(total, cols);
-            for s in 0..lens.len() {
-                let (off, len) = (offsets[s], lens[s]);
-                for r in 0..len {
-                    ga.row_mut(off + r).copy_from_slice(g.row(off + len - 1 - r));
-                }
-            }
-            vec![Some(ga)]
-        })
+        let out = reverse_runs(av, self.pack.runs(av.rows(), "reverse_rows"));
+        let runs = self.pack.runs.clone();
+        let backward = move |g: &Tensor| vec![Some(reverse_runs(g, &runs))];
+        self.tape.custom_in_class(OpClass::Shape, out, &[a], backward)
     }
 
     fn lstm_gates(&mut self, pre: Var, c: Var, hidden: usize) -> (Var, Var) {
@@ -1570,28 +1553,18 @@ impl Exec for BatchedTapeExec<'_> {
         if self.scope.is_some() {
             return Exec::positional_encoding(&mut *self.tape, n, d);
         }
-        assert_eq!(n, self.total, "positional_encoding expects packed token rows");
-        let mut out = Tensor::zeros(n, d);
-        for s in 0..self.lens.len() {
-            let (off, len) = (self.offsets[s], self.lens[s]);
-            let pe = crate::nn::positional_encoding(len, d);
-            for r in 0..len {
-                out.row_mut(off + r).copy_from_slice(pe.row(r));
-            }
-            fused::recycle(pe);
-        }
-        self.tape.constant(out)
+        let pe = stacked_pe(self.pack.runs(n, "positional_encoding"), n, d, None);
+        self.tape.constant(pe)
     }
 
-    // One `[N, 4h]` input projection and one `[live, 4h]` recurrent GEMM
-    // per timestep, exactly the fused batched forward — plus stashes of the
-    // post-activation gates, cell states and tanh(c) so the backward is a
-    // hand-rolled BPTT over the same packing. The backward's fold orders
-    // mirror the per-sentence tape sweep: `dh` is the output gradient plus
-    // the recurrent term, `dc` is the carry (from t+1's `f⊙c` node, visited
-    // first) plus the tanh term, and each segment's `db`/`dW_hh`/`dW_ih`
-    // accumulate per timestep, descending, through the same `matmul_tn`
-    // kernel calls the oracle's `[1, ·]` nodes made.
+    // The eager backend's sweep, stashing the post-activation gates, cell
+    // states and tanh(c) so the backward is a hand-rolled BPTT over the
+    // same packing. The backward's fold orders mirror the per-sentence tape
+    // sweep: `dh` is the output gradient plus the recurrent term, `dc` is
+    // the carry (from t+1's `f⊙c` node, visited first) plus the tanh term,
+    // and each segment's `db`/`dW_hh`/`dW_ih` accumulate per timestep,
+    // descending, through the same `matmul_tn` kernel calls the oracle's
+    // `[1, ·]` nodes made.
     fn lstm_sequence(
         &mut self,
         store: &ParamStore,
@@ -1602,75 +1575,29 @@ impl Exec for BatchedTapeExec<'_> {
         xs: Var,
     ) -> Var {
         if self.scope.is_some() {
-            return lstm_chain_on_tape(self.tape, store, w_ih, w_hh, b, hidden, xs);
+            return Exec::lstm_sequence(&mut *self.tape, store, w_ih, w_hh, b, hidden, xs);
         }
         let h = hidden;
-        let xsv = self.tape.value(xs);
-        assert_eq!(xsv.rows(), self.total, "lstm_sequence expects packed token rows");
-        let d_in = xsv.cols();
-        let xs_c = xsv.clone();
+        let xs_c = self.tape.value(xs).clone();
+        let runs = self.pack.runs(xs_c.rows(), "lstm_sequence");
+        let (total, d_in) = xs_c.shape();
         let w_ih_v = store.value(w_ih).clone();
         let w_hh_v = store.value(w_hh).clone();
-        let b_v = store.value(b).clone();
-
-        let xp = xs_c.matmul(&w_ih_v); // [N, 4h]
-        let total = self.total;
-        let mut out = Tensor::zeros(total, h);
         let mut gates = Tensor::zeros(total, 4 * h); // i | f | g | o, post-activation
         let mut cells = Tensor::zeros(total, h); // c after the update
         let mut cts = Tensor::zeros(total, h); // tanh(c)
-        let nseg = self.order.len();
-        let max_len = self.sorted_lens[0];
-        let mut hstate = Tensor::zeros(nseg, h);
-        let mut c = vec![0.0f32; nseg * h];
-        let mut pre = vec![0.0f32; 4 * h];
-        let lvl = simd::active();
-        let mut live = nseg;
-        for t in 0..max_len {
-            let new_live = self.live_at(t);
-            if new_live < live {
-                let mut shrunk = Tensor::zeros(new_live, h);
-                for p in 0..new_live {
-                    shrunk.row_mut(p).copy_from_slice(hstate.row(p));
-                }
-                hstate = shrunk;
-                live = new_live;
+        let out = lstm_sweep(&xs_c, &w_ih_v, &w_hh_v, store.value(b), runs, |r, j, g, c, ct| {
+            let gates_row = gates.row_mut(r);
+            for (q, v) in g.into_iter().enumerate() {
+                gates_row[q * h + j] = v;
             }
-            let hp = hstate.matmul(&w_hh_v); // [live, 4h]
-            for p in 0..live {
-                let r = self.offsets[self.order[p]] + t;
-                simd::add3(lvl, &mut pre, xp.row(r), hp.row(p), b_v.data());
-                let cs = &mut c[p * h..(p + 1) * h];
-                let out_row = out.row_mut(r);
-                let gates_row = gates.row_mut(r);
-                let cells_row = cells.row_mut(r);
-                let cts_row = cts.row_mut(r);
-                for j in 0..h {
-                    let i = Activation::Sigmoid.eval(pre[j]);
-                    let f = Activation::Sigmoid.eval(pre[h + j]);
-                    let g = Activation::Tanh.eval(pre[2 * h + j]);
-                    let o = Activation::Sigmoid.eval(pre[3 * h + j]);
-                    let cn = f * cs[j] + i * g;
-                    cs[j] = cn;
-                    gates_row[j] = i;
-                    gates_row[h + j] = f;
-                    gates_row[2 * h + j] = g;
-                    gates_row[3 * h + j] = o;
-                    cells_row[j] = cn;
-                    let ctv = cn.tanh();
-                    cts_row[j] = ctv;
-                    out_row[j] = o * ctv;
-                }
-                hstate.row_mut(p).copy_from_slice(out.row(r));
-            }
-            fused::recycle(hp);
-        }
-        fused::recycle(xp);
+            cells.row_mut(r)[j] = c;
+            cts.row_mut(r)[j] = ct;
+        });
 
         let out_c = out.clone();
         let (lens, offsets) = self.layout();
-        let order = self.order.clone();
-        let sorted_lens = self.sorted_lens.clone();
+        let (order, runs) = (self.pack.order.clone(), self.pack.runs.clone());
         self.tape.custom_segmented(OpClass::Custom, out, &[xs], move |g, em| {
             let nseg = lens.len();
             let mut db: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 4 * h)).collect();
@@ -1680,10 +1607,8 @@ impl Exec for BatchedTapeExec<'_> {
             let mut rec = vec![0.0f32; nseg * h];
             let mut carry = vec![0.0f32; nseg * h];
             let zero_h = vec![0.0f32; h];
-            let max_len = sorted_lens[0];
-            for t in (0..max_len).rev() {
-                let live = sorted_lens.partition_point(|&l| l > t);
-                let live_next = sorted_lens.partition_point(|&l| l > t + 1);
+            for t in (0..runs[0].1).rev() {
+                let (live, live_next) = (live_at(&runs, t), live_at(&runs, t + 1));
                 let mut dpre_mat = Tensor::zeros(live, 4 * h);
                 for p in 0..live {
                     let s = order[p];
@@ -1765,70 +1690,28 @@ impl Exec for BatchedTapeExec<'_> {
         xs: Var,
     ) -> Var {
         if self.scope.is_some() {
-            return gru_chain_on_tape(self.tape, store, w_ih, w_hh, b_ih, b_hh, hidden, xs);
+            return Exec::gru_sequence(&mut *self.tape, store, w_ih, w_hh, b_ih, b_hh, hidden, xs);
         }
         let h = hidden;
-        let xsv = self.tape.value(xs);
-        assert_eq!(xsv.rows(), self.total, "gru_sequence expects packed token rows");
-        let d_in = xsv.cols();
-        let xs_c = xsv.clone();
+        let xs_c = self.tape.value(xs).clone();
+        let runs = self.pack.runs(xs_c.rows(), "gru_sequence");
+        let (total, d_in) = xs_c.shape();
         let w_ih_v = store.value(w_ih).clone();
         let w_hh_v = store.value(w_hh).clone();
-        let b_ih_v = store.value(b_ih).clone();
-        let b_hh_v = store.value(b_hh).clone();
-
-        let mut xp = xs_c.matmul(&w_ih_v); // [N, 3h]
-        fused::add_bias_in_place(&mut xp, &b_ih_v);
-        let total = self.total;
-        let mut out = Tensor::zeros(total, h);
+        let (b_ih_v, b_hh_v) = (store.value(b_ih), store.value(b_hh));
         let mut gates = Tensor::zeros(total, 3 * h); // z | r | n, post-activation
         let mut hns = Tensor::zeros(total, h); // recurrent n-projection, post-bias
-        let nseg = self.order.len();
-        let max_len = self.sorted_lens[0];
-        let mut hstate = Tensor::zeros(nseg, h);
-        let mut live = nseg;
-        for t in 0..max_len {
-            let new_live = self.live_at(t);
-            if new_live < live {
-                let mut shrunk = Tensor::zeros(new_live, h);
-                for p in 0..new_live {
-                    shrunk.row_mut(p).copy_from_slice(hstate.row(p));
-                }
-                hstate = shrunk;
-                live = new_live;
+        let out = gru_sweep(&xs_c, &w_ih_v, &w_hh_v, b_ih_v, b_hh_v, runs, |r, j, g, hn| {
+            let gates_row = gates.row_mut(r);
+            for (q, v) in g.into_iter().enumerate() {
+                gates_row[q * h + j] = v;
             }
-            let mut hp = hstate.matmul(&w_hh_v); // [live, 3h]
-            fused::add_bias_in_place(&mut hp, &b_hh_v);
-            for p in 0..live {
-                let r = self.offsets[self.order[p]] + t;
-                let x_row = xp.row(r);
-                let h_row = hp.row(p);
-                let out_row = out.row_mut(r);
-                let gates_row = gates.row_mut(r);
-                let hns_row = hns.row_mut(r);
-                {
-                    let h_prev = hstate.row(p);
-                    for j in 0..h {
-                        let z = Activation::Sigmoid.eval(x_row[j] + h_row[j]);
-                        let rr = Activation::Sigmoid.eval(x_row[h + j] + h_row[h + j]);
-                        let nj = (x_row[2 * h + j] + rr * h_row[2 * h + j]).tanh();
-                        out_row[j] = (nj - z * nj) + z * h_prev[j];
-                        gates_row[j] = z;
-                        gates_row[h + j] = rr;
-                        gates_row[2 * h + j] = nj;
-                        hns_row[j] = h_row[2 * h + j];
-                    }
-                }
-                hstate.row_mut(p).copy_from_slice(out.row(r));
-            }
-            fused::recycle(hp);
-        }
-        fused::recycle(xp);
+            hns.row_mut(r)[j] = hn;
+        });
 
         let out_c = out.clone();
         let (lens, offsets) = self.layout();
-        let order = self.order.clone();
-        let sorted_lens = self.sorted_lens.clone();
+        let (order, runs) = (self.pack.order.clone(), self.pack.runs.clone());
         self.tape.custom_segmented(OpClass::Custom, out, &[xs], move |g, em| {
             let nseg = lens.len();
             let mut db_ih: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 3 * h)).collect();
@@ -1839,10 +1722,8 @@ impl Exec for BatchedTapeExec<'_> {
             let mut zh_term = vec![0.0f32; nseg * h];
             let mut mat_term = vec![0.0f32; nseg * h];
             let zero_h = vec![0.0f32; h];
-            let max_len = sorted_lens[0];
-            for t in (0..max_len).rev() {
-                let live = sorted_lens.partition_point(|&l| l > t);
-                let live_next = sorted_lens.partition_point(|&l| l > t + 1);
+            for t in (0..runs[0].1).rev() {
+                let (live, live_next) = (live_at(&runs, t), live_at(&runs, t + 1));
                 let mut dhp_mat = Tensor::zeros(live, 3 * h);
                 let mut dxp_mat = Tensor::zeros(live, 3 * h);
                 for p in 0..live {
@@ -1918,55 +1799,25 @@ impl Exec for BatchedTapeExec<'_> {
     }
 }
 
-/// [`Exec::lstm_sequence`]'s provided per-step chain, invoked on the raw
-/// tape (used for scoped char-level LSTMs, where `xs` is a per-word matrix
-/// rather than packed rows).
-fn lstm_chain_on_tape(
-    tape: &mut Tape,
-    store: &ParamStore,
-    w_ih: ParamId,
-    w_hh: ParamId,
-    b: ParamId,
-    hidden: usize,
-    xs: Var,
-) -> Var {
-    Exec::lstm_sequence(tape, store, w_ih, w_hh, b, hidden, xs)
-}
-
-/// [`Exec::gru_sequence`]'s provided per-step chain on the raw tape.
-#[allow(clippy::too_many_arguments)]
-fn gru_chain_on_tape(
-    tape: &mut Tape,
-    store: &ParamStore,
-    w_ih: ParamId,
-    w_hh: ParamId,
-    b_ih: ParamId,
-    b_hh: ParamId,
-    hidden: usize,
-    xs: Var,
-) -> Var {
-    Exec::gru_sequence(tape, store, w_ih, w_hh, b_ih, b_hh, hidden, xs)
-}
-
 impl PackedExec for BatchedTapeExec<'_> {
     fn segments(&self) -> usize {
-        self.lens.len()
+        self.pack.lens.len()
     }
 
     fn len_of(&self, s: usize) -> usize {
-        self.lens[s]
+        self.pack.lens[s]
     }
 
     fn offset_of(&self, s: usize) -> usize {
-        self.offsets[s]
+        self.pack.offsets[s]
     }
 
     fn total_rows(&self) -> usize {
-        self.total
+        self.pack.total
     }
 
     fn slice_segment(&mut self, v: Var, s: usize) -> Var {
-        let (off, len) = (self.offsets[s], self.lens[s]);
+        let (off, len) = (self.pack.offsets[s], self.pack.lens[s]);
         Tape::slice_rows(self.tape, v, off, len)
     }
 
@@ -2212,35 +2063,39 @@ mod tests {
 
     /// The historical trainer: one tape and one [`GradBuffer`] per
     /// sentence, loss = sum of the graph's output, buffers applied to a
-    /// fresh store clone in caller order. Returns that store.
+    /// fresh store clone in caller order. Returns each sentence's forward
+    /// output and that store.
     fn run_oracle(
         store: &ParamStore,
         segs: &[Tensor],
         build: impl Fn(&mut Tape, usize, Var) -> Var,
-    ) -> ParamStore {
+    ) -> (Vec<Tensor>, ParamStore) {
         let mut oracle = store.clone();
+        let mut outs = Vec::new();
         for (s, seg) in segs.iter().enumerate() {
             let mut t = Tape::default();
             let xs = t.constant(seg.clone());
             let out = build(&mut t, s, xs);
+            outs.push(t.value(out).clone());
             let loss = t.sum(out);
             let mut buf = GradBuffer::new(store.len());
             t.backward_into(loss, &mut buf);
             buf.apply_to(&mut oracle);
         }
-        oracle
+        (outs, oracle)
     }
 
     /// The batched trainer: one packed tape, per-segment sums folded left
     /// into one scalar loss, one segmented backward into per-segment
-    /// buffers, applied to a fresh store clone in caller order.
+    /// buffers, applied to a fresh store clone in caller order. Returns the
+    /// packed forward output and that store.
     fn run_packed(
         store: &ParamStore,
         lens: &[usize],
         build: impl FnOnce(&mut BatchedTapeExec<'_>) -> Var,
-    ) -> ParamStore {
+    ) -> (Tensor, ParamStore) {
         let mut tape = Tape::default();
-        let loss = {
+        let (out, loss) = {
             let mut bx = BatchedTapeExec::new(&mut tape, lens);
             let out = build(&mut bx);
             let mut total = None;
@@ -2255,7 +2110,7 @@ mod tests {
                     Some(acc) => Exec::add(&mut bx, acc, ls),
                 });
             }
-            total.expect("at least one segment")
+            (bx.value(out).clone(), total.expect("at least one segment"))
         };
         let mut buffers: Vec<GradBuffer> =
             (0..lens.len()).map(|_| GradBuffer::new(store.len())).collect();
@@ -2264,12 +2119,25 @@ mod tests {
         for buf in buffers {
             buf.apply_to(&mut got);
         }
-        got
+        (out, got)
     }
 
-    fn compare_grads(store: &ParamStore, oracle: &ParamStore, got: &ParamStore) {
+    /// The packed forward must reproduce every sentence's oracle rows bit
+    /// for bit, and the gradients must match under the ±0 license.
+    fn compare_runs(
+        store: &ParamStore,
+        oracle: &(Vec<Tensor>, ParamStore),
+        got: &(Tensor, ParamStore),
+    ) {
+        let (want, packed) = (&oracle.0, &got.0);
+        let mut off = 0;
+        for seg in want {
+            assert_bits_eq(&packed.data()[off * seg.cols()..][..seg.data().len()], seg.data());
+            off += seg.rows();
+        }
+        assert_eq!(off, packed.rows(), "packed forward row count");
         for id in store.ids() {
-            assert_grads_eq(store.name(id), oracle.grad(id).data(), got.grad(id).data());
+            assert_grads_eq(store.name(id), oracle.1.grad(id).data(), got.1.grad(id).data());
         }
     }
 
@@ -2291,7 +2159,7 @@ mod tests {
             let bv = Exec::param(bx, &store, b);
             Exec::affine_act(bx, xs, wv, bv, Activation::Tanh)
         });
-        compare_grads(&store, &oracle, &got);
+        compare_runs(&store, &oracle, &got);
     }
 
     #[test]
@@ -2313,7 +2181,7 @@ mod tests {
                 let bv = Exec::param(bx, &store, b);
                 Exec::conv1d_act(bx, xs, wv, bv, k, dilation, Activation::Relu)
             });
-            compare_grads(&store, &oracle, &got);
+            compare_runs(&store, &oracle, &got);
         }
     }
 
@@ -2335,7 +2203,7 @@ mod tests {
             let bv = Exec::param(bx, &store, bias);
             Exec::layer_norm(bx, xs, gv, bv)
         });
-        compare_grads(&store, &oracle, &got);
+        compare_runs(&store, &oracle, &got);
     }
 
     #[test]
@@ -2375,7 +2243,7 @@ mod tests {
             let bv = Exec::param(bx, &store, b);
             Exec::affine_act(bx, cat, wv, bv, Activation::None)
         });
-        compare_grads(&store, &oracle, &got);
+        compare_runs(&store, &oracle, &got);
     }
 
     #[test]
@@ -2394,7 +2262,7 @@ mod tests {
             let xs = bx.constant(packed.clone());
             Exec::gru_sequence(bx, &store, w_ih, w_hh, b_ih, b_hh, h, xs)
         });
-        compare_grads(&store, &oracle, &got);
+        compare_runs(&store, &oracle, &got);
     }
 
     #[test]
@@ -2418,7 +2286,7 @@ mod tests {
                 let xs = bx.constant(packed.clone());
                 Exec::lstm_sequence(bx, &store, w_ih, w_hh, b, h, xs)
             });
-            compare_grads(&store, &oracle, &got);
+            compare_runs(&store, &oracle, &got);
         }
     }
 
@@ -2433,7 +2301,7 @@ mod tests {
         // Deliberately repeat ids across segments so scatter rows collide.
         let ids: Vec<usize> = (0..total).map(|i| (i * 7 + 3) % vocab).collect();
 
-        let mut oracle = store.clone();
+        let mut oracle = (Vec::new(), store.clone());
         let mut off = 0;
         for &l in LENS {
             let mut t = Tape::default();
@@ -2441,10 +2309,11 @@ mod tests {
             let wv = Exec::param(&mut t, &store, w);
             let bv = Exec::param(&mut t, &store, b);
             let a = Exec::affine_act(&mut t, x, wv, bv, Activation::Tanh);
+            oracle.0.push(t.value(a).clone());
             let loss = t.sum(a);
             let mut buf = GradBuffer::new(store.len());
             t.backward_into(loss, &mut buf);
-            buf.apply_to(&mut oracle);
+            buf.apply_to(&mut oracle.1);
             off += l;
         }
 
@@ -2454,7 +2323,7 @@ mod tests {
             let bv = Exec::param(bx, &store, b);
             Exec::affine_act(bx, x, wv, bv, Activation::Tanh)
         });
-        compare_grads(&store, &oracle, &got);
+        compare_runs(&store, &oracle, &got);
     }
 
     #[test]
@@ -2480,7 +2349,7 @@ mod tests {
             let bv = Exec::param(bx, &store, b);
             Exec::affine_act(bx, dx, wv, bv, Activation::Tanh)
         });
-        compare_grads(&store, &oracle, &got);
+        compare_runs(&store, &oracle, &got);
     }
 
     #[test]
@@ -2511,7 +2380,7 @@ mod tests {
             }
             Exec::concat_rows(bx, &parts)
         });
-        compare_grads(&store, &oracle, &got);
+        compare_runs(&store, &oracle, &got);
     }
 
     #[test]
