@@ -9,10 +9,11 @@
 #      4 threads — the parallel paths must not change results — and once
 #      more at NER_SIMD=off so forced-scalar kernels reproduce the same
 #      bits the default SIMD level produced; ner-tensor's backend tests and
-#      ner-core's train_parity also run at NER_SIMD=sse2, because the
-#      packed training forward runs the same SIMD-dispatched fused kernels
-#      and LSTM/GRU sweeps as serving, and the middle level must keep the
-#      training bits too)
+#      ner-core's train_parity and plan_parity also run at NER_SIMD=sse2,
+#      because the packed training forward and the trainer's dev
+#      evaluation (whose F1 drives early stopping and best-model restore)
+#      run the same SIMD-dispatched fused kernels and LSTM/GRU sweeps as
+#      serving, and the middle level must keep those bits too)
 #   4. kernel smoke     (exp_kernels --smoke exits non-zero on any
 #      blocked/SIMD/parallel-vs-naive kernel divergence, run at both the
 #      default SIMD level and NER_SIMD=off)
@@ -64,9 +65,10 @@ NER_SIMD=off NER_THREADS=1 cargo test -q
 echo "== tier-1: tests with SIMD forced off (NER_SIMD=off, NER_THREADS=4) =="
 NER_SIMD=off NER_THREADS=4 cargo test -q
 
-echo "== tier-1: tensor backends + training parity at the middle SIMD level (NER_SIMD=sse2) =="
+echo "== tier-1: tensor backends + training and prediction parity at the middle SIMD level (NER_SIMD=sse2) =="
 NER_SIMD=sse2 cargo test --release -p ner-tensor -q
 NER_SIMD=sse2 cargo test --release -p ner-core --test train_parity -q
+NER_SIMD=sse2 cargo test --release -p ner-core --test plan_parity -q
 
 echo "== kernel smoke: blocked/SIMD/parallel must match the naive oracle =="
 cargo run --release -p ner-bench --bin exp_kernels -- --smoke

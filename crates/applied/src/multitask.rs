@@ -19,7 +19,7 @@ use ner_core::metrics::EvalResult;
 use ner_core::repr::{EncodedSentence, InputLayer, SentenceEncoder};
 use ner_tensor::nn::Linear;
 use ner_tensor::optim::{Adam, Optimizer};
-use ner_tensor::{ParamStore, Tape};
+use ner_tensor::{BatchedExec, Exec, ParamStore, Tape};
 use ner_text::{EntitySpan, TagSet};
 use rand::Rng;
 use serde::Serialize;
@@ -148,13 +148,18 @@ impl MultitaskNer {
         total
     }
 
-    /// Predicted spans (constrained Viterbi).
+    /// Predicted spans (constrained Viterbi), from a packed
+    /// [`BatchedExec`] forward of one sentence. An empty sentence has no
+    /// spans.
     pub fn predict_spans(&self, enc: &EncodedSentence) -> Vec<EntitySpan> {
-        let mut tape = Tape::new();
-        let x = self.input.forward(&mut tape, &self.store, enc);
-        let h = self.encoder.forward(&mut tape, &self.store, x);
-        let emissions = self.proj.forward(&mut tape, &self.store, h);
-        let (tags, _) = self.crf.viterbi(&self.store, tape.value(emissions), Some(&self.tag_set));
+        if enc.is_empty() {
+            return Vec::new();
+        }
+        let mut bx = BatchedExec::new(&self.store, &[enc.len()]);
+        let x = self.input.forward_batch(&mut bx, &self.store, &[enc]);
+        let h = self.encoder.forward_batch(&mut bx, &self.store, x);
+        let emissions = self.proj.forward(&mut bx, &self.store, h);
+        let (tags, _) = self.crf.viterbi(&self.store, bx.value(emissions), Some(&self.tag_set));
         let labels = self.tag_set.decode(&tags);
         self.tag_set.scheme().tags_to_spans(&labels)
     }
@@ -273,6 +278,16 @@ mod tests {
             &mut rng,
         );
         model.fit(&encoded, 3, 0.01, &mut rng);
+        // The packed forward reproduces the per-sentence tape's decode.
+        for e in &encoded {
+            let mut tape = Tape::new();
+            let x = model.input.forward(&mut tape, &model.store, e);
+            let h = model.encoder.forward(&mut tape, &model.store, x);
+            let em = model.proj.forward(&mut tape, &model.store, h);
+            let (tags, _) = model.crf.viterbi(&model.store, tape.value(em), Some(&model.tag_set));
+            let want = model.tag_set.scheme().tags_to_spans(&model.tag_set.decode(&tags));
+            assert_eq!(model.predict_spans(e), want);
+        }
         let result = model.evaluate(&encoded);
         assert!(result.micro.f1 > 0.2, "trained multitask model should fit train data somewhat");
     }

@@ -109,7 +109,8 @@ struct Report {
     p50_speedup_plan_cache_vs_tape: f64,
     /// Whole-batch wall time scoring one sentence at a time over the
     /// batched `[B,T]` backend, at 1 thread — the offline batched-
-    /// throughput headline (compute buckets cap at 32 rows).
+    /// throughput headline (compute buckets cap at
+    /// `plan::DEFAULT_COMPUTE_BATCH` = 8 sentences).
     batched_speedup_vs_per_sentence_1thr: f64,
     latency: Vec<LatencyRow>,
     throughput: Vec<ThroughputRow>,
@@ -270,7 +271,8 @@ fn main() {
     // -- batch throughput at 1/2/4 threads -------------------------------
     // Three ways to score the same corpus: the tape, batches of one
     // fanned over the pool, and the batched [B,T] backend
-    // (length-sorted buckets of up to 32 rows, one padded forward each).
+    // (length-sorted buckets of up to `plan::DEFAULT_COMPUTE_BATCH` = 8
+    // sentences, one packed forward each).
     let mut throughput = Vec::new();
     let mut tape_1thr_ms = f64::NAN;
     let mut batched_speedup_1thr = f64::NAN;

@@ -29,8 +29,8 @@ use serde::Serialize;
 
 const SEED: u64 = 31;
 
-/// Sentences per packed bucket (per worker). Mirrors the serving
-/// backend's compute-bucket width, which caps at 32 rows.
+/// Sentences per packed training bucket (per worker). Independent of the
+/// inference bucket cap (`plan::DEFAULT_COMPUTE_BATCH`, 8 sentences).
 const BATCH: usize = 16;
 
 /// One epoch of the headline configuration.

@@ -10,9 +10,10 @@
 //! semantics; the top-down pass propagates the enclosing structure back to
 //! the leaves; a token is classified from both (Fig. 8's two directions).
 
+use ner_tensor::fused::Activation;
 use ner_tensor::nn::{Embedding, Linear};
 use ner_tensor::optim::{Adam, Optimizer};
-use ner_tensor::{ParamStore, Tape, Var};
+use ner_tensor::{BatchedExec, Exec, ParamStore, Tape, Var};
 use ner_text::pos::{tag_sentence, PosTag};
 use ner_text::{EntitySpan, Sentence, TagScheme, TagSet, Vocab};
 use rand::Rng;
@@ -117,13 +118,13 @@ impl RecursiveNer {
     }
 
     /// Top-down pass: distributes the enclosing-structure state to leaves.
-    fn down(
+    fn down<E: Exec>(
         &self,
-        tape: &mut Tape,
+        ex: &mut E,
         tree: &Tree,
-        parent_down: Var,
-        up_states: &UpStates,
-        acc: &mut Vec<(usize, Var)>,
+        parent_down: E::V,
+        up_states: &UpStates<E::V>,
+        acc: &mut Vec<(usize, E::V)>,
     ) {
         match tree {
             Tree::Leaf(i) => acc.push((*i, parent_down)),
@@ -133,64 +134,64 @@ impl RecursiveNer {
                 // contains the child but not the child itself).
                 let ul = up_states.of(l);
                 let ur = up_states.of(r);
-                let cat_l = tape.concat_cols(&[parent_down, ur]);
-                let lin_l = self.compose_down.forward(tape, &self.store, cat_l);
-                let down_l = tape.tanh(lin_l);
-                let cat_r = tape.concat_cols(&[parent_down, ul]);
-                let lin_r = self.compose_down.forward(tape, &self.store, cat_r);
-                let down_r = tape.tanh(lin_r);
-                self.down(tape, l, down_l, up_states, acc);
-                self.down(tape, r, down_r, up_states, acc);
+                let cat_l = ex.concat_cols(&[parent_down, ur]);
+                let lin_l = self.compose_down.forward(ex, &self.store, cat_l);
+                let down_l = ex.activation(lin_l, Activation::Tanh);
+                let cat_r = ex.concat_cols(&[parent_down, ul]);
+                let lin_r = self.compose_down.forward(ex, &self.store, cat_r);
+                let down_r = ex.activation(lin_r, Activation::Tanh);
+                self.down(ex, l, down_l, up_states, acc);
+                self.down(ex, r, down_r, up_states, acc);
             }
         }
     }
 
-    fn logits(&self, tape: &mut Tape, tokens: &[String]) -> Var {
+    fn logits<E: Exec>(&self, ex: &mut E, tokens: &[String]) -> E::V {
         let ids: Vec<usize> =
             tokens.iter().map(|t| self.vocab.get_or_unk(&t.to_lowercase())).collect();
-        let leaves = self.emb.lookup(tape, &self.store, &ids);
+        let leaves = self.emb.lookup(ex, &self.store, &ids);
         let tree = chunk_tree(&tokens.iter().map(String::as_str).collect::<Vec<_>>());
 
         let mut up_acc = Vec::new();
-        let mut ups = UpStates::default();
-        let root_up = self.up_memo(tape, &tree, leaves, &mut up_acc, &mut ups);
+        let mut ups = UpStates { map: Default::default() };
+        let root_up = self.up_memo(ex, &tree, leaves, &mut up_acc, &mut ups);
         let _ = root_up;
-        let root_down = tape.constant(ner_tensor::Tensor::zeros(1, self.dim));
+        let root_down = ex.constant(ner_tensor::Tensor::zeros(1, self.dim));
         let mut down_acc = Vec::new();
-        self.down(tape, &tree, root_down, &ups, &mut down_acc);
+        self.down(ex, &tree, root_down, &ups, &mut down_acc);
 
         up_acc.sort_by_key(|(i, _)| *i);
         down_acc.sort_by_key(|(i, _)| *i);
-        let rows: Vec<Var> = up_acc
+        let rows: Vec<E::V> = up_acc
             .iter()
             .zip(&down_acc)
-            .map(|((_, u), (_, d))| tape.concat_cols(&[*u, *d]))
+            .map(|((_, u), (_, d))| ex.concat_cols(&[*u, *d]))
             .collect();
-        let reps = tape.concat_rows(&rows);
-        self.out.forward(tape, &self.store, reps)
+        let reps = ex.concat_rows(&rows);
+        self.out.forward(ex, &self.store, reps)
     }
 
     /// Bottom-up with memoized subtree states (needed by the top-down pass).
-    fn up_memo(
+    fn up_memo<E: Exec>(
         &self,
-        tape: &mut Tape,
+        ex: &mut E,
         tree: &Tree,
-        leaves: Var,
-        acc: &mut Vec<(usize, Var)>,
-        memo: &mut UpStates,
-    ) -> Var {
+        leaves: E::V,
+        acc: &mut Vec<(usize, E::V)>,
+        memo: &mut UpStates<E::V>,
+    ) -> E::V {
         let state = match tree {
             Tree::Leaf(i) => {
-                let h = tape.row(leaves, *i);
+                let h = ex.row(leaves, *i);
                 acc.push((*i, h));
                 h
             }
             Tree::Node(l, r) => {
-                let hl = self.up_memo(tape, l, leaves, acc, memo);
-                let hr = self.up_memo(tape, r, leaves, acc, memo);
-                let cat = tape.concat_cols(&[hl, hr]);
-                let lin = self.compose_up.forward(tape, &self.store, cat);
-                tape.tanh(lin)
+                let hl = self.up_memo(ex, l, leaves, acc, memo);
+                let hr = self.up_memo(ex, r, leaves, acc, memo);
+                let cat = ex.concat_cols(&[hl, hr]);
+                let lin = self.compose_up.forward(ex, &self.store, cat);
+                ex.activation(lin, Activation::Tanh)
             }
         };
         memo.insert(tree, state);
@@ -203,11 +204,12 @@ impl RecursiveNer {
         tape.cross_entropy_sum(logits, tag_ids)
     }
 
-    /// Predicts entity spans for a sentence.
+    /// Predicts entity spans for a sentence, from a [`BatchedExec`]
+    /// forward of one sentence (no tape).
     pub fn predict(&self, tokens: &[String]) -> Vec<EntitySpan> {
-        let mut tape = Tape::new();
-        let logits = self.logits(&mut tape, tokens);
-        let v = tape.value(logits);
+        let mut bx = BatchedExec::new(&self.store, &[tokens.len()]);
+        let logits = self.logits(&mut bx, tokens);
+        let v = bx.value(logits);
         let ids: Vec<usize> = (0..v.rows()).map(|r| v.argmax_row(r)).collect();
         let tags = self.tag_set.decode(&ids);
         TagScheme::Io.tags_to_spans(&tags)
@@ -252,12 +254,11 @@ impl RecursiveNer {
 /// Memo of bottom-up states keyed by subtree identity (pointer address is
 /// unstable across recursion, so key on the leaf range instead — unique in
 /// any tree over distinct indices).
-#[derive(Default)]
-struct UpStates {
-    map: std::collections::HashMap<(usize, usize), Var>,
+struct UpStates<V> {
+    map: std::collections::HashMap<(usize, usize), V>,
 }
 
-impl UpStates {
+impl<V: Copy> UpStates<V> {
     fn span(tree: &Tree) -> (usize, usize) {
         match tree {
             Tree::Leaf(i) => (*i, *i + 1),
@@ -265,11 +266,11 @@ impl UpStates {
         }
     }
 
-    fn insert(&mut self, tree: &Tree, v: Var) {
+    fn insert(&mut self, tree: &Tree, v: V) {
         self.map.insert(Self::span(tree), v);
     }
 
-    fn of(&self, tree: &Tree) -> Var {
+    fn of(&self, tree: &Tree) -> V {
         self.map[&Self::span(tree)]
     }
 }
@@ -319,11 +320,17 @@ mod tests {
             losses.last().unwrap() < losses.first().unwrap(),
             "recursive training should reduce loss: {losses:?}"
         );
-        // Prediction produces in-bounds spans.
-        let tokens: Vec<String> =
-            train.sentences[0].tokens.iter().map(|t| t.text.clone()).collect();
-        for s in model.predict(&tokens) {
-            assert!(s.end <= tokens.len());
+        // Prediction produces in-bounds spans, and the packed forward
+        // reproduces the tape's decode.
+        for sentence in &train.sentences[..10] {
+            let tokens: Vec<String> = sentence.tokens.iter().map(|t| t.text.clone()).collect();
+            let spans = model.predict(&tokens);
+            assert!(spans.iter().all(|s| s.end <= tokens.len()));
+            let mut tape = Tape::new();
+            let logits = model.logits(&mut tape, &tokens);
+            let v = tape.value(logits);
+            let ids: Vec<usize> = (0..v.rows()).map(|r| v.argmax_row(r)).collect();
+            assert_eq!(spans, TagScheme::Io.tags_to_spans(&model.tag_set.decode(&ids)));
         }
     }
 }

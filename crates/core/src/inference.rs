@@ -1,17 +1,21 @@
 //! End-user inference pipeline: raw string in, annotated sentence out
 //! (the paper's Fig. 1 task illustration).
 //!
-//! There is one tape-free inference path: texts are featurized, grouped
-//! into length-sorted compute buckets ([`crate::plan::buckets`]) and each
-//! bucket is scored as one packed [`ner_tensor::BatchedExec`] forward
-//! ([`NerModel::predict_spans_batch`]). The single-text entry points
-//! ([`NerPipeline::extract`], [`NerPipeline::annotate`]) are batches of
-//! one. The `*_tape` methods keep the autograd-tape path — the per-sentence
-//! reference the batched path is verified against — and both produce
-//! bit-identical predictions.
+//! There is one tape-free inference path: texts are featurized here, then
+//! the model's bucket engine (`NerModel::predict_bucketed`) groups them
+//! into length-sorted compute buckets ([`crate::plan::buckets`]) and
+//! scores each bucket as one packed [`ner_tensor::BatchedExec`] forward
+//! ([`NerModel::predict_spans_batch`]). The trainer's dev evaluation
+//! ([`crate::trainer::predict_all`]) runs the same engine; the pipeline
+//! only adds its trace and histogram attribution and its token cache. The
+//! single-text entry points ([`NerPipeline::extract`],
+//! [`NerPipeline::annotate`]) are batches of one. The `*_tape` methods
+//! keep the autograd-tape path — the per-sentence reference the batched
+//! path is verified against, which no production path runs — and both
+//! produce bit-identical predictions.
 
 use crate::model::NerModel;
-use crate::plan::{self, ForwardPlan, DEFAULT_TOKEN_CACHE};
+use crate::plan::{stage, ForwardPlan, DEFAULT_TOKEN_CACHE};
 use crate::repr::{EncodedSentence, SentenceEncoder};
 use ner_text::{tokenize, EntitySpan, Sentence};
 
@@ -19,7 +23,7 @@ use ner_text::{tokenize, EntitySpan, Sentence};
 ///
 /// Construction compiles a [`ForwardPlan`], so `extract`/`annotate` (and
 /// their batch variants) run the tape-free batched inference path; the
-/// `*_tape` methods keep the original autograd-tape path available for
+/// `*_tape` methods keep the autograd-tape reference available for
 /// verification and benchmarking. Both paths are bit-identical.
 pub struct NerPipeline {
     /// The data encoder (vocabularies, tag set, feature switches).
@@ -85,12 +89,13 @@ impl NerPipeline {
         self.annotate_tape(&Sentence::unlabeled(&tokens))
     }
 
-    /// [`annotate`](Self::annotate) through the original autograd-tape
-    /// path (no plan, no caches). Bit-identical to the batched path.
+    /// [`annotate`](Self::annotate) through the autograd-tape reference
+    /// ([`NerModel::predict_spans_tape`]: no plan, no caches).
+    /// Bit-identical to the batched path.
     pub fn annotate_tape(&self, sentence: &Sentence) -> Sentence {
         let t = std::time::Instant::now();
         let enc = self.encoder.encode(sentence);
-        let spans = self.model.predict_spans(&enc);
+        let spans = self.model.predict_spans_tape(&enc);
         ner_obs::observe("infer.sentence_us", t.elapsed().as_secs_f64() * 1e6);
         ner_obs::counter("infer.tokens", sentence.len() as f64);
         Sentence { tokens: sentence.tokens.clone(), entities: spans }
@@ -111,7 +116,7 @@ impl NerPipeline {
 
     /// Tokenizes and annotates a batch of raw texts through the **packed
     /// batched forward**: sentences are grouped into length-sorted compute
-    /// buckets ([`plan::buckets`]) and each bucket scores as one
+    /// buckets ([`crate::plan::buckets`]) and each bucket scores as one
     /// [`NerModel::predict_spans_batch`] call — one GEMM per op (and per
     /// timestep for the recurrent encoders) across the whole bucket,
     /// instead of one forward per sentence. Buckets fan out over the
@@ -136,37 +141,59 @@ impl NerPipeline {
         texts: &[&str],
         traces: &[Option<ner_obs::trace::TraceCtx>],
     ) -> Vec<Sentence> {
-        use crate::plan::stage;
-        let trace_of = |i: usize| traces.get(i).and_then(Option::as_ref);
+        let sentences: Vec<Sentence> =
+            texts.iter().map(|t| Sentence::unlabeled(&tokenize::tokenize(t))).collect();
+        let spans = self.score(&sentences, traces);
+        sentences.into_iter().zip(spans).map(|(s, entities)| Sentence { entities, ..s }).collect()
+    }
 
-        // Featurize on the dispatching thread, per sentence, with the
-        // owning trace installed so `infer.featurize_us` tees to it.
-        let mut base: Vec<Sentence> = Vec::with_capacity(texts.len());
-        let mut encs: Vec<Option<EncodedSentence>> = Vec::with_capacity(texts.len());
-        let mut featurize_us: Vec<f64> = vec![0.0; texts.len()];
-        for (i, text) in texts.iter().enumerate() {
+    /// Annotates a batch of pre-tokenized sentences through the same
+    /// packed batched forward as [`extract_batch`](Self::extract_batch)
+    /// (existing entities are ignored; empty sentences come back empty).
+    pub fn annotate_batch(&self, sentences: &[Sentence]) -> Vec<Sentence> {
+        let spans = self.score(sentences, &[]);
+        sentences
+            .iter()
+            .zip(spans)
+            .map(|(s, entities)| Sentence { tokens: s.tokens.clone(), entities })
+            .collect()
+    }
+
+    /// Featurizes each sentence on the calling thread (with its trace, if
+    /// any, installed so `infer.featurize_us` tees to it), scores them
+    /// through the model's bucket engine (`NerModel::predict_bucketed`)
+    /// on this pipeline's plan, and attributes the work: one
+    /// `infer.{embed,encode,decode}_us` observation per packed forward, the
+    /// bucket's stages on each member's trace, and per sentence its
+    /// featurize time plus an equal share of its bucket's time as
+    /// `infer.sentence_us`.
+    fn score(
+        &self,
+        sentences: &[Sentence],
+        traces: &[Option<ner_obs::trace::TraceCtx>],
+    ) -> Vec<Vec<EntitySpan>> {
+        let trace_of = |i: usize| traces.get(i).and_then(Option::as_ref);
+        let mut encs: Vec<EncodedSentence> = Vec::with_capacity(sentences.len());
+        let mut featurize_us: Vec<f64> = vec![0.0; sentences.len()];
+        for (i, s) in sentences.iter().enumerate() {
             if let Some(trace) = trace_of(i) {
                 trace.stage_since_mark(stage::BATCH_FORM, stage::MARK_DEQUEUE);
             }
-            let tokens = tokenize::tokenize(text);
-            if tokens.is_empty() {
-                base.push(Sentence::default());
-                encs.push(None);
+            if s.is_empty() {
+                encs.push(EncodedSentence::default());
                 continue;
             }
-            let sentence = Sentence::unlabeled(&tokens);
             let t = std::time::Instant::now();
             let _active = trace_of(i).map(|tr| tr.install());
-            let enc = self.encoder.encode(&sentence);
+            encs.push(self.encoder.encode(s));
             let us = t.elapsed().as_secs_f64() * 1e6;
             ner_obs::trace::observe_stage(stage::FEATURIZE_US, stage::FEATURIZE, us);
             featurize_us[i] = us;
-            base.push(sentence);
-            encs.push(Some(enc));
         }
-
-        let lens: Vec<usize> = encs.iter().map(|e| e.as_ref().map_or(0, |e| e.len())).collect();
-        let spans = self.score_buckets(&encs, &lens, |bucket, stages, bucket_us| {
+        let spans = self.model.predict_bucketed(&self.plan, &encs, |bucket, stages, bucket_us| {
+            ner_obs::observe(stage::EMBED_US, stages.embed_us);
+            ner_obs::observe(stage::ENCODE_US, stages.encode_us);
+            ner_obs::observe(stage::DECODE_US, stages.decode_us);
             let share = bucket_us / bucket.len() as f64;
             for &i in bucket {
                 if let Some(trace) = trace_of(i) {
@@ -175,94 +202,12 @@ impl NerPipeline {
                     trace.stage(stage::DECODE, stages.decode_us);
                 }
                 ner_obs::observe("infer.sentence_us", featurize_us[i] + share);
-                ner_obs::counter("infer.tokens", lens[i] as f64);
+                ner_obs::counter("infer.tokens", encs[i].len() as f64);
             }
         });
-
-        base.into_iter()
-            .zip(spans)
-            .map(|(s, entities)| Sentence { tokens: s.tokens, entities })
-            .collect()
-    }
-
-    /// Annotates a batch of pre-tokenized sentences through the same
-    /// packed batched forward as [`extract_batch`](Self::extract_batch)
-    /// (existing entities are ignored; empty sentences come back empty).
-    pub fn annotate_batch(&self, sentences: &[Sentence]) -> Vec<Sentence> {
-        use crate::plan::stage;
-        let mut encs: Vec<Option<EncodedSentence>> = Vec::with_capacity(sentences.len());
-        let mut featurize_us: Vec<f64> = vec![0.0; sentences.len()];
-        for (i, s) in sentences.iter().enumerate() {
-            if s.is_empty() {
-                encs.push(None);
-                continue;
-            }
-            let t = std::time::Instant::now();
-            let enc = self.encoder.encode(s);
-            let us = t.elapsed().as_secs_f64() * 1e6;
-            ner_obs::trace::observe_stage(stage::FEATURIZE_US, stage::FEATURIZE, us);
-            featurize_us[i] = us;
-            encs.push(Some(enc));
-        }
-        let lens: Vec<usize> = sentences.iter().map(Sentence::len).collect();
-        let spans = self.score_buckets(&encs, &lens, |bucket, _stages, bucket_us| {
-            let share = bucket_us / bucket.len() as f64;
-            for &i in bucket {
-                ner_obs::observe("infer.sentence_us", featurize_us[i] + share);
-                ner_obs::counter("infer.tokens", lens[i] as f64);
-            }
-        });
-        sentences
-            .iter()
-            .zip(spans)
-            .map(|(s, entities)| Sentence { tokens: s.tokens.clone(), entities })
-            .collect()
-    }
-
-    /// Shared bucket-scoring engine behind the batch entry points: groups
-    /// the non-empty sentences into length-sorted buckets, scores each
-    /// bucket as one packed forward (buckets fan out over the `ner-par`
-    /// pool when it has threads to spare), runs `attribute` per bucket on
-    /// the calling thread, and returns one span list per input slot
-    /// (empty for empty inputs).
-    fn score_buckets(
-        &self,
-        encs: &[Option<EncodedSentence>],
-        lens: &[usize],
-        mut attribute: impl FnMut(&[usize], &crate::model::BatchStageMicros, f64),
-    ) -> Vec<Vec<EntitySpan>> {
-        use crate::plan::stage;
-        let pool = ner_par::global();
-        let buckets = plan::buckets(lens, pool.threads());
-        let mut results: Vec<Vec<EntitySpan>> = vec![Vec::new(); encs.len()];
-        if buckets.is_empty() {
-            return results;
-        }
-        let score = |b: usize| {
-            let members: Vec<&EncodedSentence> =
-                buckets[b].iter().map(|&i| encs[i].as_ref().expect("bucketed")).collect();
-            let t = std::time::Instant::now();
-            let (spans, stages) = self.model.predict_spans_batch(&self.plan, &members);
-            (spans, stages, t.elapsed().as_secs_f64() * 1e6)
-        };
-        let scored: Vec<_> = if pool.threads() > 1 && buckets.len() > 1 {
-            pool.map(buckets.len(), score)
-        } else {
-            (0..buckets.len()).map(score).collect()
-        };
-        for (bucket, (spans, stages, bucket_us)) in buckets.iter().zip(scored) {
-            // Batch-compute histograms: one observation per packed forward.
-            ner_obs::observe(stage::EMBED_US, stages.embed_us);
-            ner_obs::observe(stage::ENCODE_US, stages.encode_us);
-            ner_obs::observe(stage::DECODE_US, stages.decode_us);
-            attribute(bucket, &stages, bucket_us);
-            for (&i, s) in bucket.iter().zip(spans) {
-                results[i] = s;
-            }
-        }
         self.export_cache_stats();
         export_pool_stats();
-        results
+        spans
     }
 }
 

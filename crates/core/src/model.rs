@@ -2,10 +2,9 @@
 //! decoder, exactly the pipeline of the survey's Fig. 2 taxonomy.
 
 use crate::config::{DecoderKind, NerConfig};
-use crate::decoder::crf::CrfDecodeTables;
 use crate::decoder::{Crf, PointerDecoder, RnnDecoder, Segment, SemiCrf};
 use crate::encoder::Encoder;
-use crate::plan::ForwardPlan;
+use crate::plan::{self, ForwardPlan};
 use crate::repr::{EncodedSentence, InputLayer, SentenceEncoder};
 use ner_embed::WordEmbeddings;
 use ner_tensor::nn::Linear;
@@ -35,6 +34,14 @@ pub struct BatchStageMicros {
     pub encode_us: f64,
     /// Decode time (emission projection + per-sentence search).
     pub decode_us: f64,
+}
+
+/// One sentence's decoder output: a tag-id sequence from a token-level
+/// head (softmax, CRF, RNN), or labelled segments from a segment-level
+/// head (semi-CRF, pointer).
+enum Decoded {
+    Tags(Vec<usize>),
+    Segments(Vec<Segment>),
 }
 
 /// A complete neural NER model.
@@ -266,65 +273,89 @@ impl NerModel {
         (total, per_sentence)
     }
 
-    /// Predicted entity spans for one sentence (evaluation mode).
+    /// Predicted entity spans for one sentence (evaluation mode): a batch
+    /// of one through `Self::predict_bucketed`, the packed forward
+    /// serving and evaluation run. An empty sentence has no spans.
     pub fn predict_spans(&self, enc: &EncodedSentence) -> Vec<EntitySpan> {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let mut tape = Tape::new();
-        let h = self.encode(&mut tape, enc, false, &mut rng);
-        self.decode_from_states(&mut tape, h)
+        let plan = self.compile_plan(0);
+        let mut out = self.predict_bucketed(&plan, std::slice::from_ref(enc), |_, _, _| {});
+        out.pop().expect("one result per sentence")
+    }
+
+    /// Predicted per-token tag strings (all decoders; segment decoders are
+    /// rendered through the tag scheme), through [`Self::predict_spans`].
+    pub fn predict_tags(&self, enc: &EncodedSentence) -> Vec<String> {
+        let spans = self.predict_spans(enc);
+        self.tag_set.scheme().spans_to_tags(enc.len(), &spans)
     }
 
     /// Predicts from an externally supplied input-representation matrix
     /// (evaluation mode) — used by test-time adversarial-attack evaluation
-    /// (§4.5), which perturbs the representation directly.
+    /// (§4.5), which perturbs the representation directly. The matrix
+    /// enters the packed forward as a constant in place of the input layer.
     pub fn predict_spans_from_input(
         &self,
         enc: &EncodedSentence,
         input: Tensor,
     ) -> Vec<EntitySpan> {
         debug_assert_eq!(input.rows(), enc.len());
-        let mut tape = Tape::new();
-        let x = tape.constant(input);
-        let h = self.encoder.forward(&mut tape, &self.store, x);
-        self.decode_from_states(&mut tape, h)
+        let (mut out, _) = self.decode_batch(&self.compile_plan(0), &[enc], Some(input));
+        self.decoded_to_spans(out.pop().expect("one segment"))
     }
 
-    /// Decodes entity spans from encoder states `h` on the tape.
-    fn decode_from_states(&self, ex: &mut Tape, h: Var) -> Vec<EntitySpan> {
+    /// The decoder's *raw* tag sequence for token-level decoders (softmax,
+    /// CRF, RNN) — may be structurally ill-formed for greedy decoders, which
+    /// is exactly what the Fig. 12 analysis measures. Segment-level decoders
+    /// (semi-CRF, pointer) return `None`: their output is well-formed by
+    /// construction. Runs the same packed forward and decode as
+    /// [`Self::predict_spans`].
+    pub fn predict_raw_tags(&self, enc: &EncodedSentence) -> Option<Vec<String>> {
+        let (mut out, _) = self.decode_batch(&self.compile_plan(0), &[enc], None);
+        match out.pop().expect("one segment") {
+            Decoded::Tags(ids) => Some(self.tag_set.decode(&ids)),
+            Decoded::Segments(_) => None,
+        }
+    }
+
+    /// The per-sentence autograd-tape predictor: one [`Tape`] per sentence,
+    /// no plan, no caches. This is the **reference** the packed path is
+    /// verified against (`tests/plan_parity.rs`, `tests/prop_batched.rs`,
+    /// `exp_inference --smoke`); no production prediction runs it.
+    pub fn predict_spans_tape(&self, enc: &EncodedSentence) -> Vec<EntitySpan> {
+        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        let mut tape = Tape::new();
+        let h = self.encode(&mut tape, enc, false, &mut rng);
+        let decoded = self.decode_from_states(&mut tape, h);
+        self.decoded_to_spans(decoded)
+    }
+
+    /// [`Self::predict_tags`] through the tape reference
+    /// ([`Self::predict_spans_tape`]).
+    pub fn predict_tags_tape(&self, enc: &EncodedSentence) -> Vec<String> {
+        let spans = self.predict_spans_tape(enc);
+        self.tag_set.scheme().spans_to_tags(enc.len(), &spans)
+    }
+
+    /// Decodes encoder states `h` on the tape (the reference path only).
+    fn decode_from_states(&self, ex: &mut Tape, h: Var) -> Decoded {
         match &self.head {
             Head::Softmax { proj } => {
                 let logits = proj.forward(ex, &self.store, h);
                 let v = ex.value(logits);
-                let tags: Vec<usize> = (0..v.rows()).map(|r| v.argmax_row(r)).collect();
-                self.tags_to_spans(&tags)
+                Decoded::Tags((0..v.rows()).map(|r| v.argmax_row(r)).collect())
             }
             Head::Crf { proj, crf } => {
                 let emissions = proj.forward(ex, &self.store, h);
                 let constraints = self.cfg.constrained_decoding.then_some(&self.tag_set);
-                let tags = crf.viterbi(&self.store, ex.value(emissions), constraints).0;
-                self.tags_to_spans(&tags)
+                Decoded::Tags(crf.viterbi(&self.store, ex.value(emissions), constraints).0)
             }
             Head::SemiCrf { proj, crf } => {
                 let emissions = proj.forward(ex, &self.store, h);
-                let segs = crf.decode(&self.store, ex.value(emissions));
-                SemiCrf::segments_to_spans(&segs, &self.entity_types)
+                Decoded::Segments(crf.decode(&self.store, ex.value(emissions)))
             }
-            Head::Rnn { dec } => {
-                let tags = dec.decode(ex, &self.store, h);
-                self.tags_to_spans(&tags)
-            }
-            Head::Pointer { dec } => {
-                let segs = dec.decode(ex, &self.store, h);
-                SemiCrf::segments_to_spans(&segs, &self.entity_types)
-            }
+            Head::Rnn { dec } => Decoded::Tags(dec.decode(ex, &self.store, h)),
+            Head::Pointer { dec } => Decoded::Segments(dec.decode(ex, &self.store, h)),
         }
-    }
-
-    /// Predicted per-token tag strings (all decoders; segment decoders are
-    /// rendered through the tag scheme).
-    pub fn predict_tags(&self, enc: &EncodedSentence) -> Vec<String> {
-        let spans = self.predict_spans(enc);
-        self.tag_set.scheme().spans_to_tags(enc.len(), &spans)
     }
 
     /// Compiles the tape-free inference plan for this model: precomputed
@@ -342,14 +373,54 @@ impl NerModel {
         ForwardPlan::new(crf_tables, token_cache_capacity)
     }
 
+    /// The bucket engine every span prediction runs through: groups the
+    /// non-empty sentences into length-sorted buckets ([`plan::buckets`]),
+    /// scores each bucket as one packed forward
+    /// ([`Self::predict_spans_batch`]; buckets fan out over the global
+    /// `ner-par` pool when it has threads to spare), runs `attribute` per
+    /// bucket on the calling thread with the bucket's member indices, its
+    /// stage split and its wall time in microseconds, and returns one span
+    /// list per input (empty for empty sentences). Bucket composition
+    /// cannot change a prediction, so the result is identical at any
+    /// thread count.
+    pub(crate) fn predict_bucketed(
+        &self,
+        plan: &ForwardPlan,
+        encs: &[EncodedSentence],
+        mut attribute: impl FnMut(&[usize], &BatchStageMicros, f64),
+    ) -> Vec<Vec<EntitySpan>> {
+        let lens: Vec<usize> = encs.iter().map(EncodedSentence::len).collect();
+        let pool = ner_par::global();
+        let buckets = plan::buckets(&lens, pool.threads());
+        let score = |b: usize| {
+            let members: Vec<&EncodedSentence> = buckets[b].iter().map(|&i| &encs[i]).collect();
+            let t = std::time::Instant::now();
+            let (spans, stages) = self.predict_spans_batch(plan, &members);
+            (spans, stages, t.elapsed().as_secs_f64() * 1e6)
+        };
+        let scored: Vec<_> = if pool.threads() > 1 && buckets.len() > 1 {
+            pool.map(buckets.len(), score)
+        } else {
+            (0..buckets.len()).map(score).collect()
+        };
+        let mut results: Vec<Vec<EntitySpan>> = vec![Vec::new(); encs.len()];
+        for (bucket, (spans, stages, bucket_us)) in buckets.iter().zip(scored) {
+            attribute(bucket, &stages, bucket_us);
+            for (&i, s) in bucket.iter().zip(spans) {
+                results[i] = s;
+            }
+        }
+        results
+    }
+
     /// Scores a whole batch of (non-empty) sentences as one packed
     /// [`BatchedExec`] forward: the input layer, the encoder and the
     /// decoder's emission projection each run as single batch-wide
     /// operations; only the structured decode (Viterbi / segment DP /
     /// greedy steps) runs per sentence, over that sentence's slice of the
-    /// batched emissions. This is the tape-free inference path — a single
-    /// sentence is a batch of one — and its predictions are bit-identical
-    /// to [`Self::predict_spans`] (the tape) on each sentence alone.
+    /// batched emissions. Its predictions are bit-identical to
+    /// [`Self::predict_spans_tape`] (the tape reference) on each sentence
+    /// alone.
     ///
     /// Returns one span list per input (same order) plus the wall-clock
     /// split across the embed/encode/decode stages — the caller decides
@@ -360,114 +431,100 @@ impl NerModel {
         plan: &ForwardPlan,
         encs: &[&EncodedSentence],
     ) -> (Vec<Vec<EntitySpan>>, BatchStageMicros) {
-        assert!(!encs.is_empty(), "predict_spans_batch needs at least one sentence");
+        let (decoded, stages) = self.decode_batch(plan, encs, None);
+        (decoded.into_iter().map(|d| self.decoded_to_spans(d)).collect(), stages)
+    }
+
+    /// The packed forward behind every prediction: input layer (or the
+    /// given `input` matrix as a constant), encoder, and the batched
+    /// decode, timed per stage.
+    fn decode_batch(
+        &self,
+        plan: &ForwardPlan,
+        encs: &[&EncodedSentence],
+        input: Option<Tensor>,
+    ) -> (Vec<Decoded>, BatchStageMicros) {
+        assert!(!encs.is_empty(), "a packed forward needs at least one sentence");
         let lens: Vec<usize> = encs.iter().map(|e| e.len()).collect();
         let mut bx = BatchedExec::new(&self.store, &lens).with_pe_cache(plan.pe_cache());
         let t0 = std::time::Instant::now();
-        let x = self.input.forward_batch_cached(&mut bx, &self.store, encs, plan.token_cache());
+        let x = match input {
+            Some(t) => bx.constant(t),
+            None => self.input.forward_batch_cached(&mut bx, &self.store, encs, plan.token_cache()),
+        };
         let t1 = std::time::Instant::now();
         let h = self.encoder.forward_batch(&mut bx, &self.store, x);
         let t2 = std::time::Instant::now();
-        let spans = self.decode_from_states_batch(&mut bx, h, plan.crf_tables());
+        let decoded = self.decode_from_states_batch(&mut bx, h, plan);
         let stages = BatchStageMicros {
             embed_us: (t1 - t0).as_secs_f64() * 1e6,
             encode_us: (t2 - t1).as_secs_f64() * 1e6,
             decode_us: t2.elapsed().as_secs_f64() * 1e6,
         };
-        (spans, stages)
+        (decoded, stages)
     }
 
     /// Batched decode: the emission projection runs as one GEMM over the
     /// packed encoder states wherever the head has one (softmax, CRF,
-    /// semi-CRF); the structured search itself stays per sentence.
+    /// semi-CRF); the structured search itself stays per sentence. Yields
+    /// each segment's decoder output once.
     fn decode_from_states_batch(
         &self,
         bx: &mut BatchedExec<'_>,
         h: BatchedVal,
-        tables: Option<&CrfDecodeTables>,
-    ) -> Vec<Vec<EntitySpan>> {
+        plan: &ForwardPlan,
+    ) -> Vec<Decoded> {
         let nseg = bx.segments();
-        let mut out = Vec::with_capacity(nseg);
         match &self.head {
             Head::Softmax { proj } => {
                 let logits = proj.forward(bx, &self.store, h);
                 let v = bx.value(logits);
-                for s in 0..nseg {
-                    let (off, len) = (bx.offset_of(s), bx.len_of(s));
-                    let tags: Vec<usize> = (off..off + len).map(|r| v.argmax_row(r)).collect();
-                    out.push(self.tags_to_spans(&tags));
-                }
+                (0..nseg)
+                    .map(|s| {
+                        let (off, len) = (bx.offset_of(s), bx.len_of(s));
+                        Decoded::Tags((off..off + len).map(|r| v.argmax_row(r)).collect())
+                    })
+                    .collect()
             }
-            Head::Crf { proj, crf } => {
+            Head::Crf { proj, .. } => {
+                let tables = plan.crf_tables().expect("compile_plan builds CRF decode tables");
                 let emissions = proj.forward(bx, &self.store, h);
-                for s in 0..nseg {
-                    let es = bx.slice_segment(emissions, s);
-                    let tags = match tables {
-                        Some(t) => t.viterbi(bx.value(es)).0,
-                        None => {
-                            let constraints =
-                                self.cfg.constrained_decoding.then_some(&self.tag_set);
-                            crf.viterbi(&self.store, bx.value(es), constraints).0
-                        }
-                    };
-                    out.push(self.tags_to_spans(&tags));
-                }
+                (0..nseg)
+                    .map(|s| {
+                        let es = bx.slice_segment(emissions, s);
+                        Decoded::Tags(tables.viterbi(bx.value(es)).0)
+                    })
+                    .collect()
             }
             Head::SemiCrf { proj, crf } => {
                 let emissions = proj.forward(bx, &self.store, h);
-                for s in 0..nseg {
-                    let es = bx.slice_segment(emissions, s);
-                    let segs = crf.decode(&self.store, bx.value(es));
-                    out.push(SemiCrf::segments_to_spans(&segs, &self.entity_types));
-                }
+                (0..nseg)
+                    .map(|s| {
+                        let es = bx.slice_segment(emissions, s);
+                        Decoded::Segments(crf.decode(&self.store, bx.value(es)))
+                    })
+                    .collect()
             }
-            Head::Rnn { dec } => {
-                for s in 0..nseg {
+            Head::Rnn { dec } => (0..nseg)
+                .map(|s| {
                     let hs = bx.slice_segment(h, s);
-                    let tags = bx.scoped(s, |ex| dec.decode(ex, &self.store, hs));
-                    out.push(self.tags_to_spans(&tags));
-                }
-            }
-            Head::Pointer { dec } => {
-                for s in 0..nseg {
+                    Decoded::Tags(bx.scoped(s, |ex| dec.decode(ex, &self.store, hs)))
+                })
+                .collect(),
+            Head::Pointer { dec } => (0..nseg)
+                .map(|s| {
                     let hs = bx.slice_segment(h, s);
-                    let segs = bx.scoped(s, |ex| dec.decode(ex, &self.store, hs));
-                    out.push(SemiCrf::segments_to_spans(&segs, &self.entity_types));
-                }
-            }
+                    Decoded::Segments(bx.scoped(s, |ex| dec.decode(ex, &self.store, hs)))
+                })
+                .collect(),
         }
-        out
     }
 
-    /// The decoder's *raw* tag sequence for token-level decoders (softmax,
-    /// CRF, RNN) — may be structurally ill-formed for greedy decoders, which
-    /// is exactly what the Fig. 12 analysis measures. Segment-level decoders
-    /// (semi-CRF, pointer) return `None`: their output is well-formed by
-    /// construction.
-    pub fn predict_raw_tags(&self, enc: &EncodedSentence) -> Option<Vec<String>> {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let mut tape = Tape::new();
-        let h = self.encode(&mut tape, enc, false, &mut rng);
-        let ids = match &self.head {
-            Head::Softmax { proj } => {
-                let logits = proj.forward(&mut tape, &self.store, h);
-                let v = tape.value(logits);
-                (0..v.rows()).map(|r| v.argmax_row(r)).collect()
-            }
-            Head::Crf { proj, crf } => {
-                let emissions = proj.forward(&mut tape, &self.store, h);
-                let constraints = self.cfg.constrained_decoding.then_some(&self.tag_set);
-                crf.viterbi(&self.store, tape.value(emissions), constraints).0
-            }
-            Head::Rnn { dec } => dec.decode(&mut tape, &self.store, h),
-            Head::SemiCrf { .. } | Head::Pointer { .. } => return None,
-        };
-        Some(self.tag_set.decode(&ids))
-    }
-
-    fn tags_to_spans(&self, tags: &[usize]) -> Vec<EntitySpan> {
-        let labels = self.tag_set.decode(tags);
-        self.tag_set.scheme().tags_to_spans(&labels)
+    fn decoded_to_spans(&self, d: Decoded) -> Vec<EntitySpan> {
+        match d {
+            Decoded::Tags(tags) => self.tag_set.scheme().tags_to_spans(&self.tag_set.decode(&tags)),
+            Decoded::Segments(segs) => SemiCrf::segments_to_spans(&segs, &self.entity_types),
+        }
     }
 
     /// Sentence-level confidence: length-normalized log-probability of the
@@ -682,6 +739,31 @@ mod tests {
             let tags = model.predict_tags(&encoded[0]);
             assert_eq!(tags.len(), encoded[0].len());
         }
+    }
+
+    #[test]
+    fn an_empty_sentence_predicts_no_spans() {
+        let ds: Dataset = NewsGenerator::new(GeneratorConfig::default())
+            .dataset(&mut StdRng::seed_from_u64(1), 6);
+        let enc = SentenceEncoder::from_dataset(&ds, TagScheme::Bio, 1);
+        let full = enc.encode_dataset(&ds, None);
+        let mut data = full.clone();
+        data.insert(2, enc.encode(&ner_text::Sentence::default()));
+        let model =
+            NerModel::new(small(DecoderKind::Crf), &enc, None, &mut StdRng::seed_from_u64(2));
+        assert!(model.predict_spans(&data[2]).is_empty());
+        assert!(model.predict_tags(&data[2]).is_empty());
+        let preds = crate::trainer::predict_all(&model, &data);
+        assert!(preds[2].is_empty());
+        assert_eq!(preds[3], model.predict_spans(&data[3]));
+        // No gold and no prediction: the empty sentence leaves every count
+        // where the non-empty sentences put it.
+        let with_empty = crate::trainer::evaluate_model(&model, &data).micro;
+        let without = crate::trainer::evaluate_model(&model, &full).micro;
+        assert_eq!(
+            (with_empty.precision, with_empty.recall, with_empty.f1),
+            (without.precision, without.recall, without.f1)
+        );
     }
 
     #[test]

@@ -82,21 +82,29 @@ impl LayeredNer {
     /// predictions are kept only when properly nested inside an outer one
     /// (Ju et al.'s layered constraint).
     pub fn predict(&self, s: &Sentence) -> Vec<EntitySpan> {
-        let outer_spans = self.outer.predict_spans(&self.outer_encoder.encode(s));
-        let inner_spans = self.inner.predict_spans(&self.inner_encoder.encode(s));
-        let mut all = outer_spans.clone();
-        for i in inner_spans {
-            if outer_spans.iter().any(|o| o.strictly_contains(&i)) && !all.contains(&i) {
-                all.push(i);
-            }
-        }
-        all
+        let outer = self.outer.predict_spans(&self.outer_encoder.encode(s));
+        let inner = self.inner.predict_spans(&self.inner_encoder.encode(s));
+        merge_layers(outer, inner)
     }
 
-    /// Predicts for a dataset, returning per-sentence span lists.
+    /// Predicts for a dataset, returning per-sentence span lists; each
+    /// layer scores the whole dataset through [`trainer::predict_all`].
     pub fn predict_dataset(&self, ds: &Dataset) -> Vec<Vec<EntitySpan>> {
-        ds.sentences.iter().map(|s| self.predict(s)).collect()
+        let outer = flat_predictions(&self.outer, &self.outer_encoder, ds);
+        let inner = flat_predictions(&self.inner, &self.inner_encoder, ds);
+        outer.into_iter().zip(inner).map(|(o, i)| merge_layers(o, i)).collect()
     }
+}
+
+/// Outer spans plus every inner span strictly inside one of them.
+fn merge_layers(outer: Vec<EntitySpan>, inner: Vec<EntitySpan>) -> Vec<EntitySpan> {
+    let mut all = outer.clone();
+    for i in inner {
+        if outer.iter().any(|o| o.strictly_contains(&i)) && !all.contains(&i) {
+            all.push(i);
+        }
+    }
+    all
 }
 
 /// Evaluates predictions against *all* gold layers (outer + nested).
@@ -106,19 +114,16 @@ pub fn evaluate_nested(ds: &Dataset, preds: &[Vec<EntitySpan>]) -> crate::metric
 }
 
 /// Encodes and predicts with a single flat model trained on the outer
-/// layer only — the baseline the layered model is compared against.
+/// layer only — the baseline the layered model is compared against. One
+/// span list per sentence of `ds` (empty sentences included), through
+/// [`trainer::predict_all`].
 pub fn flat_predictions(
     model: &NerModel,
     encoder: &SentenceEncoder,
     ds: &Dataset,
 ) -> Vec<Vec<EntitySpan>> {
-    ds.sentences
-        .iter()
-        .map(|s| {
-            let enc: EncodedSentence = encoder.encode(s);
-            model.predict_spans(&enc)
-        })
-        .collect()
+    let encs: Vec<EncodedSentence> = ds.sentences.iter().map(|s| encoder.encode(s)).collect();
+    trainer::predict_all(model, &encs)
 }
 
 #[cfg(test)]

@@ -22,9 +22,11 @@
 //! The evaluation itself runs through the **same layer forwards as
 //! training**, driven by the packed [`ner_tensor::BatchedExec`] backend over
 //! length-sorted compute buckets ([`buckets`]; a single sentence is a
-//! bucket of one): no tape nodes, no backward closures, and intermediates
-//! drawn from (and returned to) the thread-local `ner_tensor::pool` buffer
-//! arena. The contract throughout is **bit-identity with the tape
+//! bucket of one). Serving, the trainer's dev evaluation and every span
+//! predictor share this path through one bucket engine
+//! (`NerModel::predict_bucketed`): no tape nodes, no backward closures,
+//! and intermediates drawn from (and returned to) the thread-local
+//! `ner_tensor::pool` buffer arena. The contract throughout is **bit-identity with the tape
 //! backend** — `tests/plan_parity.rs` checks it across every zoo
 //! architecture, and the `exp_inference` harness exits non-zero if any
 //! benchmark sentence decodes differently.
@@ -38,9 +40,12 @@ use std::sync::Mutex;
 /// Default capacity of the per-plan token feature cache.
 pub const DEFAULT_TOKEN_CACHE: usize = 4096;
 
-/// Default cap on how many sentences one packed
-/// [`ner_tensor::BatchedExec`] forward evaluates together.
-pub const DEFAULT_COMPUTE_BATCH: usize = 32;
+/// The one cap on how many sentences one packed
+/// [`ner_tensor::BatchedExec`] forward evaluates together, for serving and
+/// evaluation alike ([`buckets`]). Eight keeps a bucket's working set — and
+/// so a training run's peak RSS with per-epoch dev evaluation — flat, while
+/// still amortizing each recurrent GEMM across the bucket.
+pub const DEFAULT_COMPUTE_BATCH: usize = 8;
 
 /// Canonical names for the per-request inference stages: the histogram
 /// each stage feeds and the short label it carries inside a

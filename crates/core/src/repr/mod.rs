@@ -21,8 +21,9 @@ use ner_text::pos::{tag_sentence, POS_DIM};
 use ner_text::{Dataset, EntitySpan, Gazetteer, Sentence, TagScheme, TagSet, Vocab};
 use rand::Rng;
 
-/// A sentence converted to model inputs.
-#[derive(Clone, Debug)]
+/// A sentence converted to model inputs (the default is the empty
+/// sentence).
+#[derive(Clone, Debug, Default)]
 pub struct EncodedSentence {
     /// Original token surfaces.
     pub tokens: Vec<String>,

@@ -2,6 +2,14 @@
 //! learning-rate schedules, dev-set early stopping with best-model
 //! restoration, and evaluation helpers.
 //!
+//! # Evaluation
+//!
+//! The per-epoch dev F1 (which drives early stopping and best-model
+//! restore) and [`evaluate_model`] score through [`predict_all`]: the same
+//! bucketed, tape-free packed forward serving runs
+//! (`NerModel::predict_bucketed`), bit-identical to the per-sentence
+//! tape reference ([`NerModel::predict_spans_tape`]) at any thread count.
+//!
 //! # Backends
 //!
 //! Two gradient-recording backends drive an epoch ([`TrainerKind`]):
@@ -586,15 +594,14 @@ pub fn train(
     }
 }
 
-/// Predicts spans for every sentence, fanning out over the global
-/// `ner-par` pool. Prediction is read-only, so the result is identical at
-/// any thread count.
+/// Predicts spans for every sentence through the packed forward serving
+/// uses: `NerModel::predict_bucketed` on a cache-free plan, so buckets of
+/// up to [`crate::plan::DEFAULT_COMPUTE_BATCH`] sentences fan out over the
+/// global `ner-par` pool. Empty sentences predict no spans. The batched
+/// backend is bit-identical to the tape per sentence, so the result is
+/// identical at any thread count.
 pub fn predict_all(model: &NerModel, data: &[EncodedSentence]) -> Vec<Vec<EntitySpan>> {
-    let pool = ner_par::global();
-    if pool.threads() <= 1 || data.len() < 2 {
-        return data.iter().map(|e| model.predict_spans(e)).collect();
-    }
-    pool.map(data.len(), |i| model.predict_spans(&data[i]))
+    model.predict_bucketed(&model.compile_plan(0), data, |_, _, _| {})
 }
 
 /// Evaluates the model on encoded data with exact/relaxed span metrics.

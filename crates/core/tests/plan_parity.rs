@@ -47,7 +47,7 @@ fn planned_predictions_match_tape_predictions_for_every_zoo_model() {
         // must reproduce the same tags entirely from cached base rows.
         for pass in 0..2 {
             for (i, enc) in encoded.iter().enumerate() {
-                let tape_tags = model.predict_tags(enc);
+                let tape_tags = model.predict_tags_tape(enc);
                 let plan_tags = planned_tags(&model, &plan, enc);
                 assert_eq!(
                     plan_tags, tape_tags,
@@ -58,6 +58,17 @@ fn planned_predictions_match_tape_predictions_for_every_zoo_model() {
         let (hits, misses) = plan.token_cache_stats();
         assert!(hits > 0, "{name}: second pass should hit the token cache");
         assert!(misses > 0, "{name}: first pass should miss the token cache");
+        // Dev evaluation buckets the same sentences (fanning out over the
+        // pool at NER_THREADS > 1) and must reproduce the tape per sentence.
+        let all = predict_all(&model, &encoded);
+        assert_eq!(all.len(), encoded.len());
+        for (i, (got, enc)) in all.iter().zip(&encoded).enumerate() {
+            assert_eq!(
+                *got,
+                model.predict_spans_tape(enc),
+                "{name}: predict_all diverges on sentence {i}"
+            );
+        }
     }
 }
 
@@ -82,7 +93,7 @@ fn parity_survives_a_training_step_and_plan_refresh_for_every_zoo_model() {
         pipeline.refresh_plan();
 
         for (i, enc) in encoded.iter().enumerate() {
-            let tape_tags = pipeline.model.predict_tags(enc);
+            let tape_tags = pipeline.model.predict_tags_tape(enc);
             let plan_tags = planned_tags(&pipeline.model, pipeline.plan(), enc);
             assert_eq!(plan_tags, tape_tags, "{name}: post-training divergence on sentence {i}");
         }
@@ -100,7 +111,7 @@ fn plan_without_cache_also_matches() {
     let plan = model.compile_plan(0);
     assert_eq!(plan.token_cache_stats(), (0, 0));
     for enc in &encoded {
-        assert_eq!(planned_tags(&model, &plan, enc), model.predict_tags(enc));
+        assert_eq!(planned_tags(&model, &plan, enc), model.predict_tags_tape(enc));
     }
 }
 

@@ -150,8 +150,10 @@ pub fn take(len: usize) -> Vec<f32> {
             if let Some(mut buf) = p.buckets[i].1.pop() {
                 p.held_floats -= class;
                 p.hits += 1;
-                buf.truncate(len);
-                buf.fill(0.0);
+                // Only the `len` floats handed out are zeroed: the
+                // buffer's old contents past them are never touched.
+                buf.clear();
+                buf.resize(len, 0.0);
                 return buf;
             }
         }
@@ -166,7 +168,7 @@ pub fn take(len: usize) -> Vec<f32> {
 /// small, whose capacity is not a pool size class (i.e. they were not
 /// allocated by [`take`]), or that would push a free list or the pool past
 /// its bounds, are simply dropped.
-pub fn recycle(mut buf: Vec<f32>) {
+pub fn recycle(buf: Vec<f32>) {
     let class = buf.capacity();
     if class < MIN_POOLED_LEN || !class.is_power_of_two() {
         return;
@@ -187,9 +189,7 @@ pub fn recycle(mut buf: Vec<f32>) {
         if p.buckets[i].1.len() >= MAX_BUFS_PER_LEN {
             return;
         }
-        // Stored at full class length so a later `take` of any `len` up to
-        // the class can truncate down to its exact size.
-        buf.resize(class, 0.0);
+        // Stored as is: `take` re-zeroes exactly the length it hands out.
         p.buckets[i].1.push(buf);
         p.held_floats += class;
         p.recycled += 1;
@@ -309,6 +309,16 @@ mod tests {
         buf.fill(7.5);
         recycle(buf);
         assert!(take(32).iter().all(|&x| x == 0.0));
+        // A longer class-mate take reuses a buffer dirtied over a shorter
+        // length: every float it hands out is zero, the extension included.
+        let mut buf = take(20);
+        buf.fill(7.5);
+        let ptr = buf.as_ptr();
+        recycle(buf);
+        let again = take(30);
+        assert_eq!(again.as_ptr(), ptr, "class-mate take must reuse the buffer");
+        assert_eq!(again.len(), 30);
+        assert!(again.iter().all(|&x| x == 0.0));
         clear();
     }
 
