@@ -29,12 +29,14 @@
 #   7. prometheus lint  (the /metrics exposition must have typed, unique
 #      families with cumulative histogram buckets)
 #   8. serving smoke    (serve integration tests — including the request
-#      tracing, flight-recorder, batch-formation, slow-client and
-#      shutdown-race suites — + exp_serving --smoke at 1 and 4 threads:
-#      its overload-and-recovery soak drives the server into SLO shedding,
-#      hot-reloads it under load, and drains it, exiting non-zero if a
-#      batched response diverges from offline annotate, an accepted
-#      request is lost, or the server fails to recover after overload)
+#      tracing, flight-recorder, batch-formation, slow-client,
+#      shutdown-race and 1 MiB string body suites — + exp_serving --smoke
+#      at 1 and 4 threads: its overload-and-recovery soak drives the server
+#      into SLO shedding, hot-reloads it under load, fires a just-under-1 MiB
+#      JSON string body at it mid-sustain, and drains it, exiting non-zero
+#      if a batched response diverges from offline annotate, an accepted
+#      request is lost, the large body is not refused with a 400 inside the
+#      request deadline, or the server fails to recover after overload)
 #   9. benchmark build  (perfbench's own package: it builds against the
 #      workspace crates by path, and its plumbing tests run, so an API
 #      change in ner-core/ner-tensor that breaks the benchmark fails here)
@@ -91,11 +93,11 @@ NER_THREADS=4 cargo run --release -p ner-bench --bin exp_train -- --smoke
 echo "== prometheus lint: /metrics families must be typed, unique, cumulative =="
 cargo test --release -p ner-serve --lib -q prometheus
 
-echo "== serving: poll-loop integration + exp_serving soak (overload, reload, recovery; NER_THREADS=1) =="
+echo "== serving: poll-loop integration + exp_serving soak (overload, reload, large body, recovery; NER_THREADS=1) =="
 NER_THREADS=1 cargo test --release -p ner-serve --test serve_integration -q
 NER_THREADS=1 cargo run --release -p ner-bench --bin exp_serving -- --smoke
 
-echo "== serving: poll-loop integration + exp_serving soak (overload, reload, recovery; NER_THREADS=4) =="
+echo "== serving: poll-loop integration + exp_serving soak (overload, reload, large body, recovery; NER_THREADS=4) =="
 NER_THREADS=4 cargo test --release -p ner-serve --test serve_integration -q
 NER_THREADS=4 cargo run --release -p ner-bench --bin exp_serving -- --smoke
 

@@ -23,11 +23,13 @@
 //! After the grid, a **soak harness** runs one long-lived server (two
 //! replicas, artificial per-row scoring cost, a tight `slo_p99` budget)
 //! through a latency-under-load ladder and a sustain → overload →
-//! recovery arc, with a hot reload fired mid-sustain and a graceful
-//! shutdown fired into live traffic at the end. The overload phase must
-//! shed with 429s (SLO-aware admission), recovery must stop shedding,
-//! every 200 must match offline `extract` byte-for-byte, and no response
-//! may arrive malformed (`lost` stays zero) — violations exit non-zero.
+//! recovery arc, with a hot reload and a just-under-1 MiB JSON string body
+//! (which must get a 400 inside the request deadline) fired mid-sustain,
+//! and a graceful shutdown fired into live traffic at the end. The
+//! overload phase must shed with 429s (SLO-aware admission), recovery must
+//! stop shedding, every 200 must match offline `extract` byte-for-byte,
+//! and no response may arrive malformed (`lost` stays zero) — violations
+//! exit non-zero.
 //!
 //! Results land in `results/exp_serving.json` (with a run manifest) and,
 //! for the repo-level benchmark snapshot, `BENCH_serving.json`.
@@ -516,7 +518,8 @@ fn run_soak(pipeline: NerPipeline, workload: &Workload, smoke: bool) -> SoakRepo
         request_timeout: Duration::from_secs(10),
         ..ServeConfig::default()
     };
-    let (replicas, poll_shards) = (config.replicas, config.poll_shards);
+    let (replicas, poll_shards, deadline) =
+        (config.replicas, config.poll_shards, config.request_timeout);
     let slo_ms = config.slo_p99.as_millis() as u64;
     let delay_ms = config.score_delay.as_millis() as u64;
     // The checkpoint for the mid-soak reload is the same model, saved to a
@@ -552,12 +555,22 @@ fn run_soak(pipeline: NerPipeline, workload: &Workload, smoke: bool) -> SoakRepo
 
     let mut phases = Vec::new();
 
-    // Sustain, with a hot reload fired into the middle of it.
+    // Sustain, with a hot reload and a just-under-1 MiB string body fired
+    // into the middle of it. The body lacks "text", so it must get a 400
+    // within the request deadline; a poll shard stalled parsing it would
+    // also hold up the sustain clients it serves.
+    let large_body =
+        format!("{{\"pad\":\"{}\"}}", "a".repeat(ner_serve::http::MAX_BODY_BYTES - 16));
     let (stats, wall) = std::thread::scope(|scope| {
         let worker = scope.spawn(move || soak_clients(addr, workload, 4, Some(phase_len)));
         std::thread::sleep(phase_len / 3);
         let resp = client::post(addr, "/admin/reload", "").expect("mid-sustain reload");
         assert_eq!(resp.status, 200, "reload under load must succeed: {}", resp.body);
+        let sent = Instant::now();
+        let resp = client::post(addr, "/v1/extract", &large_body).expect("mid-sustain large body");
+        assert_eq!(resp.status, 400, "a large body without text must be refused: {}", resp.body);
+        let took = sent.elapsed();
+        assert!(took < deadline, "the large body took {took:?}, past the request deadline");
         worker.join().expect("sustain clients")
     });
     phases.push(phase_row("sustain+reload", 4, stats, wall));

@@ -60,7 +60,7 @@ impl Checkpoint {
         }
     }
 
-    /// Serializes to pretty JSON.
+    /// Serializes to compact JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("checkpoint serialization cannot fail")
     }
@@ -234,6 +234,95 @@ mod tests {
             let s = &ds.sentences[0];
             assert_eq!(pipeline.annotate(s).entities, restored.annotate(s).entities, "{decoder:?}");
         }
+    }
+
+    #[test]
+    fn every_parameter_round_trips_bit_exactly() {
+        let (pipeline, _) = trained_pipeline(DecoderKind::Crf);
+        let store = &pipeline.model.store;
+        let json = Checkpoint::capture(&pipeline).to_json();
+        let back = Checkpoint::from_json(&json).unwrap().params;
+        assert_eq!(back.len(), store.len());
+        for (id, back_id) in store.ids().zip(back.ids()) {
+            assert_eq!(store.name(id), back.name(back_id));
+            assert_eq!(store.is_frozen(id), back.is_frozen(back_id));
+            let (want, got) = (store.value(id), back.value(back_id));
+            assert_eq!(want.shape(), got.shape(), "{}", store.name(id));
+            let bits = |t: &ner_tensor::Tensor| t.data().iter().map(|x| x.to_bits()).collect();
+            let want_bits: Vec<u32> = bits(want);
+            assert!(want_bits == bits(got), "{} changed its bits", store.name(id));
+        }
+    }
+
+    /// The JSON objects of the checkpoint's parameter slots.
+    fn slots(ckpt: &serde::Value) -> Vec<Vec<(String, serde::Value)>> {
+        let slots = ckpt.get("params").and_then(|p| p.get("slots")).and_then(|s| s.as_array());
+        let slots = slots.expect("params.slots array");
+        slots.iter().map(|s| s.as_object().expect("slot object").to_vec()).collect()
+    }
+
+    #[test]
+    fn checkpoints_do_not_store_gradients() {
+        let (pipeline, _) = trained_pipeline(DecoderKind::Crf);
+        let ckpt: serde::Value =
+            serde_json::from_str(&Checkpoint::capture(&pipeline).to_json()).unwrap();
+        for slot in slots(&ckpt) {
+            let keys: Vec<&str> = slot.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["name", "value", "frozen"]);
+        }
+    }
+
+    #[test]
+    fn checkpoints_with_stored_gradients_still_restore() {
+        // Earlier checkpoints wrote every slot as name, value, grad, frozen.
+        let (pipeline, ds) = trained_pipeline(DecoderKind::Crf);
+        let store = &pipeline.model.store;
+        let mut ckpt: serde::Value =
+            serde_json::from_str(&Checkpoint::capture(&pipeline).to_json()).unwrap();
+        let old_slots: Vec<serde::Value> = slots(&ckpt)
+            .into_iter()
+            .zip(store.ids())
+            .map(|(mut slot, id)| {
+                slot.insert(2, ("grad".to_string(), store.grad(id).serialize()));
+                serde::Value::Object(slot)
+            })
+            .collect();
+        let serde::Value::Object(fields) = &mut ckpt else { panic!("checkpoint object") };
+        let params = fields.iter_mut().find(|(k, _)| k == "params").expect("params field");
+        params.1 =
+            serde::Value::Object(vec![("slots".to_string(), serde::Value::Array(old_slots))]);
+        let old_json = serde_json::to_string(&ckpt).unwrap();
+        assert!(old_json.contains("\"grad\":"));
+
+        let restored = Checkpoint::from_json(&old_json).unwrap().restore().unwrap();
+        for s in ds.sentences.iter().take(10) {
+            assert_eq!(pipeline.annotate(s).entities, restored.annotate(s).entities);
+        }
+    }
+
+    #[test]
+    fn bad_escape_in_a_parameter_name_reports_its_position() {
+        let (pipeline, _) = trained_pipeline(DecoderKind::Softmax);
+        let store = &pipeline.model.store;
+        let name = store.name(store.ids().last().expect("a parameter"));
+        let pretty = serde_json::to_string_pretty(&Checkpoint::capture(&pipeline)).unwrap();
+        let needle = format!("\"name\": \"{name}\"");
+        let broken_name = format!("\"name\": \"{name}\\q\"");
+        let broken = pretty.replacen(&needle, &broken_name, 1);
+        assert_ne!(broken, pretty, "the name is in the checkpoint");
+        // The escape's backslash is the third byte from the end of `broken_name`.
+        let offset = broken.find(&broken_name).unwrap() + broken_name.len() - 3;
+        let (line, text) =
+            broken.lines().enumerate().find(|(_, l)| l.contains(&broken_name)).unwrap();
+        let column = text.find(&broken_name).unwrap() + broken_name.len() - 2;
+
+        let Err(err) = Checkpoint::from_json(&broken) else {
+            panic!("a bad escape must not parse");
+        };
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("bad escape at byte {offset}")), "{msg}");
+        let hint = format!("around byte {offset} (line {}, column {column})", line + 1);
+        assert!(msg.contains(&hint), "want {hint:?} in {msg}");
     }
 
     #[test]

@@ -391,6 +391,35 @@ fn deeply_nested_body_gets_400_and_the_server_stays_live() {
 }
 
 #[test]
+fn megabyte_string_body_does_not_stall_its_poll_shard() {
+    // One shard parses every body. A just-under-1 MiB string once took
+    // that shard tens of seconds to parse, stalling every connection on it.
+    let cfg = ServeConfig { poll_shards: 1, ..ServeConfig::default() };
+    let (addr, _state, handle) = start_server(cfg, None);
+    let body = format!("{{\"pad\":\"{}\"}}", "a".repeat(ner_serve::http::MAX_BODY_BYTES - 16));
+    let head = format!("POST /v1/extract HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len());
+
+    let started = std::time::Instant::now();
+    let mut big = std::net::TcpStream::connect(addr).expect("connect");
+    big.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    big.write_all(head.as_bytes()).expect("write head");
+    big.write_all(body.as_bytes()).expect("write body");
+    big.flush().unwrap();
+    let small = client::post(addr, "/v1/extract", "{\"text\": \"Dana met Erik in Oslo .\"}")
+        .expect("small request beside the big body");
+    let small_elapsed = started.elapsed();
+    let (big_status, _) = read_raw_response(big);
+    let big_elapsed = started.elapsed();
+
+    assert_eq!(small.status, 200);
+    assert_eq!(big_status, 400, "a body without \"text\" is a bad request");
+    let limit = Duration::from_secs(2);
+    assert!(small_elapsed < limit, "small request answered after {small_elapsed:?}");
+    assert!(big_elapsed < limit, "big body answered after {big_elapsed:?}");
+    stop_server(addr, handle);
+}
+
+#[test]
 fn every_extraction_response_carries_a_unique_trace_id() {
     let (addr, _state, handle) = start_server(ServeConfig::default(), None);
 

@@ -1,5 +1,5 @@
 use crate::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Handle to a trainable parameter registered in a [`ParamStore`].
 ///
@@ -14,7 +14,7 @@ impl ParamId {
     }
 }
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 struct Slot {
     name: String,
     value: Tensor,
@@ -22,6 +22,35 @@ struct Slot {
     /// Frozen parameters receive gradients but are skipped by optimizers —
     /// the mechanism behind the transfer-learning "freeze encoder" schemes.
     frozen: bool,
+}
+
+/// A checkpointed slot is its `name`, `value` and `frozen` flag. The
+/// gradient only lives between optimizer steps and is not written.
+impl Serialize for Slot {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("name".to_string(), self.name.serialize()),
+            ("value".to_string(), self.value.serialize()),
+            ("frozen".to_string(), self.frozen.serialize()),
+        ])
+    }
+}
+
+/// Reads a slot with a zero gradient of its value's shape. Older
+/// checkpoints also wrote a `grad` field; it is ignored.
+impl Deserialize for Slot {
+    fn deserialize(v: &Value) -> Result<Self, DeError> {
+        let value: Tensor = serde::field(v, "value")?;
+        // The gradient is sized from the stored shape, so that shape must
+        // match the numbers actually read before it is allocated.
+        let (rows, cols) = value.shape();
+        if rows.checked_mul(cols) != Some(value.len()) {
+            let n = value.len();
+            return Err(DeError::new(format!("value: a {rows}x{cols} tensor with {n} numbers")));
+        }
+        let grad = Tensor::zeros(rows, cols);
+        Ok(Slot { name: serde::field(v, "name")?, value, grad, frozen: serde::field(v, "frozen")? })
+    }
 }
 
 /// Trainable parameters that persist across autograd tapes.
@@ -205,6 +234,30 @@ mod tests {
         assert_eq!(store.find("missing"), None);
         assert_eq!(store.num_scalars(), 6);
         assert_eq!(store.name(a), "layer.w");
+    }
+
+    #[test]
+    fn a_slot_whose_shape_disagrees_with_its_data_is_rejected() {
+        let store = |rows: f64| {
+            let value = Value::Object(vec![
+                ("rows".to_string(), Value::Num(rows)),
+                ("cols".to_string(), Value::Num(2.0)),
+                ("data".to_string(), vec![1.5f32, -2.0].serialize()),
+            ]);
+            let slot = Value::Object(vec![
+                ("name".to_string(), Value::Str("w".to_string())),
+                ("value".to_string(), value),
+                ("frozen".to_string(), Value::Bool(false)),
+            ]);
+            ParamStore::deserialize(&Value::Object(vec![(
+                "slots".to_string(),
+                Value::Array(vec![slot]),
+            )]))
+        };
+        let ok = store(1.0).expect("a 1x2 value with 2 numbers");
+        assert_eq!(ok.grad(ParamId(0)).data(), &[0.0, 0.0]);
+        let err = store(1e12).err().expect("a 1e12 x 2 value with 2 numbers");
+        assert!(err.to_string().contains("tensor with 2 numbers"), "{err}");
     }
 
     #[test]
