@@ -23,8 +23,8 @@
 #      diverge from the tape path)
 #   6. training smoke   (exp_train --smoke at 1 and 4 threads exits
 #      non-zero if the batched packed-autograd trainer's loss curve
-#      diverges in any f64 bit from the one-tape-per-sentence oracle under
-#      the shared bucketed schedule; zoo-wide final-weight/F1 bit-identity
+#      diverges in any f64 bit from the one-tape-per-sentence oracle
+#      trainer::train_tape under the shared bucketed schedule; zoo-wide final-weight/F1 bit-identity
 #      is covered by ner-core's train_parity suite in step 3)
 #   7. prometheus lint  (the /metrics exposition must have typed, unique
 #      families with cumulative histogram buckets)
@@ -84,10 +84,10 @@ NER_THREADS=1 cargo run --release -p ner-bench --bin exp_inference -- --smoke
 echo "== inference smoke: batched backend must reproduce the tape (NER_THREADS=4) =="
 NER_THREADS=4 cargo run --release -p ner-bench --bin exp_inference -- --smoke
 
-echo "== training smoke: batched trainer must reproduce the per-sentence oracle (NER_THREADS=1) =="
+echo "== training smoke: batched trainer must reproduce the oracle trainer::train_tape (NER_THREADS=1) =="
 NER_THREADS=1 cargo run --release -p ner-bench --bin exp_train -- --smoke
 
-echo "== training smoke: batched trainer must reproduce the per-sentence oracle (NER_THREADS=4) =="
+echo "== training smoke: batched trainer must reproduce the oracle trainer::train_tape (NER_THREADS=4) =="
 NER_THREADS=4 cargo run --release -p ner-bench --bin exp_train -- --smoke
 
 echo "== prometheus lint: /metrics families must be typed, unique, cumulative =="

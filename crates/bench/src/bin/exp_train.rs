@@ -1,7 +1,8 @@
-//! Training throughput: the batched packed-autograd trainer vs the
-//! per-sentence oracle under the *same* bucketed schedule.
+//! Training throughput: the batched packed-autograd trainer
+//! (`trainer::train`) vs the per-sentence oracle (`trainer::train_tape`)
+//! under the *same* bucketed schedule.
 //!
-//! Both backends run identical chunk/bucket/seed schedules (see
+//! Both trainers run identical chunk/bucket/seed schedules (see
 //! DESIGN.md, "Batched training"), so their per-epoch loss curves must be
 //! **bit-identical** — any divergence makes the harness exit non-zero (CI
 //! runs this via `--smoke` at `NER_THREADS=1` and `4`). What differs is
@@ -21,7 +22,7 @@
 use ner_bench::{init_harness, print_table, write_report, Scale};
 use ner_core::config::{CharRepr, EncoderKind, NerConfig, WordRepr};
 use ner_core::prelude::*;
-use ner_core::trainer::TrainReport;
+use ner_core::trainer::{train_tape, TrainReport};
 use ner_corpus::{GeneratorConfig, NewsGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,7 +60,7 @@ struct SweepRow {
     /// per_sentence_ms / batched_ms; >1 means packing won.
     batched_speedup: f64,
     /// Epochs whose training loss differed in any f64 bit between the two
-    /// backends. Must be zero: both run the same schedule.
+    /// trainers. Must be zero: both run the same schedule.
     loss_curve_divergences: usize,
 }
 
@@ -83,29 +84,32 @@ struct Report {
     /// Honest read of the headline on the measured host.
     analysis: String,
     sweep: Vec<SweepRow>,
-    /// Per-epoch detail for hidden=128 at 1 thread, both backends.
+    /// Per-epoch detail for hidden=128 at 1 thread, both trainers.
     epochs_hidden128_1thr: Vec<EpochRow>,
     loss_curve_divergences: usize,
 }
+
+/// A trainer entry point: `train` or the oracle `train_tape`.
+type Trainer = fn(
+    &mut NerModel,
+    &[EncodedSentence],
+    Option<&[EncodedSentence]>,
+    &TrainConfig,
+    &mut StdRng,
+) -> TrainReport;
 
 /// Trains the given config from a fixed init with a fixed schedule rng;
 /// the returned report carries per-epoch wall clock and tokens/s.
 fn run(
     cfg: &NerConfig,
-    kind: TrainerKind,
+    trainer: Trainer,
     train_enc: &[EncodedSentence],
     encoder: &SentenceEncoder,
     epochs: usize,
 ) -> TrainReport {
     let mut model = NerModel::new(cfg.clone(), encoder, None, &mut StdRng::seed_from_u64(SEED));
-    let tc = TrainConfig {
-        epochs,
-        patience: None,
-        trainer: kind,
-        batch: BATCH,
-        ..TrainConfig::default()
-    };
-    train(&mut model, train_enc, None, &tc, &mut StdRng::seed_from_u64(SEED ^ 0x5A5A))
+    let tc = TrainConfig { epochs, patience: None, batch: BATCH, ..TrainConfig::default() };
+    trainer(&mut model, train_enc, None, &tc, &mut StdRng::seed_from_u64(SEED ^ 0x5A5A))
 }
 
 fn mean_wall_ms(r: &TrainReport) -> f64 {
@@ -116,7 +120,7 @@ fn mean_tokens_per_s(r: &TrainReport) -> f64 {
     r.epochs.iter().map(|e| e.tokens_per_s).sum::<f64>() / r.epochs.len().max(1) as f64
 }
 
-/// Bitwise loss-curve comparison: the two backends run the same schedule,
+/// Bitwise loss-curve comparison: the two trainers run the same schedule,
 /// so every epoch's mean loss must agree in every f64 bit.
 fn curve_divergences(batched: &TrainReport, oracle: &TrainReport, ctx: &str) -> usize {
     let mut n = 0;
@@ -168,8 +172,8 @@ fn main() {
         let cfg = cfg_at(hidden);
         for &threads in &[1usize, 4] {
             ner_par::set_global_threads(threads);
-            let batched = run(&cfg, TrainerKind::Batched, &train_enc, &encoder, epochs);
-            let oracle = run(&cfg, TrainerKind::PerSentence, &train_enc, &encoder, epochs);
+            let batched = run(&cfg, train, &train_enc, &encoder, epochs);
+            let oracle = run(&cfg, train_tape, &train_enc, &encoder, epochs);
             let ctx = format!("hidden={hidden} threads={threads}");
             let diverged = curve_divergences(&batched, &oracle, &ctx);
             divergences += diverged;

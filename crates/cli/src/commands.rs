@@ -170,7 +170,6 @@ pub fn serve(raw: Vec<String>) -> CmdResult {
             "ckpt",
             "addr",
             "max-batch",
-            "max-wait-us",
             "queue-cap",
             "timeout-ms",
             "slo-ms",
@@ -189,9 +188,6 @@ pub fn serve(raw: Vec<String>) -> CmdResult {
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     let config = ner_serve::ServeConfig {
         max_batch: a.get_parsed("max-batch", defaults.max_batch)?,
-        max_wait: std::time::Duration::from_micros(
-            a.get_parsed("max-wait-us", defaults.max_wait.as_micros() as u64)?,
-        ),
         queue_cap: a.get_parsed("queue-cap", defaults.queue_cap)?,
         request_timeout: std::time::Duration::from_millis(
             a.get_parsed("timeout-ms", defaults.request_timeout.as_millis() as u64)?,
@@ -318,14 +314,10 @@ pub fn report(raw: Vec<String>) -> CmdResult {
         let num = |v: &serde::Value, k: &str| v.get(k).and_then(|x| x.as_f64());
         println!("\n== loss curve ==");
         let gauge = |n: &str| gauges.iter().find(|(g, _)| g == n).map(|(_, v)| *v);
-        if let Some(batched) = gauge("train.batched") {
-            let backend = if batched != 0.0 { "batched" } else { "per-sentence" };
-            let batch = gauge("train.batch").unwrap_or(1.0) as u64;
+        if let Some(batch) = gauge("train.batch") {
             match gauge("train.tokens_per_s") {
-                Some(tps) => {
-                    println!("trainer backend {backend} (batch {batch})   peak {tps:.0} tokens/sec")
-                }
-                None => println!("trainer backend {backend} (batch {batch})"),
+                Some(tps) => println!("trainer batch {batch}   peak {tps:.0} tokens/sec"),
+                None => println!("trainer batch {batch}"),
             }
         }
         println!(

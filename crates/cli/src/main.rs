@@ -17,7 +17,7 @@ USAGE:
   neural-ner train    --train FILE --model FILE [--dev FILE] [--preset NAME] [--epochs N] [--seed S] [--batch N] [--quiet]
   neural-ner eval     --model FILE --data FILE
   neural-ner tag      --model FILE [TEXT ...]        (reads stdin when no TEXT)
-  neural-ner serve    --ckpt FILE [--addr A] [--replicas N] [--poll-shards S] [--max-batch N] [--max-wait-us T] [--queue-cap Q] [--timeout-ms D] [--slo-ms B] [--read-timeout-ms R] [--trace-ring N]
+  neural-ner serve    --ckpt FILE [--addr A] [--replicas N] [--poll-shards S] [--max-batch N] [--queue-cap Q] [--timeout-ms D] [--slo-ms B] [--read-timeout-ms R] [--trace-ring N]
   neural-ner zoo
   neural-ner report   RUN.jsonl
   neural-ner trace    <RUN.jsonl|http://HOST:PORT> [--top N]

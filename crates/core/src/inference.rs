@@ -206,14 +206,14 @@ impl NerPipeline {
             }
         });
         self.export_cache_stats();
-        export_pool_stats();
+        export_pool_stats(ner_tensor::pool::take_stats());
         spans
     }
 }
 
-/// Publishes the calling thread's tensor-buffer-pool counters to `ner-obs`.
-fn export_pool_stats() {
-    let s = ner_tensor::pool::take_stats();
+/// Publishes tensor-buffer-pool counters (taken with
+/// `ner_tensor::pool::take_stats`) to `ner-obs`.
+pub(crate) fn export_pool_stats(s: ner_tensor::pool::PoolStats) {
     if s.hits + s.misses + s.recycled > 0 {
         ner_obs::counter("pool.hits", s.hits as f64);
         ner_obs::counter("pool.misses", s.misses as f64);

@@ -64,6 +64,6 @@ pub mod prelude {
     pub use crate::persist::Checkpoint;
     pub use crate::plan::ForwardPlan;
     pub use crate::repr::{EncodedSentence, SentenceEncoder};
-    pub use crate::trainer::{evaluate_model, predict_all, train, TrainConfig, TrainerKind};
+    pub use crate::trainer::{evaluate_model, predict_all, train, TrainConfig};
     pub use ner_text::{Dataset, EntitySpan, Sentence, TagScheme};
 }

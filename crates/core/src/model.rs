@@ -2,6 +2,7 @@
 //! decoder, exactly the pipeline of the survey's Fig. 2 taxonomy.
 
 use crate::config::{DecoderKind, NerConfig};
+use crate::decoder::crf::CrfDecodeTables;
 use crate::decoder::{Crf, PointerDecoder, RnnDecoder, Segment, SemiCrf};
 use crate::encoder::Encoder;
 use crate::plan::{self, ForwardPlan};
@@ -120,70 +121,84 @@ impl NerModel {
     }
 
     /// Runs representation + context encoding on a tape; dropout only when
-    /// `train`. The layer forwards themselves are backend-generic — this
-    /// seam adds the tape-only dropout between them.
+    /// `train`. `input`, when given, replaces the input layer as a
+    /// constant (already perturbed, so it is not dropped out). Returns the
+    /// input matrix `x` the encoder read — the node FGM training
+    /// differentiates against (paper §4.5) — and the encoder states `h`.
     fn encode(
         &self,
         tape: &mut Tape,
         enc: &EncodedSentence,
+        input: Option<Tensor>,
         train: bool,
         rng: &mut impl Rng,
-    ) -> Var {
-        let x0 = self.input.forward(tape, &self.store, enc);
-        let x = if train && self.cfg.dropout > 0.0 {
-            tape.dropout(x0, self.cfg.dropout, rng)
-        } else {
-            x0
+    ) -> (Var, Var) {
+        // Dropout at p = 0 is the identity: no node, no rng draw.
+        let p = if train { self.cfg.dropout } else { 0.0 };
+        let x = match input {
+            Some(t) => tape.constant(t),
+            None => {
+                let x0 = self.input.forward(tape, &self.store, enc);
+                tape.dropout(x0, p, rng)
+            }
         };
         let h = self.encoder.forward(tape, &self.store, x);
-        if train && self.cfg.dropout > 0.0 {
-            tape.dropout(h, self.cfg.dropout, rng)
-        } else {
-            h
+        (x, tape.dropout(h, p, rng))
+    }
+
+    /// Evaluation-mode (no dropout) encoding of one sentence on `tape`,
+    /// through the head's projection.
+    fn eval_states(&self, tape: &mut Tape, enc: &EncodedSentence) -> Var {
+        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        let (_, h) = self.encode(tape, enc, None, false, &mut rng);
+        self.project(tape, h)
+    }
+
+    /// The head's emission projection. The RNN and pointer decoders read
+    /// the encoder states directly, so for them this is the identity.
+    fn project<E: Exec>(&self, ex: &mut E, h: E::V) -> E::V {
+        match &self.head {
+            Head::Softmax { proj } | Head::Crf { proj, .. } | Head::SemiCrf { proj, .. } => {
+                proj.forward(ex, &self.store, h)
+            }
+            Head::Rnn { .. } | Head::Pointer { .. } => h,
         }
     }
 
-    /// Maps gold spans to segment-decoder segments (labels `1..=Y`), with
-    /// spans of unknown type or excess length degraded gracefully.
-    fn gold_entity_segments(&self, enc: &EncodedSentence, max_len: usize) -> Vec<Segment> {
-        let mut segs: Vec<Segment> = enc
+    /// One sentence's structured loss over its projected states `v`
+    /// ([`Self::project`]) against the gold annotation of `enc`.
+    fn head_nll(&self, tape: &mut Tape, v: Var, enc: &EncodedSentence) -> Var {
+        match &self.head {
+            Head::Softmax { .. } => tape.cross_entropy_sum(v, &enc.tag_ids),
+            Head::Crf { crf, .. } => crf.nll(tape, &self.store, v, &enc.tag_ids),
+            Head::SemiCrf { crf, .. } => {
+                crf.nll(tape, &self.store, v, &self.gold_segments(enc, crf.max_len()))
+            }
+            Head::Rnn { dec } => dec.nll(tape, &self.store, v, &enc.tag_ids),
+            Head::Pointer { dec } => {
+                dec.nll(tape, &self.store, v, &self.gold_segments(enc, dec.max_len()))
+            }
+        }
+    }
+
+    /// The gold segmentation for a segment-level decoder: gold spans as
+    /// segments (labels `1..=Y`; spans of unknown type or excess length
+    /// degraded gracefully), the gaps filled with length-1 `O` segments.
+    fn gold_segments(&self, enc: &EncodedSentence, max_len: usize) -> Vec<Segment> {
+        let ents: Vec<Segment> = enc
             .gold
             .iter()
             .filter_map(|e| {
                 let label = self.entity_types.iter().position(|t| *t == e.label)? + 1;
-                let end = e.end.min(e.start + max_len);
-                Some(Segment { start: e.start, end, label })
+                Some(Segment { start: e.start, end: e.end.min(e.start + max_len), label })
             })
             .collect();
-        segs.sort_by_key(|s| s.start);
-        segs
+        SemiCrf::gold_segments(enc.len(), &ents)
     }
 
     /// Differentiable training loss for one sentence.
     pub fn loss(&self, tape: &mut Tape, enc: &EncodedSentence, rng: &mut impl Rng) -> Var {
-        let h = self.encode(tape, enc, true, rng);
-        match &self.head {
-            Head::Softmax { proj } => {
-                let logits = proj.forward(tape, &self.store, h);
-                tape.cross_entropy_sum(logits, &enc.tag_ids)
-            }
-            Head::Crf { proj, crf } => {
-                let emissions = proj.forward(tape, &self.store, h);
-                crf.nll(tape, &self.store, emissions, &enc.tag_ids)
-            }
-            Head::SemiCrf { proj, crf } => {
-                let emissions = proj.forward(tape, &self.store, h);
-                let ents = self.gold_entity_segments(enc, crf.max_len());
-                let gold = SemiCrf::gold_segments(enc.len(), &ents);
-                crf.nll(tape, &self.store, emissions, &gold)
-            }
-            Head::Rnn { dec } => dec.nll(tape, &self.store, h, &enc.tag_ids),
-            Head::Pointer { dec } => {
-                let ents = self.gold_entity_segments(enc, dec.max_len());
-                let gold = SemiCrf::gold_segments(enc.len(), &ents);
-                dec.nll(tape, &self.store, h, &gold)
-            }
-        }
+        self.loss_with_input(tape, enc, true, rng).0
     }
 
     /// Differentiable training loss for a packed bucket of (non-empty)
@@ -212,57 +227,16 @@ impl NerModel {
         let lens: Vec<usize> = encs.iter().map(|e| e.len()).collect();
         let mut bx = BatchedTapeExec::new(tape, &lens);
         let x0 = self.input.forward_batch(&mut bx, &self.store, encs);
-        let x =
-            if self.cfg.dropout > 0.0 { bx.dropout_packed(x0, self.cfg.dropout, rngs) } else { x0 };
+        let x = bx.dropout_packed(x0, self.cfg.dropout, rngs);
         let h0 = self.encoder.forward_batch(&mut bx, &self.store, x);
-        let h =
-            if self.cfg.dropout > 0.0 { bx.dropout_packed(h0, self.cfg.dropout, rngs) } else { h0 };
-
-        let mut losses: Vec<Var> = Vec::with_capacity(encs.len());
-        match &self.head {
-            Head::Softmax { proj } => {
-                let logits = proj.forward(&mut bx, &self.store, h);
-                for (s, enc) in encs.iter().enumerate() {
-                    let ls = bx.slice_segment(logits, s);
-                    losses
-                        .push(bx.scoped(s, |ex| ex.tape_mut().cross_entropy_sum(ls, &enc.tag_ids)));
-                }
-            }
-            Head::Crf { proj, crf } => {
-                let emissions = proj.forward(&mut bx, &self.store, h);
-                for (s, enc) in encs.iter().enumerate() {
-                    let es = bx.slice_segment(emissions, s);
-                    losses.push(
-                        bx.scoped(s, |ex| crf.nll(ex.tape_mut(), &self.store, es, &enc.tag_ids)),
-                    );
-                }
-            }
-            Head::SemiCrf { proj, crf } => {
-                let emissions = proj.forward(&mut bx, &self.store, h);
-                for (s, enc) in encs.iter().enumerate() {
-                    let es = bx.slice_segment(emissions, s);
-                    let ents = self.gold_entity_segments(enc, crf.max_len());
-                    let gold = SemiCrf::gold_segments(enc.len(), &ents);
-                    losses.push(bx.scoped(s, |ex| crf.nll(ex.tape_mut(), &self.store, es, &gold)));
-                }
-            }
-            Head::Rnn { dec } => {
-                for (s, enc) in encs.iter().enumerate() {
-                    let hs = bx.slice_segment(h, s);
-                    losses.push(
-                        bx.scoped(s, |ex| dec.nll(ex.tape_mut(), &self.store, hs, &enc.tag_ids)),
-                    );
-                }
-            }
-            Head::Pointer { dec } => {
-                for (s, enc) in encs.iter().enumerate() {
-                    let hs = bx.slice_segment(h, s);
-                    let ents = self.gold_entity_segments(enc, dec.max_len());
-                    let gold = SemiCrf::gold_segments(enc.len(), &ents);
-                    losses.push(bx.scoped(s, |ex| dec.nll(ex.tape_mut(), &self.store, hs, &gold)));
-                }
-            }
-        }
+        let h = bx.dropout_packed(h0, self.cfg.dropout, rngs);
+        let v = self.project(&mut bx, h);
+        let losses: Vec<Var> = (0..encs.len())
+            .map(|s| {
+                let vs = bx.slice_segment(v, s);
+                bx.scoped(s, |ex| self.head_nll(ex.tape_mut(), vs, encs[s]))
+            })
+            .collect();
 
         let mut total = losses[0];
         for &l in &losses[1..] {
@@ -322,10 +296,9 @@ impl NerModel {
     /// verified against (`tests/plan_parity.rs`, `tests/prop_batched.rs`,
     /// `exp_inference --smoke`); no production prediction runs it.
     pub fn predict_spans_tape(&self, enc: &EncodedSentence) -> Vec<EntitySpan> {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         let mut tape = Tape::new();
-        let h = self.encode(&mut tape, enc, false, &mut rng);
-        let decoded = self.decode_from_states(&mut tape, h);
+        let v = self.eval_states(&mut tape, enc);
+        let decoded = self.decode_states(&mut tape, v, None);
         self.decoded_to_spans(decoded)
     }
 
@@ -336,25 +309,31 @@ impl NerModel {
         self.tag_set.scheme().spans_to_tags(enc.len(), &spans)
     }
 
-    /// Decodes encoder states `h` on the tape (the reference path only).
-    fn decode_from_states(&self, ex: &mut Tape, h: Var) -> Decoded {
+    /// Decodes one sentence's projected states `v` ([`Self::project`]).
+    /// A CRF head runs Viterbi over the plan's precompiled `tables` when
+    /// given (the packed path) and over its own parameters otherwise (the
+    /// tape reference).
+    fn decode_states<E: Exec>(
+        &self,
+        ex: &mut E,
+        v: E::V,
+        tables: Option<&CrfDecodeTables>,
+    ) -> Decoded {
         match &self.head {
-            Head::Softmax { proj } => {
-                let logits = proj.forward(ex, &self.store, h);
-                let v = ex.value(logits);
-                Decoded::Tags((0..v.rows()).map(|r| v.argmax_row(r)).collect())
+            Head::Softmax { .. } => {
+                let t = ex.value(v);
+                Decoded::Tags((0..t.rows()).map(|r| t.argmax_row(r)).collect())
             }
-            Head::Crf { proj, crf } => {
-                let emissions = proj.forward(ex, &self.store, h);
-                let constraints = self.cfg.constrained_decoding.then_some(&self.tag_set);
-                Decoded::Tags(crf.viterbi(&self.store, ex.value(emissions), constraints).0)
-            }
-            Head::SemiCrf { proj, crf } => {
-                let emissions = proj.forward(ex, &self.store, h);
-                Decoded::Segments(crf.decode(&self.store, ex.value(emissions)))
-            }
-            Head::Rnn { dec } => Decoded::Tags(dec.decode(ex, &self.store, h)),
-            Head::Pointer { dec } => Decoded::Segments(dec.decode(ex, &self.store, h)),
+            Head::Crf { crf, .. } => Decoded::Tags(match tables {
+                Some(tables) => tables.viterbi(ex.value(v)).0,
+                None => {
+                    let constraints = self.cfg.constrained_decoding.then_some(&self.tag_set);
+                    crf.viterbi(&self.store, ex.value(v), constraints).0
+                }
+            }),
+            Head::SemiCrf { crf, .. } => Decoded::Segments(crf.decode(&self.store, ex.value(v))),
+            Head::Rnn { dec } => Decoded::Tags(dec.decode(ex, &self.store, v)),
+            Head::Pointer { dec } => Decoded::Segments(dec.decode(ex, &self.store, v)),
         }
     }
 
@@ -466,58 +445,22 @@ impl NerModel {
 
     /// Batched decode: the emission projection runs as one GEMM over the
     /// packed encoder states wherever the head has one (softmax, CRF,
-    /// semi-CRF); the structured search itself stays per sentence. Yields
-    /// each segment's decoder output once.
+    /// semi-CRF); the structured search itself stays per sentence, in that
+    /// sentence's scope. Yields each segment's decoder output once.
     fn decode_from_states_batch(
         &self,
         bx: &mut BatchedExec<'_>,
         h: BatchedVal,
         plan: &ForwardPlan,
     ) -> Vec<Decoded> {
-        let nseg = bx.segments();
-        match &self.head {
-            Head::Softmax { proj } => {
-                let logits = proj.forward(bx, &self.store, h);
-                let v = bx.value(logits);
-                (0..nseg)
-                    .map(|s| {
-                        let (off, len) = (bx.offset_of(s), bx.len_of(s));
-                        Decoded::Tags((off..off + len).map(|r| v.argmax_row(r)).collect())
-                    })
-                    .collect()
-            }
-            Head::Crf { proj, .. } => {
-                let tables = plan.crf_tables().expect("compile_plan builds CRF decode tables");
-                let emissions = proj.forward(bx, &self.store, h);
-                (0..nseg)
-                    .map(|s| {
-                        let es = bx.slice_segment(emissions, s);
-                        Decoded::Tags(tables.viterbi(bx.value(es)).0)
-                    })
-                    .collect()
-            }
-            Head::SemiCrf { proj, crf } => {
-                let emissions = proj.forward(bx, &self.store, h);
-                (0..nseg)
-                    .map(|s| {
-                        let es = bx.slice_segment(emissions, s);
-                        Decoded::Segments(crf.decode(&self.store, bx.value(es)))
-                    })
-                    .collect()
-            }
-            Head::Rnn { dec } => (0..nseg)
-                .map(|s| {
-                    let hs = bx.slice_segment(h, s);
-                    Decoded::Tags(bx.scoped(s, |ex| dec.decode(ex, &self.store, hs)))
-                })
-                .collect(),
-            Head::Pointer { dec } => (0..nseg)
-                .map(|s| {
-                    let hs = bx.slice_segment(h, s);
-                    Decoded::Segments(bx.scoped(s, |ex| dec.decode(ex, &self.store, hs)))
-                })
-                .collect(),
-        }
+        let tables = plan.crf_tables();
+        let v = self.project(bx, h);
+        (0..bx.segments())
+            .map(|s| {
+                let vs = bx.slice_segment(v, s);
+                bx.scoped(s, |ex| self.decode_states(ex, vs, tables))
+            })
+            .collect()
     }
 
     fn decoded_to_spans(&self, d: Decoded) -> Vec<EntitySpan> {
@@ -529,30 +472,31 @@ impl NerModel {
 
     /// Sentence-level confidence: length-normalized log-probability of the
     /// decoded analysis — the MNLP criterion of Shen et al. (paper §4.3).
-    /// Lower = less confident = more informative to annotate.
+    /// Lower = less confident = more informative to annotate. An empty
+    /// sentence scores 0.0.
     pub fn confidence(&self, enc: &EncodedSentence) -> f64 {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        if enc.is_empty() {
+            return 0.0;
+        }
         let mut tape = Tape::new();
-        let h = self.encode(&mut tape, enc, false, &mut rng);
+        let v = self.eval_states(&mut tape, enc);
         let n = enc.len() as f64;
         match &self.head {
-            Head::Crf { proj, crf } => {
-                let emissions = proj.forward(&mut tape, &self.store, h);
-                let v = tape.value(emissions);
-                let (_, best) = crf.viterbi(&self.store, v, None);
-                (best - crf.log_partition(&self.store, v)) / n
+            Head::Crf { crf, .. } => {
+                let e = tape.value(v);
+                let (_, best) = crf.viterbi(&self.store, e, None);
+                (best - crf.log_partition(&self.store, e)) / n
             }
-            Head::Softmax { proj } => {
-                let logits = proj.forward(&mut tape, &self.store, h);
-                let ls = tape.log_softmax_rows(logits);
-                let v = tape.value(ls);
-                (0..v.rows())
-                    .map(|r| v.row(r).iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64)
+            // The semi-CRF (a segment-level decoder) uses the same
+            // emission-softmax proxy.
+            Head::Softmax { .. } | Head::SemiCrf { .. } => {
+                let ls = tape.log_softmax_rows(v);
+                let t = tape.value(ls);
+                (0..t.rows())
+                    .map(|r| t.row(r).iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64)
                     .sum::<f64>()
                     / n
             }
-            // Segment-level decoder: emission-softmax proxy.
-            Head::SemiCrf { proj, .. } => self.softmax_proxy_confidence(&mut tape, proj, h, n),
             // Greedy decoders expose no tractable sequence probability;
             // report the neutral value (uncertainty sampling degrades to
             // random selection, which the caller can detect via 0.0).
@@ -560,37 +504,24 @@ impl NerModel {
         }
     }
 
-    fn softmax_proxy_confidence(&self, tape: &mut Tape, proj: &Linear, h: Var, n: f64) -> f64 {
-        let logits = proj.forward(tape, &self.store, h);
-        let ls = tape.log_softmax_rows(logits);
-        let v = tape.value(ls);
-        (0..v.rows())
-            .map(|r| v.row(r).iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64)
-            .sum::<f64>()
-            / n
-    }
-
     /// Per-token posterior entropies (nats) — the token-entropy acquisition
-    /// signal for active learning. Supported for softmax and CRF heads;
-    /// other decoders fall back to the emission-softmax entropy.
+    /// signal for active learning. Supported for softmax and CRF heads; the
+    /// semi-CRF falls back to the emission-softmax entropy, and the greedy
+    /// RNN and pointer decoders report 0.0 per token. An empty sentence has
+    /// none.
     pub fn token_entropies(&self, enc: &EncodedSentence) -> Vec<f64> {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        if enc.is_empty() {
+            return Vec::new();
+        }
         let mut tape = Tape::new();
-        let h = self.encode(&mut tape, enc, false, &mut rng);
+        let v = self.eval_states(&mut tape, enc);
         let probs: Tensor = match &self.head {
-            Head::Crf { proj, crf } => {
-                let emissions = proj.forward(&mut tape, &self.store, h);
-                crf.marginals(&self.store, tape.value(emissions))
-            }
-            Head::Softmax { proj } | Head::SemiCrf { proj, .. } => {
-                let logits = proj.forward(&mut tape, &self.store, h);
-                let sm = tape.softmax_rows(logits);
+            Head::Crf { crf, .. } => crf.marginals(&self.store, tape.value(v)),
+            Head::Softmax { .. } | Head::SemiCrf { .. } => {
+                let sm = tape.softmax_rows(v);
                 tape.value(sm).clone()
             }
-            Head::Rnn { .. } | Head::Pointer { .. } => {
-                let v = tape.value(h);
-                return vec![0.0; v.rows()];
-            }
+            Head::Rnn { .. } | Head::Pointer { .. } => return vec![0.0; enc.len()],
         };
         (0..probs.rows())
             .map(|r| {
@@ -604,20 +535,22 @@ impl NerModel {
             .collect()
     }
 
-    /// The raw input-representation node alongside the loss — the hook
-    /// adversarial (FGM) training needs to read ∂loss/∂input (paper §4.5).
     /// Evaluation-mode negative log-likelihood of the sentence's *given*
     /// labels, normalized per token. High values flag annotations the model
     /// finds implausible — the standard noisy-label signal used by the
-    /// §4.4 instance selector.
+    /// §4.4 instance selector. An empty sentence scores 0.0.
     pub fn nll_of_labels(&self, enc: &EncodedSentence) -> f64 {
+        if enc.is_empty() {
+            return 0.0;
+        }
         let mut tape = Tape::new();
-        let x = self.input.forward(&mut tape, &self.store, enc);
-        let h = self.encoder.forward(&mut tape, &self.store, x);
-        let loss = self.loss_from_states(&mut tape, h, enc);
-        tape.value(loss).item() as f64 / enc.len().max(1) as f64
+        let v = self.eval_states(&mut tape, enc);
+        let loss = self.head_nll(&mut tape, v, enc);
+        tape.value(loss).item() as f64 / enc.len() as f64
     }
 
+    /// The loss alongside the raw input-representation node — the hook
+    /// adversarial (FGM) training needs to read ∂loss/∂input (paper §4.5).
     /// `train` toggles dropout: `true` for FGM training passes, `false`
     /// when computing test-time attacks (robustness evaluation).
     pub fn loss_with_input(
@@ -627,20 +560,9 @@ impl NerModel {
         train: bool,
         rng: &mut impl Rng,
     ) -> (Var, Var) {
-        let x0 = self.input.forward(tape, &self.store, enc);
-        let x = if train && self.cfg.dropout > 0.0 {
-            tape.dropout(x0, self.cfg.dropout, rng)
-        } else {
-            x0
-        };
-        let h0 = self.encoder.forward(tape, &self.store, x);
-        let h = if train && self.cfg.dropout > 0.0 {
-            tape.dropout(h0, self.cfg.dropout, rng)
-        } else {
-            h0
-        };
-        let loss = self.loss_from_states(tape, h, enc);
-        (loss, x)
+        let (x, h) = self.encode(tape, enc, None, train, rng);
+        let v = self.project(tape, h);
+        (self.head_nll(tape, v, enc), x)
     }
 
     /// Training loss computed from an externally supplied input matrix
@@ -652,35 +574,9 @@ impl NerModel {
         input: Tensor,
         rng: &mut impl Rng,
     ) -> Var {
-        let x = tape.constant(input);
-        let h0 = self.encoder.forward(tape, &self.store, x);
-        let h = if self.cfg.dropout > 0.0 { tape.dropout(h0, self.cfg.dropout, rng) } else { h0 };
-        self.loss_from_states(tape, h, enc)
-    }
-
-    fn loss_from_states(&self, tape: &mut Tape, h: Var, enc: &EncodedSentence) -> Var {
-        match &self.head {
-            Head::Softmax { proj } => {
-                let logits = proj.forward(tape, &self.store, h);
-                tape.cross_entropy_sum(logits, &enc.tag_ids)
-            }
-            Head::Crf { proj, crf } => {
-                let emissions = proj.forward(tape, &self.store, h);
-                crf.nll(tape, &self.store, emissions, &enc.tag_ids)
-            }
-            Head::SemiCrf { proj, crf } => {
-                let emissions = proj.forward(tape, &self.store, h);
-                let ents = self.gold_entity_segments(enc, crf.max_len());
-                let gold = SemiCrf::gold_segments(enc.len(), &ents);
-                crf.nll(tape, &self.store, emissions, &gold)
-            }
-            Head::Rnn { dec } => dec.nll(tape, &self.store, h, &enc.tag_ids),
-            Head::Pointer { dec } => {
-                let ents = self.gold_entity_segments(enc, dec.max_len());
-                let gold = SemiCrf::gold_segments(enc.len(), &ents);
-                dec.nll(tape, &self.store, h, &gold)
-            }
-        }
+        let (_, h) = self.encode(tape, enc, Some(input), true, rng);
+        let v = self.project(tape, h);
+        self.head_nll(tape, v, enc)
     }
 }
 
@@ -753,6 +649,9 @@ mod tests {
             NerModel::new(small(DecoderKind::Crf), &enc, None, &mut StdRng::seed_from_u64(2));
         assert!(model.predict_spans(&data[2]).is_empty());
         assert!(model.predict_tags(&data[2]).is_empty());
+        assert_eq!(model.confidence(&data[2]), 0.0);
+        assert!(model.token_entropies(&data[2]).is_empty());
+        assert_eq!(model.nll_of_labels(&data[2]), 0.0);
         let preds = crate::trainer::predict_all(&model, &data);
         assert!(preds[2].is_empty());
         assert_eq!(preds[3], model.predict_spans(&data[3]));
@@ -780,22 +679,45 @@ mod tests {
 
     #[test]
     fn confidence_and_entropy_are_finite() {
-        for decoder in [DecoderKind::Softmax, DecoderKind::Crf] {
-            let (model, encoded) = setup(small(decoder));
+        for decoder in [
+            DecoderKind::Softmax,
+            DecoderKind::Crf,
+            DecoderKind::SemiCrf { max_len: 4 },
+            DecoderKind::Rnn { tag_dim: 6, hidden: 10 },
+            DecoderKind::Pointer { att: 8, max_len: 4 },
+        ] {
+            let greedy = matches!(decoder, DecoderKind::Rnn { .. } | DecoderKind::Pointer { .. });
+            let (model, encoded) = setup(small(decoder.clone()));
             let c = model.confidence(&encoded[0]);
-            assert!(c.is_finite() && c <= 0.0, "confidence (log prob) should be <= 0, got {c}");
+            assert!(
+                c.is_finite() && c <= 0.0,
+                "{decoder:?}: confidence (log prob) should be <= 0, got {c}"
+            );
             let ent = model.token_entropies(&encoded[0]);
             assert_eq!(ent.len(), encoded[0].len());
             assert!(ent.iter().all(|e| e.is_finite() && *e >= 0.0));
+            if greedy {
+                assert_eq!(c, 0.0, "{decoder:?} has no sequence probability");
+                assert!(ent.iter().all(|&e| e == 0.0), "{decoder:?} has no token posterior");
+            } else {
+                assert!(c < 0.0, "{decoder:?}: an untrained model is not certain, got {c}");
+                assert!(ent.iter().any(|&e| e > 0.0), "{decoder:?}: entropies all zero");
+            }
         }
     }
 
     #[test]
     fn loss_with_input_exposes_gradient_on_representation() {
-        let (mut model, encoded) = setup(small(DecoderKind::Crf));
+        // With dropout on, the bit-for-bit check below also pins the order
+        // in which the two passes draw their masks.
+        let (mut model, encoded) = setup(NerConfig { dropout: 0.3, ..small(DecoderKind::Crf) });
         let mut rng = StdRng::seed_from_u64(4);
         let mut tape = Tape::new();
         let (loss, x) = model.loss_with_input(&mut tape, &encoded[0], true, &mut rng);
+        // The clean FGM pass is the training loss, bit for bit.
+        let mut plain = Tape::new();
+        let plain_loss = model.loss(&mut plain, &encoded[0], &mut StdRng::seed_from_u64(4));
+        assert_eq!(tape.value(loss).item().to_bits(), plain.value(plain_loss).item().to_bits());
         tape.backward(loss, &mut model.store);
         let g = tape.grad(x).expect("input grad must exist");
         assert!(g.sq_norm() > 0.0);

@@ -397,12 +397,12 @@ impl InputLayer {
         parts.push(base);
         if self.feat_dim > 0 {
             let rows: Vec<&Vec<f32>> = encs.iter().flat_map(|e| e.feats.iter()).collect();
-            parts.push(bx.constant(row_refs_to_tensor(&rows, self.feat_dim)));
+            parts.push(bx.constant(rows_to_tensor(&rows, self.feat_dim)));
         }
         if self.ctx_dim > 0 {
             let rows: Vec<&Vec<f32>> = encs.iter().flat_map(|e| e.ctx.iter()).collect();
             assert_eq!(rows.len(), bx.total_rows(), "contextual vectors missing from batch");
-            parts.push(bx.constant(row_refs_to_tensor(&rows, self.ctx_dim)));
+            parts.push(bx.constant(rows_to_tensor(&rows, self.ctx_dim)));
         }
         if parts.len() == 1 {
             parts[0]
@@ -438,18 +438,7 @@ impl InputLayer {
             });
         }
         let chars = bx.concat_rows(&rows);
-        match &self.gate {
-            Some(gate) => {
-                // z = σ(W[w;c]); rep = z⊙w + (c − z⊙c).
-                let both = bx.concat_cols(&[words, chars]);
-                let z = gate.forward_act(bx, store, both, Activation::Sigmoid);
-                let zw = bx.mul(z, words);
-                let zc = bx.mul(z, chars);
-                let c_minus = bx.sub(chars, zc);
-                bx.add(zw, c_minus)
-            }
-            None => bx.concat_cols(&[words, chars]),
-        }
+        self.combine(bx, store, words, chars)
     }
 
     /// The packed base served through the token cache: hits for the whole
@@ -523,18 +512,7 @@ impl InputLayer {
         let rows: Vec<E::V> =
             enc.char_ids.iter().map(|chars| cm.word_vector(ex, store, chars)).collect();
         let chars = ex.concat_rows(&rows);
-        match &self.gate {
-            Some(gate) => {
-                // z = σ(W[w;c]); rep = z⊙w + (c − z⊙c).
-                let both = ex.concat_cols(&[words, chars]);
-                let z = gate.forward_act(ex, store, both, Activation::Sigmoid);
-                let zw = ex.mul(z, words);
-                let zc = ex.mul(z, chars);
-                let c_minus = ex.sub(chars, zc);
-                ex.add(zw, c_minus)
-            }
-            None => ex.concat_cols(&[words, chars]),
-        }
+        self.combine(ex, store, words, chars)
     }
 
     /// The `[1, base_dim]` representation for one token. Every op here
@@ -555,33 +533,31 @@ impl InputLayer {
             Some(cm) => cm,
         };
         let char_vec = cm.word_vector(ex, store, chars);
+        self.combine(ex, store, word, char_vec)
+    }
+
+    /// Joins word and char rows: Rei et al.'s gate when configured,
+    /// plain concatenation otherwise. Row-wise either way.
+    fn combine<E: Exec>(&self, ex: &mut E, store: &ParamStore, words: E::V, chars: E::V) -> E::V {
         match &self.gate {
             Some(gate) => {
                 // z = σ(W[w;c]); rep = z⊙w + (c − z⊙c).
-                let both = ex.concat_cols(&[word, char_vec]);
+                let both = ex.concat_cols(&[words, chars]);
                 let z = gate.forward_act(ex, store, both, Activation::Sigmoid);
-                let zw = ex.mul(z, word);
-                let zc = ex.mul(z, char_vec);
-                let c_minus = ex.sub(char_vec, zc);
+                let zw = ex.mul(z, words);
+                let zc = ex.mul(z, chars);
+                let c_minus = ex.sub(chars, zc);
                 ex.add(zw, c_minus)
             }
-            None => ex.concat_cols(&[word, char_vec]),
+            None => ex.concat_cols(&[words, chars]),
         }
     }
 }
 
-fn rows_to_tensor(rows: &[Vec<f32>], dim: usize) -> Tensor {
+fn rows_to_tensor<R: AsRef<[f32]>>(rows: &[R], dim: usize) -> Tensor {
     let mut t = Tensor::zeros(rows.len(), dim);
     for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row.len(), dim, "feature row width mismatch");
-        t.row_mut(i).copy_from_slice(row);
-    }
-    t
-}
-
-fn row_refs_to_tensor(rows: &[&Vec<f32>], dim: usize) -> Tensor {
-    let mut t = Tensor::zeros(rows.len(), dim);
-    for (i, row) in rows.iter().enumerate() {
+        let row = row.as_ref();
         assert_eq!(row.len(), dim, "feature row width mismatch");
         t.row_mut(i).copy_from_slice(row);
     }

@@ -12,19 +12,18 @@
 //!
 //! # Backends
 //!
-//! Two gradient-recording backends drive an epoch ([`TrainerKind`]):
+//! [`train`] records each worker's bucket of [`TrainConfig::batch`]
+//! sentences as one packed `[N, d]` row matrix on a single [`Tape`]
+//! through `ner_tensor::BatchedTapeExec` — one recurrent GEMM per
+//! timestep across the live prefix, exactly the layout serving uses. A
+//! segmented backward scatters each sentence's gradients into its own
+//! [`GradBuffer`], bit-identically to what a per-sentence tape would have
+//! produced (see DESIGN.md "Batched training").
 //!
-//! * **Batched** (default): each worker packs its bucket of
-//!   [`TrainConfig::batch`] sentences into one `[N, d]` row matrix and
-//!   records a single [`Tape`] through `ner_tensor::BatchedTapeExec` — one
-//!   recurrent GEMM per timestep across the live prefix, exactly the
-//!   layout serving uses. A segmented backward scatters each sentence's
-//!   gradients into its own [`GradBuffer`], bit-identically to what a
-//!   per-sentence tape would have produced (see DESIGN.md "Batched
-//!   training").
-//! * **Per-sentence**: one [`Tape`] per sentence — the historical
-//!   formulation, kept as the parity oracle the batched backend is
-//!   checked against (`tests/train_parity.rs`, `exp_train`).
+//! [`train_tape`] is the **reference** it is verified against: the same
+//! loop and schedule with one [`Tape`] per sentence, the historical
+//! formulation (`tests/train_parity.rs`, `exp_train`). No production
+//! training runs it.
 //!
 //! # Threading and schedule
 //!
@@ -37,12 +36,13 @@
 //! displacement per epoch matches the serial schedule's; Adam's update is
 //! scale-invariant either way. Dropout streams are seeded per sentence from
 //! one draw per chunk, so masks depend only on a sentence's position in the
-//! order — which makes the two backends produce bit-identical loss curves
-//! and final weights at any thread count. With `NER_THREADS=1` and
-//! `batch == 1` the sentences' dropout draws come straight from the shared
-//! epoch rng and one step is taken per sentence: the historical serial
-//! trajectory, reproduced bit for bit by both backends.
+//! order — which makes [`train`] and [`train_tape`] produce bit-identical
+//! loss curves and final weights at any thread count. With
+//! `NER_THREADS=1` and `batch == 1` the sentences' dropout draws come
+//! straight from the shared epoch rng and one step is taken per sentence:
+//! the historical serial trajectory, reproduced bit for bit by both.
 
+use crate::inference::export_pool_stats;
 use crate::metrics::{evaluate, EvalResult};
 use crate::model::NerModel;
 use crate::repr::EncodedSentence;
@@ -58,17 +58,6 @@ use serde::Serialize;
 /// dropout-stream seed from the chunk's base seed (golden-ratio stride, so
 /// neighboring sentences get decorrelated streams).
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Which gradient-recording backend drives each epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum TrainerKind {
-    /// One packed tape per bucket of [`TrainConfig::batch`] sentences,
-    /// recorded through `ner_tensor::BatchedTapeExec` (default).
-    Batched,
-    /// One tape per sentence — the historical formulation, kept as the
-    /// bit-identity oracle for the batched backend.
-    PerSentence,
-}
 
 /// Optimizer selection.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize)]
@@ -99,8 +88,6 @@ pub struct TrainConfig {
     pub patience: Option<usize>,
     /// Shuffle the training order each epoch.
     pub shuffle: bool,
-    /// Gradient-recording backend.
-    pub trainer: TrainerKind,
     /// Sentences per packed bucket (per worker). `1` reproduces the
     /// historical per-sentence schedule bit for bit; larger buckets
     /// amortize the recurrent GEMMs across sentences.
@@ -129,7 +116,6 @@ impl Default for TrainConfig {
             clip: 5.0,
             patience: Some(4),
             shuffle: true,
-            trainer: TrainerKind::Batched,
             batch: 1,
         }
     }
@@ -186,7 +172,7 @@ struct EpochStats {
 enum RngSrc<'a> {
     /// Each sentence's stream is `StdRng` seeded with
     /// `base + k·SEED_STRIDE` for its within-chunk index `k`, so masks do
-    /// not depend on worker scheduling or the backend.
+    /// not depend on worker scheduling or the step function.
     Seeded(u64),
     /// The shared epoch rng, passed straight through (the
     /// `threads == 1 && batch == 1` serial replay; at most one live
@@ -194,34 +180,92 @@ enum RngSrc<'a> {
     Shared(&'a mut dyn RngCore),
 }
 
-/// What one worker produced for one sentence of its bucket.
+/// What a step produced for one (non-empty) sentence of its bucket.
 enum BucketItem {
-    /// Sentence was empty; nothing to do.
-    Empty,
-    /// No gradient contribution: the loss was non-finite, or (batched
-    /// mode) a bucket-mate's was and the whole bucket was rolled back.
-    NonFinite { index: usize, loss: f64, rolled_back: bool },
+    /// No gradient contribution: the loss was non-finite, or (packed
+    /// step) a bucket-mate's was and the whole bucket was rolled back.
+    NonFinite { loss: f64, rolled_back: bool },
     /// A usable gradient contribution.
     Update { loss: f64, grads: GradBuffer },
 }
 
+/// What a step produced for one bucket: one item per sentence in bucket
+/// order, the largest tape it recorded (nodes) and that tape's op counts.
+type StepOut = (Vec<BucketItem>, usize, Vec<(OpClass, u32)>);
+
+/// Forward and backward over one bucket's non-empty sentences, each with
+/// its own dropout stream.
+type Step = fn(&NerModel, &[&EncodedSentence], &mut [&mut dyn RngCore]) -> StepOut;
+
+/// The step [`train`] runs: the whole bucket on one packed tape, one
+/// segmented backward. A non-finite loss anywhere rolls the whole bucket
+/// back, since a segmented backward from it would poison every segment's
+/// buffer.
+fn packed_step(
+    model: &NerModel,
+    encs: &[&EncodedSentence],
+    rngs: &mut [&mut dyn RngCore],
+) -> StepOut {
+    let mut tape = Tape::new();
+    let (total, losses) = model.loss_batch(&mut tape, encs, rngs);
+    if !(tape.value(total).item() as f64).is_finite() || losses.iter().any(|l| !l.is_finite()) {
+        let items = losses
+            .into_iter()
+            .map(|loss| BucketItem::NonFinite { loss, rolled_back: loss.is_finite() })
+            .collect();
+        return (items, 0, Vec::new());
+    }
+    let mut buffers: Vec<GradBuffer> =
+        (0..encs.len()).map(|_| GradBuffer::new(model.store.len())).collect();
+    tape.backward_into_segmented(total, &mut buffers);
+    let items =
+        losses.into_iter().zip(buffers).map(|(loss, grads)| BucketItem::Update { loss, grads });
+    (items.collect(), tape.len(), tape.op_counts().collect())
+}
+
+/// The step [`train_tape`] runs: one tape and one backward per sentence;
+/// a non-finite loss skips just its own sentence.
+fn tape_step(
+    model: &NerModel,
+    encs: &[&EncodedSentence],
+    rngs: &mut [&mut dyn RngCore],
+) -> StepOut {
+    let (mut items, mut nodes, mut ops) = (Vec::with_capacity(encs.len()), 0, Vec::new());
+    for (enc, rng) in encs.iter().zip(rngs) {
+        let mut tape = Tape::new();
+        let loss = model.loss(&mut tape, enc, rng);
+        let loss_val = tape.value(loss).item() as f64;
+        if !loss_val.is_finite() {
+            items.push(BucketItem::NonFinite { loss: loss_val, rolled_back: false });
+            continue;
+        }
+        let mut grads = GradBuffer::new(model.store.len());
+        tape.backward_into(loss, &mut grads);
+        nodes = nodes.max(tape.len());
+        ops.extend(tape.op_counts());
+        items.push(BucketItem::Update { loss: loss_val, grads });
+    }
+    (items, nodes, ops)
+}
+
 /// One worker's result for one bucket.
 struct BucketResult {
-    /// Per-sentence items, in bucket (= schedule) order.
-    items: Vec<BucketItem>,
+    /// (sentence index, item) per non-empty sentence, in bucket
+    /// (= schedule) order.
+    items: Vec<(usize, BucketItem)>,
     nodes: usize,
     ops: Vec<(OpClass, u32)>,
     pool: ner_tensor::pool::PoolStats,
 }
 
-/// Forward/backward for one bucket of sentences on one worker, through
-/// either backend. `k0` is the within-chunk index of `ids[0]`.
+/// Runs `step` over one bucket of sentences on one worker. `k0` is the
+/// within-chunk index of `ids[0]`.
 fn run_bucket(
     model: &NerModel,
     train: &[EncodedSentence],
     ids: &[usize],
     k0: u64,
-    batched: bool,
+    step: Step,
     src: RngSrc<'_>,
 ) -> BucketResult {
     // (within-chunk index, sentence index) of the non-empty sentences;
@@ -232,110 +276,36 @@ fn run_bucket(
         .filter(|&(_, &i)| !train[i].is_empty())
         .map(|(j, &i)| (k0 + j as u64, i))
         .collect();
-    if live.is_empty() {
-        return BucketResult {
-            items: ids.iter().map(|_| BucketItem::Empty).collect(),
-            nodes: 0,
-            ops: Vec::new(),
-            pool: ner_tensor::pool::take_stats(),
-        };
-    }
-    let (mut owned, mut shared): (Vec<StdRng>, Option<&mut dyn RngCore>) = match src {
-        RngSrc::Seeded(base) => (
-            live.iter()
-                .map(|&(k, _)| {
-                    StdRng::seed_from_u64(base.wrapping_add(k.wrapping_mul(SEED_STRIDE)))
-                })
-                .collect(),
-            None,
-        ),
-        RngSrc::Shared(r) => {
-            debug_assert!(live.len() <= 1, "shared-rng replay is single-sentence");
-            (Vec::new(), Some(r))
-        }
-    };
-
-    let mut items = Vec::with_capacity(ids.len());
-    let mut nodes = 0usize;
-    let mut ops: Vec<(OpClass, u32)> = Vec::new();
-
-    if batched {
-        let encs: Vec<&EncodedSentence> = live.iter().map(|&(_, i)| &train[i]).collect();
-        let mut streams: Vec<&mut dyn RngCore> = match &mut shared {
-            Some(r) => vec![&mut **r],
-            None => owned.iter_mut().map(|r| r as &mut dyn RngCore).collect(),
-        };
-        let mut tape = Tape::new();
-        let (total, losses) = model.loss_batch(&mut tape, &encs, &mut streams);
-        let total_val = tape.value(total).item() as f64;
-        if !total_val.is_finite() || losses.iter().any(|l| !l.is_finite()) {
-            // Roll back the whole bucket: a segmented backward from a
-            // non-finite loss would poison every segment's buffer, so no
-            // sentence in this bucket contributes.
-            let mut li = 0usize;
-            for &i in ids {
-                if train[i].is_empty() {
-                    items.push(BucketItem::Empty);
-                } else {
-                    let loss = losses[li];
-                    items.push(BucketItem::NonFinite {
-                        index: i,
-                        loss,
-                        rolled_back: loss.is_finite(),
-                    });
-                    li += 1;
-                }
-            }
-        } else {
-            let mut buffers: Vec<GradBuffer> =
-                (0..encs.len()).map(|_| GradBuffer::new(model.store.len())).collect();
-            tape.backward_into_segmented(total, &mut buffers);
-            nodes = tape.len();
-            ops = tape.op_counts().collect();
-            drop(tape);
-            let mut rest = losses.into_iter().zip(buffers);
-            for &i in ids {
-                if train[i].is_empty() {
-                    items.push(BucketItem::Empty);
-                } else {
-                    let (loss, grads) = rest.next().expect("one buffer per live sentence");
-                    items.push(BucketItem::Update { loss, grads });
-                }
-            }
-        }
+    let (items, nodes, ops) = if live.is_empty() {
+        (Vec::new(), 0, Vec::new())
     } else {
-        let mut li = 0usize;
-        for &i in ids {
-            if train[i].is_empty() {
-                items.push(BucketItem::Empty);
-                continue;
+        let encs: Vec<&EncodedSentence> = live.iter().map(|&(_, i)| &train[i]).collect();
+        let mut owned: Vec<StdRng>;
+        let mut streams: Vec<&mut dyn RngCore> = match src {
+            RngSrc::Seeded(base) => {
+                owned = live
+                    .iter()
+                    .map(|&(k, _)| {
+                        StdRng::seed_from_u64(base.wrapping_add(k.wrapping_mul(SEED_STRIDE)))
+                    })
+                    .collect();
+                owned.iter_mut().map(|r| r as &mut dyn RngCore).collect()
             }
-            let mut tape = Tape::new();
-            let loss = match &mut shared {
-                Some(r) => model.loss(&mut tape, &train[i], r),
-                None => model.loss(&mut tape, &train[i], &mut owned[li]),
-            };
-            li += 1;
-            let loss_val = tape.value(loss).item() as f64;
-            if !loss_val.is_finite() {
-                items.push(BucketItem::NonFinite { index: i, loss: loss_val, rolled_back: false });
-                continue;
+            RngSrc::Shared(r) => {
+                debug_assert!(live.len() <= 1, "shared-rng replay is single-sentence");
+                vec![r]
             }
-            let mut grads = GradBuffer::new(model.store.len());
-            tape.backward_into(loss, &mut grads);
-            nodes = nodes.max(tape.len());
-            ops.extend(tape.op_counts());
-            items.push(BucketItem::Update { loss: loss_val, grads });
-        }
-    }
+        };
+        step(model, &encs, &mut streams)
+    };
+    let items = live.iter().map(|&(_, i)| i).zip(items).collect();
     BucketResult { items, nodes, ops, pool: ner_tensor::pool::take_stats() }
 }
 
 /// The epoch: chunks of `threads × batch` sentences, one bucket of `batch`
 /// per worker, gradients merged in sentence order and applied with a single
-/// clipped optimizer step per chunk. Runs both backends so the
-/// per-sentence oracle can be compared against the batched path under the
-/// *same* schedule.
+/// clipped optimizer step per chunk. Every `step` runs this same schedule,
+/// so the tape reference can be compared against the packed path.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_bucketed(
     model: &mut NerModel,
@@ -343,12 +313,12 @@ fn run_epoch_bucketed(
     order: &[usize],
     opt: &mut dyn Optimizer,
     cfg: &TrainConfig,
+    step: Step,
     epoch: usize,
     pool: &ner_par::ThreadPool,
     rng: &mut impl Rng,
     op_totals: &mut [u64],
 ) -> EpochStats {
-    let batched = cfg.trainer == TrainerKind::Batched;
     let workers = pool.threads().max(1);
     let bucket = cfg.batch.max(1);
     // One worker, one sentence per bucket: replay the historical serial
@@ -358,39 +328,33 @@ fn run_epoch_bucketed(
     let mut stats = EpochStats::default();
     for chunk in order.chunks(workers * bucket) {
         let results: Vec<BucketResult> = if serial_replay {
-            vec![run_bucket(model, train, chunk, 0, batched, RngSrc::Shared(rng))]
+            vec![run_bucket(model, train, chunk, 0, step, RngSrc::Shared(rng))]
         } else {
             // One seed per chunk; each sentence derives an independent
             // stream from its position, so masks don't depend on worker
-            // scheduling or the backend.
+            // scheduling or the step function.
             let batch_seed: u64 = rng.gen();
             let model_ref: &NerModel = model;
             let buckets: Vec<(usize, &[usize])> =
                 chunk.chunks(bucket).enumerate().map(|(w, ids)| (w * bucket, ids)).collect();
             pool.map(buckets.len(), |w| {
                 let (k0, ids) = buckets[w];
-                run_bucket(model_ref, train, ids, k0 as u64, batched, RngSrc::Seeded(batch_seed))
+                run_bucket(model_ref, train, ids, k0 as u64, step, RngSrc::Seeded(batch_seed))
             })
         };
 
         // Merge in sentence order — deterministic for a fixed thread
-        // count and bucket size, and identical between backends.
+        // count and bucket size, and identical between step functions.
         let mut contributed = 0usize;
         for res in results {
             stats.peak_nodes = stats.peak_nodes.max(res.nodes);
             for (class, n) in res.ops {
                 op_totals[class as usize] += n as u64;
             }
-            let p = res.pool;
-            if p.hits + p.misses + p.recycled > 0 {
-                ner_obs::counter("pool.hits", p.hits as f64);
-                ner_obs::counter("pool.misses", p.misses as f64);
-                ner_obs::counter("pool.recycled", p.recycled as f64);
-            }
-            for item in res.items {
+            export_pool_stats(res.pool);
+            for (index, item) in res.items {
                 match item {
-                    BucketItem::Empty => {}
-                    BucketItem::NonFinite { index, loss, rolled_back } => {
+                    BucketItem::NonFinite { loss, rolled_back } => {
                         stats.skipped += 1;
                         if rolled_back {
                             ner_obs::warn(format!(
@@ -456,6 +420,8 @@ fn effective_lr(cfg: &TrainConfig, epoch: usize) -> f32 {
 }
 
 /// Trains `model` on `train`, optionally early-stopping on `dev` micro-F1.
+/// Each worker's bucket of [`TrainConfig::batch`] sentences is recorded
+/// as one packed tape (see the module docs).
 pub fn train(
     model: &mut NerModel,
     train: &[EncodedSentence],
@@ -463,19 +429,43 @@ pub fn train(
     cfg: &TrainConfig,
     rng: &mut impl Rng,
 ) -> TrainReport {
+    run_training(model, train, dev, cfg, rng, packed_step)
+}
+
+/// The one-tape-per-sentence trainer: [`train`]'s loop and schedule with
+/// every sentence recorded and back-propagated on its own [`Tape`]. This
+/// is the **reference** the packed trainer is verified against — loss
+/// curves, final weights and F1 bit-identical at any thread count and
+/// batch size (`tests/train_parity.rs`, `exp_train --smoke`); no
+/// production training runs it. The one behavioural difference: a
+/// non-finite loss skips only its own sentence, where [`train`] rolls
+/// back the whole bucket.
+pub fn train_tape(
+    model: &mut NerModel,
+    train: &[EncodedSentence],
+    dev: Option<&[EncodedSentence]>,
+    cfg: &TrainConfig,
+    rng: &mut impl Rng,
+) -> TrainReport {
+    run_training(model, train, dev, cfg, rng, tape_step)
+}
+
+fn run_training(
+    model: &mut NerModel,
+    train: &[EncodedSentence],
+    dev: Option<&[EncodedSentence]>,
+    cfg: &TrainConfig,
+    rng: &mut impl Rng,
+    step: Step,
+) -> TrainReport {
     assert!(!train.is_empty(), "training set is empty");
     let _train_span = ner_obs::span("train");
     ner_obs::gauge("params.scalars", model.store.num_scalars() as f64);
     let pool = ner_par::global();
     ner_obs::gauge("par.threads", pool.threads() as f64);
-    // Named gauges so run logs and `report` identify the gradient backend.
-    let backend = match cfg.trainer {
-        TrainerKind::Batched => "batched",
-        TrainerKind::PerSentence => "per-sentence",
-    };
-    ner_obs::gauge("train.batched", (cfg.trainer == TrainerKind::Batched) as u8 as f64);
+    // Named gauge so run logs and `report` show the bucket size.
     ner_obs::gauge("train.batch", cfg.batch.max(1) as f64);
-    ner_obs::info(format!("trainer backend {backend} (batch {})", cfg.batch.max(1)));
+    ner_obs::info(format!("trainer batch {}", cfg.batch.max(1)));
     let epoch_tokens: usize = train.iter().map(|s| s.len()).sum();
     let mut opt = make_optimizer(cfg);
     let sched = schedule(cfg);
@@ -502,6 +492,7 @@ pub fn train(
             &order,
             opt.as_mut(),
             cfg,
+            step,
             epoch,
             &pool,
             rng,
@@ -512,12 +503,7 @@ pub fn train(
 
         // Export the coordinator thread's buffer-pool counters (workers
         // hand theirs back with each bucket result).
-        let pstats = ner_tensor::pool::take_stats();
-        if pstats.hits + pstats.misses + pstats.recycled > 0 {
-            ner_obs::counter("pool.hits", pstats.hits as f64);
-            ner_obs::counter("pool.misses", pstats.misses as f64);
-            ner_obs::counter("pool.recycled", pstats.recycled as f64);
-        }
+        export_pool_stats(ner_tensor::pool::take_stats());
 
         let dev_f1 = dev.map(|d| {
             let _eval_span = ner_obs::span("eval");

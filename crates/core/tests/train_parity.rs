@@ -1,6 +1,7 @@
-//! Bit-identity of the batched trainer (`TrainerKind::Batched`, packed
-//! autograd through `BatchedTapeExec`) against the per-sentence oracle
-//! under the *same* bucketed schedule: identical per-epoch loss curves
+//! Bit-identity of the batched trainer (`trainer::train`, packed autograd
+//! through `BatchedTapeExec`) against the per-sentence oracle
+//! (`trainer::train_tape`, one tape per sentence) under the *same*
+//! bucketed schedule: identical per-epoch loss curves
 //! (compared as f64 bits), identical final weights (f32 bits) and
 //! identical final F1, for every zoo preset, at several thread counts.
 //! CI reruns this suite under `NER_THREADS=1/4` × `NER_SIMD=off/default`,
@@ -12,6 +13,7 @@
 //! non-finite guard's whole-bucket rollback.
 
 use ner_core::prelude::*;
+use ner_core::trainer::{train_tape, TrainReport};
 use ner_core::zoo;
 use ner_corpus::{GeneratorConfig, NewsGenerator};
 use rand::rngs::StdRng;
@@ -53,11 +55,7 @@ struct Run {
     f1: f64,
 }
 
-fn run_of(
-    model: NerModel,
-    report: &ner_core::trainer::TrainReport,
-    test: &[EncodedSentence],
-) -> Run {
+fn run_of(model: NerModel, report: &TrainReport, test: &[EncodedSentence]) -> Run {
     let losses = report.epochs.iter().map(|e| e.train_loss).collect();
     let weights = model
         .store
@@ -68,10 +66,19 @@ fn run_of(
     Run { losses, weights, f1 }
 }
 
+/// A trainer entry point: `train` or the oracle `train_tape`.
+type Trainer = fn(
+    &mut NerModel,
+    &[EncodedSentence],
+    Option<&[EncodedSentence]>,
+    &TrainConfig,
+    &mut StdRng,
+) -> TrainReport;
+
 /// Trains one preset from a fixed init with a fixed schedule rng.
 fn train_run(
     cfg: &NerConfig,
-    kind: TrainerKind,
+    trainer: Trainer,
     batch: usize,
     train_enc: &[EncodedSentence],
     test_enc: &[EncodedSentence],
@@ -79,9 +86,8 @@ fn train_run(
     epochs: usize,
 ) -> Run {
     let mut model = NerModel::new(cfg.clone(), encoder, None, &mut StdRng::seed_from_u64(5));
-    let tcfg =
-        TrainConfig { epochs, patience: None, trainer: kind, batch, ..TrainConfig::default() };
-    let report = train(&mut model, train_enc, None, &tcfg, &mut StdRng::seed_from_u64(77));
+    let tcfg = TrainConfig { epochs, patience: None, batch, ..TrainConfig::default() };
+    let report = trainer(&mut model, train_enc, None, &tcfg, &mut StdRng::seed_from_u64(77));
     run_of(model, &report, test_enc)
 }
 
@@ -129,17 +135,8 @@ fn batched_trainer_is_bit_identical_to_per_sentence_oracle_for_every_zoo_preset(
         cfg.scheme = TagScheme::Bio;
         for threads in [1usize, 4] {
             let (got, want) = with_threads(threads, || {
-                let got =
-                    train_run(&cfg, TrainerKind::Batched, 3, &train_enc, &test_enc, &encoder, 2);
-                let want = train_run(
-                    &cfg,
-                    TrainerKind::PerSentence,
-                    3,
-                    &train_enc,
-                    &test_enc,
-                    &encoder,
-                    2,
-                );
+                let got = train_run(&cfg, train, 3, &train_enc, &test_enc, &encoder, 2);
+                let want = train_run(&cfg, train_tape, 3, &train_enc, &test_enc, &encoder, 2);
                 (got, want)
             });
             assert_runs_bit_identical(&got, &want, &format!("{name} @ {threads} threads"));
@@ -189,10 +186,8 @@ fn gradient_scatter_survives_odd_length_mixes() {
     for (m, train_enc) in mixes.iter().enumerate() {
         for threads in [1usize, 2] {
             let (got, want) = with_threads(threads, || {
-                let got =
-                    train_run(&cfg, TrainerKind::Batched, 3, train_enc, &test_enc, &encoder, 2);
-                let want =
-                    train_run(&cfg, TrainerKind::PerSentence, 3, train_enc, &test_enc, &encoder, 2);
+                let got = train_run(&cfg, train, 3, train_enc, &test_enc, &encoder, 2);
+                let want = train_run(&cfg, train_tape, 3, train_enc, &test_enc, &encoder, 2);
                 (got, want)
             });
             assert_runs_bit_identical(&got, &want, &format!("mix {m} @ {threads} threads"));
@@ -234,7 +229,6 @@ fn non_finite_loss_rolls_back_the_whole_batched_bucket() {
             epochs: 1,
             shuffle: false,
             patience: None,
-            trainer: TrainerKind::Batched,
             batch: 3,
             ..TrainConfig::default()
         };
@@ -246,9 +240,8 @@ fn non_finite_loss_rolls_back_the_whole_batched_bucket() {
         );
 
         // The oracle under the same schedule skips only the poisoned one.
-        let tcfg = TrainConfig { trainer: TrainerKind::PerSentence, ..tcfg };
         let mut model = NerModel::new(cfg.clone(), &encoder, None, &mut StdRng::seed_from_u64(5));
-        let report = train(&mut model, &train_enc, None, &tcfg, &mut StdRng::seed_from_u64(7));
+        let report = train_tape(&mut model, &train_enc, None, &tcfg, &mut StdRng::seed_from_u64(7));
         assert_eq!(
             report.epochs[0].skipped_updates, 1,
             "the per-sentence oracle skips just the poisoned sentence"

@@ -307,11 +307,10 @@ fn dispatch_loop(shared: Arc<Shared>, replica: usize) {
                         // this same lock: nothing accepted can be lost.
                         return;
                     }
-                    let (q, _) = shared
-                        .arrived
-                        .wait_timeout(queue, cfg.max_wait.max(std::time::Duration::from_millis(5)))
-                        .unwrap_or_else(|e| e.into_inner());
-                    queue = q;
+                    // Every submit and the shutdown change the queue state
+                    // under this lock and then notify, so an untimed wait
+                    // cannot miss a wakeup.
+                    queue = shared.arrived.wait(queue).unwrap_or_else(|e| e.into_inner());
                     continue;
                 }
                 let n = queue.len().min(cfg.max_batch);
@@ -602,11 +601,7 @@ mod tests {
 
     #[test]
     fn batched_results_match_individual_extraction() {
-        let state = state_with(ServeConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(20),
-            ..ServeConfig::default()
-        });
+        let state = state_with(ServeConfig { max_batch: 8, ..ServeConfig::default() });
         let batcher = Batcher::start(Arc::clone(&state));
         let texts: Vec<String> =
             (0..8).map(|i| format!("Bob visited office number {i} in London .")).collect();

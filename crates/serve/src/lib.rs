@@ -74,8 +74,8 @@
 //!
 //! Wired into the CLI as `neural-ner serve --ckpt model.json --addr
 //! 127.0.0.1:8080 [--replicas N] [--poll-shards S] [--max-batch N]
-//! [--max-wait-us T] [--queue-cap Q] [--slo-ms B] [--timeout-ms D]
-//! [--read-timeout-ms R] [--threads K] [--trace-ring N]`.
+//! [--queue-cap Q] [--slo-ms B] [--timeout-ms D] [--read-timeout-ms R]
+//! [--threads K] [--trace-ring N]`.
 
 #![warn(missing_docs)]
 

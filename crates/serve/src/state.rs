@@ -14,11 +14,6 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Largest batch a dispatcher scores in one `extract_batch` call.
     pub max_batch: usize,
-    /// Upper bound on one idle-dispatcher sleep between queue checks.
-    /// Batching itself is work-conserving — a dispatcher never holds an
-    /// idle scorer back to widen a batch — so this only paces the wakeup
-    /// loop while the queue is empty.
-    pub max_wait: Duration,
     /// Hard backstop on queue depth; requests beyond it get 429 +
     /// `Retry-After` regardless of what the SLO model predicts.
     pub queue_cap: usize,
@@ -55,7 +50,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 32,
-            max_wait: Duration::from_micros(500),
             queue_cap: 1024,
             request_timeout: Duration::from_secs(10),
             slo_p99: Duration::from_secs(10),

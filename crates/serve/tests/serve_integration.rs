@@ -93,11 +93,7 @@ fn json_escape(text: &str) -> String {
 
 #[test]
 fn concurrent_batched_responses_match_offline_annotate() {
-    let cfg = ServeConfig {
-        max_batch: 16,
-        max_wait: Duration::from_micros(500),
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig { max_batch: 16, ..ServeConfig::default() };
     let (addr, state, handle) = start_server(cfg, None);
     let offline = state.pipeline();
 
