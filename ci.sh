@@ -36,7 +36,9 @@
 #      JSON string body at it mid-sustain, and drains it, exiting non-zero
 #      if a batched response diverges from offline annotate, an accepted
 #      request is lost, the large body is not refused with a 400 inside the
-#      request deadline, or the server fails to recover after overload)
+#      request deadline, or the server fails to recover after overload).
+#      Poll shards block until woken, so a lost wake-up would hang rather
+#      than fail: each of these commands runs under `timeout 600`)
 #   9. benchmark build  (perfbench's own package: it builds against the
 #      workspace crates by path, and its plumbing tests run, so an API
 #      change in ner-core/ner-tensor that breaks the benchmark fails here)
@@ -94,12 +96,12 @@ echo "== prometheus lint: /metrics families must be typed, unique, cumulative ==
 cargo test --release -p ner-serve --lib -q prometheus
 
 echo "== serving: poll-loop integration + exp_serving soak (overload, reload, large body, recovery; NER_THREADS=1) =="
-NER_THREADS=1 cargo test --release -p ner-serve --test serve_integration -q
-NER_THREADS=1 cargo run --release -p ner-bench --bin exp_serving -- --smoke
+NER_THREADS=1 timeout 600 cargo test --release -p ner-serve --test serve_integration -q
+NER_THREADS=1 timeout 600 cargo run --release -p ner-bench --bin exp_serving -- --smoke
 
 echo "== serving: poll-loop integration + exp_serving soak (overload, reload, large body, recovery; NER_THREADS=4) =="
-NER_THREADS=4 cargo test --release -p ner-serve --test serve_integration -q
-NER_THREADS=4 cargo run --release -p ner-bench --bin exp_serving -- --smoke
+NER_THREADS=4 timeout 600 cargo test --release -p ner-serve --test serve_integration -q
+NER_THREADS=4 timeout 600 cargo run --release -p ner-bench --bin exp_serving -- --smoke
 
 echo "== benchmark: perfbench builds against the workspace and its plumbing tests pass =="
 cargo test --offline --release --manifest-path perfbench/Cargo.toml

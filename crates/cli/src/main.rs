@@ -27,7 +27,7 @@ COMMANDS:
   train      train a model preset on a CoNLL corpus and save a checkpoint
   eval       exact + relaxed span metrics of a checkpoint on a corpus
   tag        annotate raw text with a trained checkpoint
-  serve      HTTP server: sharded nonblocking poll loop, per-core pipeline
+  serve      HTTP server (Linux): sharded epoll event loop, per-core pipeline
              replicas with dynamic micro-batching, SLO-aware admission
              (POST /v1/extract and /v1/extract_batch; GET /healthz, /metrics
               in Prometheus format, /admin/trace for the flight recorder;

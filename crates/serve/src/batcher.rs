@@ -1,7 +1,10 @@
 //! The dynamic micro-batcher, sharded across pipeline replicas.
 //!
-//! Poll-loop shards [`submit`](Batcher::submit) raw texts onto a bounded
-//! queue and receive a per-request reply channel. One dispatcher thread
+//! Poll-loop shards `submit_all` raw texts onto a bounded queue and
+//! receive a per-text reply channel, handing over their `Waker` so that a
+//! dispatcher which answers them can wake them. A dispatcher wakes each
+//! distinct shard of a batch once, after the batch's replies are sent, and
+//! only when that shard is blocked or about to block. One dispatcher thread
 //! per pipeline replica drains up to `max_batch` requests the moment it is
 //! free to score — batches widen work-conservingly, from requests that
 //! accumulate while previous batches score, never by holding an idle
@@ -26,9 +29,9 @@
 //! * the bounded queue is a hard backstop ([`SubmitError::QueueFull`] →
 //!   429) for before the cost model has its first measurement;
 //! * a request's texts are admitted all at once or not at all
-//!   ([`submit_all`](Batcher::submit_all)), so a refusal never leaves part
-//!   of a request queued to be scored for nobody; a request with more
-//!   texts than the queue holds is refused for good
+//!   (`submit_all`), so a refusal never leaves part of a request queued
+//!   to be scored for nobody; a request with more texts than the queue
+//!   holds is refused for good
 //!   ([`SubmitError::TooLarge`] → 413);
 //! * a request whose deadline passes while queued is answered
 //!   [`Outcome::TimedOut`] (→ 408) without being scored;
@@ -40,6 +43,7 @@
 //!   has decided it is empty (the accepted-but-never-answered race).
 
 use crate::state::ServeState;
+use crate::sys::Waker;
 use ner_core::plan::stage;
 use ner_obs::trace::TraceCtx;
 use ner_text::Sentence;
@@ -88,6 +92,8 @@ struct Pending {
     /// The owning request's trace, when the caller wants queue-wait and
     /// per-stage scoring timings attributed to it.
     trace: Option<TraceCtx>,
+    /// The poll shard to wake once the reply is sent.
+    waker: Option<Arc<Waker>>,
 }
 
 struct Shared {
@@ -166,40 +172,32 @@ impl Batcher {
     }
 
     /// Enqueues one text. On success the caller receives the channel a
-    /// dispatcher will answer on — wait with `recv_timeout` bounded by the
-    /// same deadline, or poll with `try_recv` from an event loop.
+    /// dispatcher will answer on; wait on it with `recv_timeout` bounded by
+    /// the same deadline.
     pub fn submit(
         &self,
         text: String,
         deadline: Instant,
     ) -> Result<mpsc::Receiver<Outcome>, SubmitError> {
-        self.submit_traced(text, deadline, None)
-    }
-
-    /// [`submit`](Batcher::submit) with a request trace attached: the
-    /// dispatcher records the entry's queue wait and batch id/size on it,
-    /// and installs it while the text scores so the `infer.*` stage
-    /// timings attribute to the owning request.
-    pub fn submit_traced(
-        &self,
-        text: String,
-        deadline: Instant,
-        trace: Option<TraceCtx>,
-    ) -> Result<mpsc::Receiver<Outcome>, SubmitError> {
-        let mut receivers = self.submit_all(vec![text], deadline, trace)?;
+        let mut receivers = self.submit_all(vec![text], deadline, None, None)?;
         Ok(receivers.pop().expect("one receiver per text"))
     }
 
     /// Enqueues every text of one request all at once or not at all: one
     /// queue lock, one capacity check and one SLO prediction (for the last
     /// row), so a refusal never strands part of the request in the queue.
-    /// Receivers come back in text order; every entry carries a clone of
-    /// `trace`.
-    pub fn submit_all(
+    /// Receivers come back in text order. With a `trace`, the dispatcher
+    /// records each entry's queue wait and batch id/size on it, and
+    /// installs it while the text scores so the `infer.*` stage timings
+    /// attribute to the owning request. With a `waker`, the dispatcher
+    /// wakes the caller's poll shard once the replies are sent, so the
+    /// shard can block until then instead of polling `try_recv`.
+    pub(crate) fn submit_all(
         &self,
         texts: Vec<String>,
         deadline: Instant,
         trace: Option<TraceCtx>,
+        waker: Option<Arc<Waker>>,
     ) -> Result<Vec<mpsc::Receiver<Outcome>>, SubmitError> {
         let n = texts.len();
         if n > self.shared.state.config.queue_cap {
@@ -241,8 +239,8 @@ impl Batcher {
             }
             for text in texts {
                 let (reply, rx) = mpsc::sync_channel(1);
-                let trace = trace.clone();
-                queue.push_back(Pending { text, enqueued: now, deadline, reply, trace });
+                let (trace, waker) = (trace.clone(), waker.clone());
+                queue.push_back(Pending { text, enqueued: now, deadline, reply, trace, waker });
                 receivers.push(rx);
             }
             ner_obs::gauge("serve.queue_depth", queue.len() as f64);
@@ -297,7 +295,7 @@ fn dispatch_loop(shared: Arc<Shared>, replica: usize) {
         // there are into one padded [B,T] forward. Holding requests back
         // to grow the batch would only add latency: an idle scorer plus a
         // non-empty queue means nothing is gained by waiting.
-        let batch: Vec<Pending> = {
+        let mut batch: Vec<Pending> = {
             let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 let stopping = shared.stop.load(Ordering::Acquire);
@@ -328,7 +326,13 @@ fn dispatch_loop(shared: Arc<Shared>, replica: usize) {
         // including requests about to be shed as expired (their traces
         // should still show where the time went).
         let now = Instant::now();
-        for p in &batch {
+        let mut wakes = ShardWakes(Vec::new());
+        for p in &mut batch {
+            if let Some(waker) = p.waker.take() {
+                if !wakes.0.iter().any(|w| Arc::ptr_eq(w, &waker)) {
+                    wakes.0.push(waker);
+                }
+            }
             let wait_us = now.duration_since(p.enqueued).as_secs_f64() * 1e6;
             ner_obs::observe("serve.queue_wait_us", wait_us);
             if let Some(trace) = &p.trace {
@@ -386,6 +390,21 @@ fn dispatch_loop(shared: Arc<Shared>, replica: usize) {
             // disconnected and the poll loop dropped the receiver); the
             // result is simply dropped.
             let _ = pending.reply.send(Outcome::Scored(sentence));
+        }
+    }
+}
+
+/// The poll shards behind one batch, each listed once, woken on drop. It
+/// drops after the `expired` and `live` requests declared below it, so a
+/// shard is woken once every reply it waits for has been sent or its
+/// channel dropped — also when scoring unwinds, so a shard never waits
+/// out a deadline for a reply that cannot come.
+struct ShardWakes(Vec<Arc<Waker>>);
+
+impl Drop for ShardWakes {
+    fn drop(&mut self) {
+        for waker in &self.0 {
+            waker.wake();
         }
     }
 }

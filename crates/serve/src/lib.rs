@@ -3,20 +3,23 @@
 //! The survey's future-work call is an *easy-to-use, end-to-end* NER
 //! toolkit; this crate is the "end" of end-to-end: it loads a
 //! [`Checkpoint`](ner_core::persist::Checkpoint) and serves it over a
-//! dependency-free HTTP/1.1 server built on `std::net` alone.
+//! dependency-free HTTP/1.1 server built on `std::net` and the Linux
+//! `epoll`/`eventfd` calls, so serving is Linux-only.
 //!
-//! ## The sharded poll loop
+//! ## The sharded event loop
 //!
-//! Connections are not threads. An acceptor deals sockets round-robin to
-//! a fixed set of `poll_shards` I/O threads; each shard drives its
+//! Connections are not threads. A fixed set of `poll_shards` I/O threads
+//! each block in `epoll_wait` over the shared listener, the connections
+//! they accepted, a `Waker` and the shutdown signal. A shard drives its
 //! connections with nonblocking reads and writes, feeding bytes to a
 //! per-connection incremental [`http::RequestParser`] and writing
 //! pipelined responses in request order. A slow client costs a buffer,
-//! not a blocked thread; a client that dribbles one request past
-//! `read_timeout` gets `408`, and idle keep-alives are reaped after 30 s.
-//! Routing is nonblocking too: extraction requests come back from the
-//! [`router`] as pending handles the shard re-polls each tick, so the
-//! event loop never waits on the scorer.
+//! not a blocked thread, and an idle one costs no CPU; a client that
+//! dribbles one request past `read_timeout` gets `408`, and idle
+//! keep-alives are reaped after 30 s. Routing is nonblocking too:
+//! extraction requests come back from the [`router`] as pending handles,
+//! and the dispatcher that answers one wakes its shard, so the event loop
+//! never waits on the scorer.
 //!
 //! ## Replicated dynamic micro-batching
 //!
@@ -68,7 +71,7 @@
 //!   restored checkpoint and flips them atomically behind a generation
 //!   counter — in-flight batches finish on the old model, and no two
 //!   replicas ever serve different models to the same batch;
-//! * `POST /admin/shutdown` drains gracefully: the acceptor stops, live
+//! * `POST /admin/shutdown` drains gracefully: accepting stops, live
 //!   connections finish what they started, everything the batcher
 //!   accepted is answered, then [`server::Server::run`] returns.
 //!
@@ -85,6 +88,7 @@ pub mod prometheus;
 pub mod router;
 pub mod server;
 pub mod state;
+mod sys;
 
 pub use server::{client, Server};
 pub use state::{ServeConfig, ServeState};

@@ -10,11 +10,12 @@
 //! | `POST /admin/reload`     | atomically swap the checkpoint into all replicas |
 //! | `POST /admin/shutdown`   | begin graceful drain                           |
 //!
-//! Routing is **nonblocking**: [`dispatch`] either answers immediately
+//! Routing is **nonblocking**: `dispatch` either answers immediately
 //! ([`Routed::Done`] — admin and introspection routes, and every error
 //! path) or submits the texts to the [`Batcher`] and hands back a
-//! [`PendingExtract`] the poll loop re-polls each tick ([`Routed::Pending`]).
-//! No connection ever holds a thread hostage waiting for the scorer.
+//! [`PendingExtract`] ([`Routed::Pending`]). The dispatcher that answers
+//! it wakes the poll shard that submitted it, which then polls it. No
+//! connection ever holds a thread hostage waiting for the scorer.
 //!
 //! Every extraction response — success or error — carries the request's
 //! trace id as an `x-trace-id` header, and `?trace=1` inlines the full
@@ -26,9 +27,11 @@ use crate::batcher::{Batcher, Outcome, SubmitError};
 use crate::http::{Request, Response};
 use crate::prometheus;
 use crate::state::ServeState;
+use crate::sys::Waker;
 use ner_obs::trace::TraceCtx;
 use ner_text::Sentence;
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Slack past the request deadline before the router gives up on the
@@ -148,6 +151,12 @@ impl PendingExtract {
         None
     }
 
+    /// When [`poll`](PendingExtract::poll) gives up on the reply channels
+    /// and answers 408 itself, if no reply has come by then.
+    pub(crate) fn expires_at(&self) -> Instant {
+        self.deadline + DEADLINE_SLACK
+    }
+
     /// Serializes the completed extraction, sealing the trace.
     fn render(&mut self) -> Response {
         let sentences: Vec<Sentence> =
@@ -172,11 +181,18 @@ impl PendingExtract {
 /// Dispatches one request without blocking. Never panics on malformed
 /// input — every error path maps to a 4xx/5xx. `trace` is the per-request
 /// context opened at ingress; the extraction routes seal it and stamp its
-/// id onto the response.
-pub fn dispatch(req: &Request, state: &ServeState, batcher: &Batcher, trace: &TraceCtx) -> Routed {
+/// id onto the response. `waker` is the calling poll shard's, woken once
+/// a pending extraction's replies arrive.
+pub(crate) fn dispatch(
+    req: &Request,
+    state: &ServeState,
+    batcher: &Batcher,
+    trace: &TraceCtx,
+    waker: Option<&Arc<Waker>>,
+) -> Routed {
     match (req.method.as_str(), req.route_path()) {
-        ("POST", "/v1/extract") => begin_extract(req, state, batcher, trace, false),
-        ("POST", "/v1/extract_batch") => begin_extract(req, state, batcher, trace, true),
+        ("POST", "/v1/extract") => begin_extract(req, state, batcher, trace, waker, false),
+        ("POST", "/v1/extract_batch") => begin_extract(req, state, batcher, trace, waker, true),
         ("GET", "/healthz") => Routed::Done(healthz(state)),
         ("GET", "/metrics") => Routed::Done(metrics(req)),
         ("GET", "/admin/trace") => Routed::Done(admin_trace()),
@@ -230,6 +246,7 @@ fn begin_extract(
     state: &ServeState,
     batcher: &Batcher,
     trace: &TraceCtx,
+    waker: Option<&Arc<Waker>>,
     batch: bool,
 ) -> Routed {
     let inline_trace = match wants_trace(req) {
@@ -248,7 +265,7 @@ fn begin_extract(
         }
     };
     let deadline = Instant::now() + state.config.request_timeout;
-    let receivers = match batcher.submit_all(texts, deadline, Some(trace.clone())) {
+    let receivers = match batcher.submit_all(texts, deadline, Some(trace.clone()), waker.cloned()) {
         Ok(receivers) => receivers,
         Err(e) => return Routed::Done(finish_trace(submit_error(e), trace)),
     };
@@ -408,7 +425,7 @@ mod tests {
                 headers: Vec::new(),
                 body: body.into_bytes(),
             };
-            dispatch(&req, &state, &batcher, trace)
+            dispatch(&req, &state, &batcher, trace, None)
         };
         let extract = |text: &str| {
             route("/v1/extract", format!("{{\"text\": \"{text}\"}}"), &TraceCtx::new("/v1/extract"))

@@ -2,6 +2,7 @@
 //! hot-swappable pipeline replicas, the serving configuration, and
 //! lifecycle flags.
 
+use crate::sys::EventFd;
 use ner_core::persist::Checkpoint;
 use ner_core::prelude::NerPipeline;
 use std::path::PathBuf;
@@ -88,6 +89,9 @@ pub struct ServeState {
     pub config: ServeConfig,
     /// Set when a graceful shutdown has been requested.
     shutting_down: AtomicBool,
+    /// Signalled with `shutting_down`: every poll shard watches it, so a
+    /// shutdown from any thread wakes shards blocked on idle sockets.
+    shutdown_signal: EventFd,
     /// Completed reloads since boot.
     reloads: AtomicU64,
 }
@@ -117,6 +121,7 @@ impl ServeState {
             ckpt_path,
             config,
             shutting_down: AtomicBool::new(false),
+            shutdown_signal: EventFd::new().expect("an eventfd for the shutdown signal"),
             reloads: AtomicU64::new(0),
         })
     }
@@ -186,9 +191,17 @@ impl ServeState {
         self.reloads.load(Ordering::Relaxed)
     }
 
-    /// Flags the server as draining; new requests are refused with 503.
+    /// Flags the server as draining and wakes its poll shards; new
+    /// requests are refused with 503. Callable from any thread.
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
+        self.shutdown_signal.signal();
+    }
+
+    /// The fd [`begin_shutdown`](ServeState::begin_shutdown) makes
+    /// readable, for the poll shards' epoll sets.
+    pub(crate) fn shutdown_fd(&self) -> std::os::fd::RawFd {
+        self.shutdown_signal.fd()
     }
 
     /// True once shutdown has been requested.

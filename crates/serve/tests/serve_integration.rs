@@ -797,6 +797,37 @@ fn shutdown_racing_http_traffic_loses_no_accepted_request() {
 }
 
 #[test]
+fn a_scored_reply_wakes_its_blocked_shard() {
+    // The shard that submitted an extraction blocks until the dispatcher
+    // wakes it. Without that wake it would only notice the reply when the
+    // request's 10 s deadline timer fires, still answering 200.
+    let (addr, _state, handle) = start_server(ServeConfig::default(), None);
+    std::thread::sleep(Duration::from_millis(100));
+    let t0 = std::time::Instant::now();
+    let resp =
+        client::post(addr, "/v1/extract", "{\"text\": \"Ann met Bo in Oslo .\"}").expect("extract");
+    assert_eq!(resp.status, 200);
+    assert!(t0.elapsed() < Duration::from_secs(2), "the reply took {:?}", t0.elapsed());
+    stop_server(addr, handle);
+}
+
+#[test]
+fn shutdown_from_another_thread_wakes_an_idle_server() {
+    // No connection and no request: every poll shard is blocked in its
+    // wait with no timeout. `begin_shutdown` from outside the router must
+    // still wake them, or `run` never returns.
+    let (_addr, state, handle) = start_server(ServeConfig::default(), None);
+    std::thread::sleep(Duration::from_millis(100));
+    let t0 = std::time::Instant::now();
+    std::thread::spawn(move || state.begin_shutdown()).join().expect("shutdown thread");
+    while !handle.is_finished() {
+        assert!(t0.elapsed() < Duration::from_secs(1), "the server did not stop within 1 s");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("server thread");
+}
+
+#[test]
 fn replicas_serve_identically_and_reload_swaps_them_all() {
     // Four replicas, four dispatchers: every response must match replica
     // 0's offline extraction, and a reload must swap *all* replicas — a
