@@ -13,23 +13,21 @@
 #      because the packed training forward and the trainer's dev
 #      evaluation (whose F1 drives early stopping and best-model restore)
 #      run the same SIMD-dispatched fused kernels and LSTM/GRU sweeps as
-#      serving, and the middle level must keep those bits too)
+#      serving, and the middle level must keep those bits too.
+#      train_parity pins the batched trainer's loss curve (f64 bits per
+#      epoch), final weights and F1 to the one-tape-per-sentence oracle
+#      trainer::train_tape, over every zoo preset and wide BiLSTM-CRF
+#      buckets; plan_parity pins the packed forward's predictions to the
+#      tape, one sentence at a time and in buckets, warm and refreshed)
 #   4. kernel smoke     (exp_kernels --smoke exits non-zero on any
 #      blocked/SIMD/parallel-vs-naive kernel divergence, run at both the
-#      default SIMD level and NER_SIMD=off)
-#   5. inference smoke  (exp_inference --smoke at 1 and 4 threads exits
-#      non-zero if the tape-free batched backend's tags — scored one
-#      sentence at a time (a batch of one) or as packed [B,T] buckets —
-#      diverge from the tape path)
-#   6. training smoke   (exp_train --smoke at 1 and 4 threads exits
-#      non-zero if the batched packed-autograd trainer's loss curve
-#      diverges in any f64 bit from the one-tape-per-sentence oracle
-#      trainer::train_tape under the shared bucketed schedule; zoo-wide final-weight/F1 bit-identity
-#      is covered by ner-core's train_parity suite in step 3)
-#   7. prometheus lint  (the /metrics exposition must have typed, unique
+#      default SIMD level and NER_SIMD=off; it writes only results/, so
+#      the committed BENCH_kernels.json is left alone)
+#   5. prometheus lint  (the /metrics exposition must have typed, unique
 #      families with cumulative histogram buckets)
-#   8. serving smoke    (serve integration tests — including the request
-#      tracing, flight-recorder, batch-formation, slow-client,
+#   6. serving smoke    (serve integration tests — including batched
+#      replies byte-identical to offline annotate at max_batch 1 to 32,
+#      the request tracing, flight-recorder, batch-formation, slow-client,
 #      shutdown-race and 1 MiB string body suites — + exp_serving --smoke
 #      at 1 and 4 threads: its overload-and-recovery soak drives the server
 #      into SLO shedding, hot-reloads it under load, fires a just-under-1 MiB
@@ -39,7 +37,7 @@
 #      request deadline, or the server fails to recover after overload).
 #      Poll shards block until woken, so a lost wake-up would hang rather
 #      than fail: each of these commands runs under `timeout 600`)
-#   9. benchmark build  (perfbench's own package: it builds against the
+#   7. benchmark build  (perfbench's own package: it builds against the
 #      workspace crates by path, and its plumbing tests run, so an API
 #      change in ner-core/ner-tensor that breaks the benchmark fails here)
 #
@@ -79,18 +77,6 @@ cargo run --release -p ner-bench --bin exp_kernels -- --smoke
 
 echo "== kernel smoke again with SIMD forced off (NER_SIMD=off) =="
 NER_SIMD=off cargo run --release -p ner-bench --bin exp_kernels -- --smoke
-
-echo "== inference smoke: batched backend must reproduce the tape (NER_THREADS=1) =="
-NER_THREADS=1 cargo run --release -p ner-bench --bin exp_inference -- --smoke
-
-echo "== inference smoke: batched backend must reproduce the tape (NER_THREADS=4) =="
-NER_THREADS=4 cargo run --release -p ner-bench --bin exp_inference -- --smoke
-
-echo "== training smoke: batched trainer must reproduce the oracle trainer::train_tape (NER_THREADS=1) =="
-NER_THREADS=1 cargo run --release -p ner-bench --bin exp_train -- --smoke
-
-echo "== training smoke: batched trainer must reproduce the oracle trainer::train_tape (NER_THREADS=4) =="
-NER_THREADS=4 cargo run --release -p ner-bench --bin exp_train -- --smoke
 
 echo "== prometheus lint: /metrics families must be typed, unique, cumulative =="
 cargo test --release -p ner-serve --lib -q prometheus

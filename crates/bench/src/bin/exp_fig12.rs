@@ -7,18 +7,31 @@
 //! supplies the label-transition structure); with contextualized embeddings
 //! the CRF-over-softmax margin shrinks; greedy decoders (RNN/pointer) pay
 //! for serialization.
+//!
+//! It then times decoding alone for §3.5's cost claim (E-S35): "CRF could
+//! be computationally expensive when the number of entity types is large".
+//! Viterbi over a 20-token sentence grows with the square of the tag count
+//! (9 ≈ CoNLL's 4 types under BIO, 37 ≈ OntoNotes' 18, 129 ≈ BBN's 64),
+//! while softmax decoding — a row-wise argmax — stays linear.
 
 use ner_bench::{
-    harness_train_config, init_harness, pct, print_table, standard_data, write_report, Scale,
+    best_us, harness_train_config, init_harness, pct, print_table, standard_data, write_report,
+    Scale,
 };
 use ner_core::config::{CharRepr, DecoderKind, NerConfig, WordRepr};
+use ner_core::decoder::Crf;
 use ner_core::prelude::*;
 use ner_corpus::{GeneratorConfig, NewsGenerator};
 use ner_embed::charlm::{CharLm, CharLmConfig};
 use ner_embed::ContextualEmbedder;
+use ner_tensor::{init, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::hint::black_box;
+
+/// Sentence length of the decoder-speed rows.
+const DECODE_LEN: usize = 20;
 
 #[derive(Serialize)]
 struct Row {
@@ -26,6 +39,42 @@ struct Row {
     regime: String,
     f1_unseen: f64,
     invalid_sequences: usize,
+}
+
+/// One decoder-speed row: decoding a `DECODE_LEN`-token sentence.
+#[derive(Serialize)]
+struct DecodeTiming {
+    decoder: String,
+    tags: usize,
+    best_us: f64,
+}
+
+#[derive(Serialize)]
+struct Report {
+    rows: Vec<Row>,
+    /// E-S35: CRF Viterbi by tag count, and the softmax argmax floor.
+    decode_us: Vec<DecodeTiming>,
+}
+
+/// Times CRF Viterbi (on decode tables compiled once, as the forward plan
+/// does) by tag count, and softmax's row-wise argmax at CoNLL's 9 tags.
+fn decoder_speed(reps: usize) -> Vec<DecodeTiming> {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut out = Vec::new();
+    for tags in [9usize, 37, 129] {
+        let mut store = ParamStore::new();
+        let crf = Crf::new(&mut store, &mut rng, "crf", tags);
+        let tables = crf.decode_tables(&store, None);
+        let emissions = init::uniform(&mut rng, DECODE_LEN, tags, 1.0);
+        let us = best_us(reps, 100, || drop(black_box(tables.viterbi(&emissions))));
+        out.push(DecodeTiming { decoder: "CRF Viterbi".into(), tags, best_us: us });
+    }
+    let emissions = init::uniform(&mut rng, DECODE_LEN, 9, 1.0);
+    let us = best_us(reps, 100, || {
+        black_box((0..DECODE_LEN).map(|r| emissions.argmax_row(r)).collect::<Vec<_>>());
+    });
+    out.push(DecodeTiming { decoder: "Softmax argmax".into(), tags: 9, best_us: us });
+    out
 }
 
 fn main() {
@@ -99,6 +148,18 @@ fn main() {
     println!("\nExpected shape (paper §3.5): CRF > Softmax with static embeddings; the margin");
     println!("narrows once contextual LM features are added; segment decoders emit no");
     println!("ill-formed sequences by construction.");
-    let path = write_report("fig12", &rows);
+
+    let decode_us = decoder_speed(if scale == Scale::Quick { 20 } else { 200 });
+    print_table(
+        "§3.5 — decoding one 20-token sentence by tag count (best of N, µs)",
+        &["Decoder", "Tags", "µs"],
+        &decode_us
+            .iter()
+            .map(|t| vec![t.decoder.clone(), t.tags.to_string(), format!("{:.2}", t.best_us)])
+            .collect::<Vec<_>>(),
+    );
+    println!("\nExpected shape (paper §3.5): Viterbi grows ~quadratically with the tag count;");
+    println!("softmax decoding stays linear.");
+    let path = write_report("fig12", &Report { rows, decode_us });
     println!("report: {}", path.display());
 }

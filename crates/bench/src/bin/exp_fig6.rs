@@ -7,27 +7,80 @@
 //!    reports 14–20× on GPU batches; on a scalar CPU the expected shape is
 //!    a consistent >1× advantage that *grows with sentence length*.
 //!
-//! (Wall-clock microbenchmarks of the same encoders live in
-//! `benches/encoder_speed.rs`; this harness reports the accuracy side and a
-//! direct timing sweep in one table.)
+//! The harness reports the accuracy side and a model-level timing sweep,
+//! then times the five context encoders alone — BiLSTM, ID-CNN, CNN,
+//! Transformer, BiGRU at d=48 over 10/40/160-token sentences — for §3.5's
+//! complexity claim (E-S35): self-attention's O(n²·d) against recurrence's
+//! O(n·d²), the Transformer cheaper at short lengths with a cost that
+//! grows superlinearly as the attention term takes over.
 
 use ner_bench::{
-    eval_on, harness_train_config, init_harness, pct, print_table, standard_data, train_model,
-    write_report, Scale,
+    best_us, eval_on, harness_train_config, init_harness, pct, print_table, standard_data,
+    train_model, write_report, Scale,
 };
 use ner_core::config::{CharRepr, EncoderKind, NerConfig, WordRepr};
+use ner_core::encoder::Encoder;
 use ner_core::prelude::*;
 use ner_corpus::{GeneratorConfig, NewsGenerator};
+use ner_tensor::{init, BatchedExec, Exec, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Width of the encoder-speed sweep's inputs and hidden states.
+const DIM: usize = 48;
+
+/// Sentence lengths of the encoder-speed sweep.
+const SWEEP_LENS: [usize; 3] = [10, 40, 160];
+
+#[derive(Serialize)]
+struct EncoderTiming {
+    encoder: String,
+    tokens: usize,
+    best_us: f64,
+}
 
 #[derive(Serialize)]
 struct Report {
     f1_bilstm: f64,
     f1_idcnn: f64,
     speedups_by_length: Vec<(usize, f64)>,
+    /// E-S35: one sentence's encoder forward, best of N, by length.
+    encoder_forward_us: Vec<EncoderTiming>,
+}
+
+/// Times each encoder's forward over one `[n, DIM]` sentence on the packed
+/// inference backend (a batch of one, as serving scores a lone request).
+fn encoder_speed(reps: usize) -> Vec<EncoderTiming> {
+    let kinds = [
+        ("BiLSTM", EncoderKind::Lstm { hidden: DIM, bidirectional: true, layers: 1 }),
+        (
+            "ID-CNN",
+            EncoderKind::IdCnn { filters: DIM, width: 3, dilations: vec![1, 2, 4], iterations: 2 },
+        ),
+        ("CNN", EncoderKind::Cnn { filters: DIM, layers: 2, width: 3, global: false }),
+        ("Transformer", EncoderKind::Transformer { d_model: DIM, heads: 4, layers: 2, d_ff: 96 }),
+        ("BiGRU", EncoderKind::Gru { hidden: DIM, bidirectional: true }),
+    ];
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut out = Vec::new();
+    for (name, kind) in kinds {
+        let mut store = ParamStore::new();
+        let enc = Encoder::new(&mut store, &mut rng, "enc", DIM, &kind);
+        for tokens in SWEEP_LENS {
+            let x = init::uniform(&mut rng, tokens, DIM, 1.0);
+            let us = best_us(reps, 1, || {
+                let mut bx = BatchedExec::new(&store, &[tokens]);
+                let xv = bx.constant(x.clone());
+                let h = enc.forward_batch(&mut bx, &store, xv);
+                black_box(bx.value(h));
+            });
+            out.push(EncoderTiming { encoder: name.to_string(), tokens, best_us: us });
+        }
+    }
+    out
 }
 
 fn inference_time(model: &NerModel, enc: &SentenceEncoder, ds: &Dataset, reps: usize) -> f64 {
@@ -128,9 +181,31 @@ fn main() {
     );
     println!("(paper reports 14-20x with GPU batch parallelism; scalar CPU shows the trend).");
 
+    let encoder_forward_us = encoder_speed(if scale == Scale::Quick { 20 } else { 200 });
+    print_table(
+        "§3.5 — encoder forward per sentence by length, d=48 (best of N, µs)",
+        &["Encoder", "n=10", "n=40", "n=160", "n=160 / n=10"],
+        &encoder_forward_us
+            .chunks(SWEEP_LENS.len())
+            .map(|row| {
+                let mut cells = vec![row[0].encoder.clone()];
+                cells.extend(row.iter().map(|t| format!("{:.1}", t.best_us)));
+                cells.push(format!("{:.1}x", row[2].best_us / row[0].best_us));
+                cells
+            })
+            .collect::<Vec<_>>(),
+    );
+    println!("\nExpected shape (paper §3.5): self-attention is O(n^2*d) and recurrence O(n*d^2):");
+    println!("the Transformer is cheaper than the BiLSTM at short n and grows superlinearly.");
+
     let path = write_report(
         "fig6",
-        &Report { f1_bilstm: f1_l, f1_idcnn: f1_c, speedups_by_length: speedups },
+        &Report {
+            f1_bilstm: f1_l,
+            f1_idcnn: f1_c,
+            speedups_by_length: speedups,
+            encoder_forward_us,
+        },
     );
     println!("report: {}", path.display());
 }

@@ -15,11 +15,12 @@
 //! this via `--smoke` at both `NER_SIMD=off` and the default level).
 //!
 //! Results land in `results/exp_kernels.json` (with a run manifest that
-//! records the kernel backend) and, for the repo-level benchmark
-//! snapshot, `BENCH_kernels.json` at the current directory root; both
-//! record the host's CPU features next to every row's SIMD level.
+//! records the kernel backend). A full run also writes the repo-level
+//! snapshot, `BENCH_kernels.json` at the current directory root; `--smoke`
+//! does not, so a CI run leaves the committed snapshot alone. Both record
+//! the host's CPU features next to every row's SIMD level.
 
-use ner_bench::{init_harness, print_table, write_report, Scale};
+use ner_bench::{best_us, init_harness, print_table, write_report, Scale};
 use ner_core::config::NerConfig;
 use ner_core::model::NerModel;
 use ner_core::repr::SentenceEncoder;
@@ -31,7 +32,6 @@ use ner_text::TagScheme;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::time::Instant;
 
 const SEED: u64 = 17;
 
@@ -78,6 +78,8 @@ struct Report {
     requested_threads: usize,
     /// True `available_parallelism` of the host the run executed on.
     host_parallelism: usize,
+    /// Timed repetitions per kernel row; each row reports the best.
+    kernel_reps: usize,
     /// Active kernel backend descriptor, e.g. `"avx2 (cpu: sse2+avx2+fma)"`.
     kernel_backend: String,
     /// SIMD level the unforced (default) rows ran at.
@@ -157,16 +159,6 @@ fn random_vec(rng: &mut StdRng, len: usize) -> Vec<f32> {
 }
 
 /// Best-of-`reps` wall time of `f` in milliseconds.
-fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn max_abs_diff(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| (x - y).abs() as f64).fold(0.0, f64::max)
 }
@@ -189,9 +181,9 @@ fn push_variant(
     // pass; the kernels capture the level once at entry on this thread,
     // so the override reaches the `ner-par` workers too.
     let (ms, diff) = simd::with_level(lvl, || {
-        let ms = best_ms(reps, || {
+        let ms = best_us(reps, 1, || {
             std::hint::black_box(run());
-        });
+        }) / 1e3;
         (ms, max_abs_diff(run().data(), oracle))
     });
     if diff != 0.0 {
@@ -247,9 +239,9 @@ fn bench_kernels(
         // configured level, so `NER_SIMD=off` runs reproduce the
         // pre-SIMD numbers bit-for-bit).
         let oracle = naive_matmul(&a, &b, m, k, n);
-        let naive_best = best_ms(reps, || {
+        let naive_best = best_us(reps, 1, || {
             std::hint::black_box(naive_matmul(&a, &b, m, k, n));
-        });
+        }) / 1e3;
         rows.push(KernelRow {
             op: "matmul".into(),
             m,
@@ -307,12 +299,12 @@ fn bench_kernels(
         let oracle_tn = naive_matmul_tn(&a[..k * m], &b, k, m, n);
         let oracle_nt = naive_matmul_nt(&a, bt.data(), m, k, n);
         ner_par::set_global_threads(1);
-        let naive_tn = best_ms(reps, || {
+        let naive_tn = best_us(reps, 1, || {
             std::hint::black_box(naive_matmul_tn(&a[..k * m], &b, k, m, n));
-        });
-        let naive_nt = best_ms(reps, || {
+        }) / 1e3;
+        let naive_nt = best_us(reps, 1, || {
             std::hint::black_box(naive_matmul_nt(&a, bt.data(), m, k, n));
-        });
+        }) / 1e3;
         for lvl in forced_levels() {
             let variant = if lvl == SimdLevel::Off { "blocked" } else { "simd" };
             push_variant(
@@ -406,9 +398,9 @@ fn bench_scoring(scale: Scale, thread_counts: &[usize]) -> Vec<ScoringRow> {
     let mut rows: Vec<ScoringRow> = Vec::new();
     for &t in thread_counts {
         ner_par::set_global_threads(t);
-        let ms = best_ms(reps, || {
+        let ms = best_us(reps, 1, || {
             std::hint::black_box(predict_all(&model, &encoded));
-        });
+        }) / 1e3;
         let identical = predict_all(&model, &encoded) == serial_preds;
         let base = rows.first().map_or(ms, |r| r.best_ms);
         rows.push(ScoringRow {
@@ -511,6 +503,7 @@ fn main() {
         smoke,
         requested_threads: ner_par::default_threads(),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        kernel_reps: reps,
         kernel_backend: simd::descriptor(),
         simd_default: simd::configured().name().into(),
         cpu_sse2: cpu.sse2,
@@ -521,9 +514,12 @@ fn main() {
         divergence_failures: failures,
     };
     let path = write_report("exp_kernels", &report);
-    let bench_json = serde_json::to_string_pretty(&report).expect("serialize BENCH report");
-    std::fs::write("BENCH_kernels.json", bench_json).expect("write BENCH_kernels.json");
-    println!("\nreport: {} (+ BENCH_kernels.json)", path.display());
+    println!("\nreport: {}", path.display());
+    if !smoke {
+        let bench_json = serde_json::to_string_pretty(&report).expect("serialize BENCH report");
+        std::fs::write("BENCH_kernels.json", bench_json).expect("write BENCH_kernels.json");
+        println!("snapshot: BENCH_kernels.json");
+    }
 
     if failures > 0 {
         eprintln!(

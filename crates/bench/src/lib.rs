@@ -1,9 +1,9 @@
 //! # ner-bench — experiment harnesses for `neural-ner`
 //!
 //! One binary per table/figure of the survey (see DESIGN.md §3 for the
-//! index and EXPERIMENTS.md for paper-vs-measured results), plus Criterion
-//! micro-benchmarks. This library holds the shared experimental setup so
-//! every harness runs on identical data splits.
+//! index and EXPERIMENTS.md for paper-vs-measured results). This library
+//! holds the shared experimental setup so every harness runs on identical
+//! data splits, plus the table, report and timing helpers.
 
 #![warn(missing_docs)]
 
@@ -15,6 +15,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Run identity registered by [`init_harness`], consumed by [`write_report`]
 /// to stamp the run manifest.
@@ -159,6 +160,21 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     print!("{}", render_table(headers, rows));
+}
+
+/// Best-of-`reps` wall time of `f`, in microseconds per call. Each rep
+/// times `inner` back-to-back calls, so calls shorter than the clock's
+/// resolution still time; the minimum filters scheduler noise.
+pub fn best_us(reps: usize, inner: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        for _ in 0..inner {
+            f();
+        }
+        best = best.min(t.elapsed().as_secs_f64() * 1e6 / inner as f64);
+    }
+    best
 }
 
 /// Formats a fraction as a percent with one decimal.

@@ -49,7 +49,34 @@ enum EncoderImpl {
 }
 
 impl Encoder {
+    /// Checks that `kind` describes a buildable encoder. [`Encoder::new`]
+    /// panics on exactly the configurations this rejects, and checkpoint
+    /// restore reports them as an error.
+    pub fn check(kind: &EncoderKind) -> Result<(), String> {
+        let bad = match kind {
+            EncoderKind::Cnn { layers, width, .. } => *layers == 0 || width % 2 == 0,
+            EncoderKind::IdCnn { width, dilations, iterations, .. } => {
+                width % 2 == 0 || dilations.is_empty() || *iterations == 0
+            }
+            EncoderKind::Lstm { layers, .. } => *layers == 0,
+            EncoderKind::Transformer { d_model, heads, .. } => *heads == 0 || d_model % heads != 0,
+            EncoderKind::Identity | EncoderKind::WindowMlp { .. } | EncoderKind::Gru { .. } => {
+                false
+            }
+        };
+        if bad {
+            return Err(format!(
+                "unbuildable encoder {kind:?}: convolution widths must be odd, layer, \
+                 iteration and head counts at least 1, dilations non-empty, and heads \
+                 must divide d_model"
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds an encoder of the given kind over `in_dim`-wide inputs.
+    ///
+    /// Panics if [`Encoder::check`] rejects `kind`.
     pub fn new(
         store: &mut ParamStore,
         rng: &mut impl Rng,
@@ -57,6 +84,9 @@ impl Encoder {
         in_dim: usize,
         kind: &EncoderKind,
     ) -> Self {
+        if let Err(e) = Encoder::check(kind) {
+            panic!("{e}");
+        }
         match kind {
             EncoderKind::Identity => Encoder { imp: EncoderImpl::Identity, out_dim: in_dim },
             EncoderKind::WindowMlp { window, hidden } => {
@@ -65,7 +95,6 @@ impl Encoder {
                 Encoder { imp: EncoderImpl::WindowMlp { lin, window: *window }, out_dim: *hidden }
             }
             EncoderKind::Cnn { filters, layers, width, global } => {
-                assert!(*layers >= 1 && width % 2 == 1);
                 let mut convs = Vec::with_capacity(*layers);
                 let mut d = in_dim;
                 for l in 0..*layers {
@@ -81,7 +110,6 @@ impl Encoder {
                 }
             }
             EncoderKind::IdCnn { filters, width, dilations, iterations } => {
-                assert!(width % 2 == 1 && !dilations.is_empty() && *iterations >= 1);
                 let initial = (
                     store.register(
                         &format!("{name}.init.w"),
@@ -117,7 +145,6 @@ impl Encoder {
                 }
             }
             EncoderKind::Lstm { hidden, bidirectional, layers } => {
-                assert!(*layers >= 1);
                 let mut cells = Vec::with_capacity(*layers);
                 let mut d = in_dim;
                 for l in 0..*layers {

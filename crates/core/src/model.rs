@@ -293,8 +293,8 @@ impl NerModel {
 
     /// The per-sentence autograd-tape predictor: one [`Tape`] per sentence,
     /// no plan, no caches. This is the **reference** the packed path is
-    /// verified against (`tests/plan_parity.rs`, `tests/prop_batched.rs`,
-    /// `exp_inference --smoke`); no production prediction runs it.
+    /// verified against (`tests/plan_parity.rs`, `tests/prop_batched.rs`);
+    /// no production prediction runs it.
     pub fn predict_spans_tape(&self, enc: &EncodedSentence) -> Vec<EntitySpan> {
         let mut tape = Tape::new();
         let v = self.eval_states(&mut tape, enc);

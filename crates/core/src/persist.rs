@@ -4,6 +4,7 @@
 //! parameters — as a single JSON document.
 
 use crate::config::{NerConfig, WordRepr};
+use crate::encoder::Encoder;
 use crate::inference::NerPipeline;
 use crate::model::NerModel;
 use crate::repr::SentenceEncoder;
@@ -35,6 +36,9 @@ pub enum RestoreError {
         /// How many the freshly built model expected.
         expected: usize,
     },
+    /// The checkpoint's config describes an architecture that cannot be
+    /// built.
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for RestoreError {
@@ -44,6 +48,7 @@ impl std::fmt::Display for RestoreError {
             RestoreError::ParameterMismatch { matched, expected } => {
                 write!(f, "checkpoint parameters do not match architecture: {matched}/{expected} restored")
             }
+            RestoreError::InvalidConfig(e) => write!(f, "checkpoint config is invalid: {e}"),
         }
     }
 }
@@ -78,8 +83,10 @@ impl Checkpoint {
     /// The model skeleton is constructed from the stored config (with a
     /// placeholder word table when the config declares pretrained
     /// embeddings — the checkpointed values overwrite it), then every
-    /// parameter is restored by name.
+    /// parameter is restored by name. An encoder config that cannot be
+    /// built is a [`RestoreError::InvalidConfig`], not a panic.
     pub fn restore(self) -> Result<NerPipeline, RestoreError> {
+        Encoder::check(&self.config.encoder).map_err(RestoreError::InvalidConfig)?;
         let mut cfg = self.config.clone();
         // A pretrained-word config normally demands the embedding file at
         // construction; the checkpoint already carries the trained table,
@@ -374,6 +381,17 @@ mod tests {
             panic!("mismatched architecture must not restore");
         };
         assert!(matches!(err, RestoreError::ParameterMismatch { .. }), "got {err}");
+    }
+
+    #[test]
+    fn unbuildable_encoder_config_is_an_error() {
+        let (pipeline, _) = trained_pipeline(DecoderKind::Crf);
+        let mut ckpt = Checkpoint::capture(&pipeline);
+        ckpt.config.encoder = EncoderKind::Lstm { hidden: 16, bidirectional: true, layers: 0 };
+        let Err(err) = ckpt.restore() else {
+            panic!("a zero-layer encoder must not restore");
+        };
+        assert!(matches!(err, RestoreError::InvalidConfig(_)), "got {err}");
     }
 
     /// A per-process temp path: concurrent `cargo test` invocations must

@@ -28,8 +28,8 @@
 //! and intermediates drawn from (and returned to) the thread-local
 //! `ner_tensor::pool` buffer arena. The contract throughout is **bit-identity with the tape
 //! backend** — `tests/plan_parity.rs` checks it across every zoo
-//! architecture, and the `exp_inference` harness exits non-zero if any
-//! benchmark sentence decodes differently.
+//! architecture, one sentence at a time and in buckets, with the token
+//! cache warm and after a plan refresh.
 
 use crate::decoder::crf::CrfDecodeTables;
 use ner_tensor::{PeCache, Tensor};

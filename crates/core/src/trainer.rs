@@ -22,8 +22,8 @@
 //!
 //! [`train_tape`] is the **reference** it is verified against: the same
 //! loop and schedule with one [`Tape`] per sentence, the historical
-//! formulation (`tests/train_parity.rs`, `exp_train`). No production
-//! training runs it.
+//! formulation (`tests/train_parity.rs`). No production training runs
+//! it.
 //!
 //! # Threading and schedule
 //!
@@ -436,8 +436,8 @@ pub fn train(
 /// every sentence recorded and back-propagated on its own [`Tape`]. This
 /// is the **reference** the packed trainer is verified against — loss
 /// curves, final weights and F1 bit-identical at any thread count and
-/// batch size (`tests/train_parity.rs`, `exp_train --smoke`); no
-/// production training runs it. The one behavioural difference: a
+/// batch size (`tests/train_parity.rs`); no production training runs
+/// it. The one behavioural difference: a
 /// non-finite loss skips only its own sentence, where [`train`] rolls
 /// back the whole bucket.
 pub fn train_tape(

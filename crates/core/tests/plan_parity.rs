@@ -115,21 +115,62 @@ fn plan_without_cache_also_matches() {
     }
 }
 
+/// Raw-text pipeline parity: `extract` (the packed forward, a batch of
+/// one) reproduces `extract_tape`; and over a hundred generated sentences
+/// `annotate` reproduces `annotate_tape`, and `annotate_batch`
+/// (length-sorted buckets fanned over the pool) reproduces `annotate` with
+/// the token cache warm and again after `refresh_plan` empties it. The
+/// default configuration carries the char CNN; the char-free BiLSTM-CRF
+/// stacks sweep the hidden size, where the packed GEMMs grow widest.
 #[test]
 fn pipeline_tape_and_planned_paths_agree_on_raw_text() {
     let ds =
-        NewsGenerator::new(GeneratorConfig::default()).dataset(&mut StdRng::seed_from_u64(17), 40);
-    let cfg = NerConfig::default();
-    let encoder = SentenceEncoder::from_dataset(&ds, cfg.scheme, 1);
-    let model = NerModel::new(cfg, &encoder, None, &mut StdRng::seed_from_u64(5));
-    let pipeline = NerPipeline::new(encoder, model);
-    for text in [
-        "Michael Jordan was born in Brooklyn.",
-        "The European Commission met in Brussels on Tuesday.",
-        "Prices rose 4.2 percent, Reuters reported.",
-    ] {
-        let planned = pipeline.extract(text);
-        let tape = pipeline.extract_tape(text);
-        assert_eq!(planned.entities, tape.entities, "divergence on {text:?}");
+        NewsGenerator::new(GeneratorConfig::default()).dataset(&mut StdRng::seed_from_u64(29), 100);
+    let bilstm = |hidden| NerConfig {
+        word: WordRepr::Random { dim: 64 },
+        char_repr: CharRepr::None,
+        encoder: EncoderKind::Lstm { hidden, bidirectional: true, layers: 1 },
+        ..NerConfig::default()
+    };
+    let configs = [
+        ("default", NerConfig::default()),
+        ("bilstm-48", bilstm(48)),
+        ("bilstm-128", bilstm(128)),
+        ("bilstm-256", bilstm(256)),
+    ];
+    for (name, cfg) in configs {
+        let encoder = SentenceEncoder::from_dataset(&ds, cfg.scheme, 1);
+        let model = NerModel::new(cfg, &encoder, None, &mut StdRng::seed_from_u64(5));
+        let mut pipeline = NerPipeline::new(encoder, model);
+        for text in [
+            "Michael Jordan was born in Brooklyn.",
+            "The European Commission met in Brussels on Tuesday.",
+            "Prices rose 4.2 percent, Reuters reported.",
+        ] {
+            let planned = pipeline.extract(text);
+            let tape = pipeline.extract_tape(text);
+            assert_eq!(planned.entities, tape.entities, "{name}: divergence on {text:?}");
+        }
+        let single: Vec<Sentence> = ds.sentences.iter().map(|s| pipeline.annotate(s)).collect();
+        for (i, (got, s)) in single.iter().zip(&ds.sentences).enumerate() {
+            assert_eq!(
+                got.entities,
+                pipeline.annotate_tape(s).entities,
+                "{name}: annotate diverges from the tape on sentence {i}"
+            );
+        }
+        for pass in ["warm", "refreshed"] {
+            if pass == "refreshed" {
+                pipeline.refresh_plan();
+            }
+            let batched = pipeline.annotate_batch(&ds.sentences);
+            assert_eq!(batched.len(), single.len());
+            for (i, (got, want)) in batched.iter().zip(&single).enumerate() {
+                assert_eq!(
+                    got.entities, want.entities,
+                    "{name}: annotate_batch ({pass} cache) diverges on sentence {i}"
+                );
+            }
+        }
     }
 }

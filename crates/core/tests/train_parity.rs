@@ -126,17 +126,39 @@ fn parity_data(n_train: usize) -> (Vec<EncodedSentence>, Vec<EncodedSentence>, S
     (train_enc, test_enc, encoder)
 }
 
+/// Every zoo preset in buckets of 3, plus wide recurrent buckets: a
+/// BiLSTM-CRF with no char channel over 64-wide random word vectors at
+/// hidden 48/128/256 in buckets of 16 sentences — the shapes where the
+/// packed GEMMs and the packed BPTT do the most work per bucket.
 #[test]
 fn batched_trainer_is_bit_identical_to_per_sentence_oracle_for_every_zoo_preset() {
-    let (train_enc, test_enc, encoder) = parity_data(18);
-    for (name, mut cfg) in materialized_zoo() {
-        // The parity data is encoded under BIO; train each preset under
-        // the scheme the data was encoded with.
-        cfg.scheme = TagScheme::Bio;
+    let zoo_data = parity_data(18);
+    let wide_data = parity_data(40);
+    let mut cases: Vec<_> = materialized_zoo()
+        .into_iter()
+        .map(|(name, mut cfg)| {
+            // The parity data is encoded under BIO; train each preset
+            // under the scheme the data was encoded with.
+            cfg.scheme = TagScheme::Bio;
+            (name, cfg, 3, &zoo_data)
+        })
+        .collect();
+    for hidden in [48usize, 128, 256] {
+        let cfg = NerConfig {
+            scheme: TagScheme::Bio,
+            word: WordRepr::Random { dim: 64 },
+            char_repr: CharRepr::None,
+            encoder: EncoderKind::Lstm { hidden, bidirectional: true, layers: 1 },
+            decoder: DecoderKind::Crf,
+            ..NerConfig::default()
+        };
+        cases.push((format!("bilstm-crf hidden {hidden}"), cfg, 16, &wide_data));
+    }
+    for (name, cfg, batch, (train_enc, test_enc, encoder)) in cases {
         for threads in [1usize, 4] {
             let (got, want) = with_threads(threads, || {
-                let got = train_run(&cfg, train, 3, &train_enc, &test_enc, &encoder, 2);
-                let want = train_run(&cfg, train_tape, 3, &train_enc, &test_enc, &encoder, 2);
+                let got = train_run(&cfg, train, batch, train_enc, test_enc, encoder, 2);
+                let want = train_run(&cfg, train_tape, batch, train_enc, test_enc, encoder, 2);
                 (got, want)
             });
             assert_runs_bit_identical(&got, &want, &format!("{name} @ {threads} threads"));

@@ -49,7 +49,15 @@ fn start_server(
     cfg: ServeConfig,
     ckpt_path: Option<std::path::PathBuf>,
 ) -> (SocketAddr, Arc<ServeState>, std::thread::JoinHandle<()>) {
-    let state = ServeState::new(tiny_pipeline(), ckpt_path, cfg);
+    start_serving(tiny_pipeline(), cfg, ckpt_path)
+}
+
+fn start_serving(
+    pipeline: NerPipeline,
+    cfg: ServeConfig,
+    ckpt_path: Option<std::path::PathBuf>,
+) -> (SocketAddr, Arc<ServeState>, std::thread::JoinHandle<()>) {
+    let state = ServeState::new(pipeline, ckpt_path, cfg);
     let server = Server::bind("127.0.0.1:0", Arc::clone(&state)).expect("bind ephemeral port");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
@@ -91,66 +99,83 @@ fn json_escape(text: &str) -> String {
     text.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
+/// The default configuration (char CNN + BiLSTM + CRF), untrained.
+fn default_pipeline() -> NerPipeline {
+    let mut rng = StdRng::seed_from_u64(31);
+    let ds = NewsGenerator::new(GeneratorConfig::default()).dataset(&mut rng, 60);
+    let cfg = NerConfig::default();
+    let encoder = SentenceEncoder::from_dataset(&ds, cfg.scheme, 1);
+    let model = NerModel::new(cfg, &encoder, None, &mut rng);
+    NerPipeline::new(encoder, model)
+}
+
+/// Concurrent clients' replies are byte-identical to offline `extract`
+/// from one-row batches up to the default `max_batch` of 32, for the tiny
+/// test model and for the default configuration.
 #[test]
 fn concurrent_batched_responses_match_offline_annotate() {
-    let cfg = ServeConfig { max_batch: 16, ..ServeConfig::default() };
-    let (addr, state, handle) = start_server(cfg, None);
-    let offline = state.pipeline();
-
     let texts: Vec<String> = (0..24)
         .map(|i| format!("Alice Smith flew to Paris with delegation number {i} yesterday ."))
         .collect();
-    let results: Vec<(String, Value)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = texts
-            .chunks(6)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut conn = client::Conn::connect(addr).expect("connect");
-                    chunk
-                        .iter()
-                        .map(|text| {
-                            let body = format!("{{\"text\": \"{}\"}}", json_escape(text));
-                            let resp = conn.post("/v1/extract", &body).expect("extract");
-                            assert_eq!(resp.status, 200, "body: {}", resp.body);
-                            let parsed: Value =
-                                serde_json::from_str(&resp.body).expect("response json");
-                            (text.clone(), parsed)
+    for max_batch in [1, 8, 16, 32] {
+        for pipeline in [tiny_pipeline(), default_pipeline()] {
+            let cfg = ServeConfig { max_batch, ..ServeConfig::default() };
+            let (addr, state, handle) = start_serving(pipeline, cfg, None);
+            let offline = state.pipeline();
+
+            let results: Vec<(String, Value)> = std::thread::scope(|scope| {
+                let workers: Vec<_> = texts
+                    .chunks(6)
+                    .map(|chunk| {
+                        scope.spawn(move || {
+                            let mut conn = client::Conn::connect(addr).expect("connect");
+                            chunk
+                                .iter()
+                                .map(|text| {
+                                    let body = format!("{{\"text\": \"{}\"}}", json_escape(text));
+                                    let resp = conn.post("/v1/extract", &body).expect("extract");
+                                    assert_eq!(resp.status, 200, "body: {}", resp.body);
+                                    let parsed: Value =
+                                        serde_json::from_str(&resp.body).expect("response json");
+                                    (text.clone(), parsed)
+                                })
+                                .collect::<Vec<_>>()
                         })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        workers.into_iter().flat_map(|w| w.join().expect("client thread")).collect()
-    });
-    for (text, served) in &results {
-        assert_eq!(
-            *served,
-            offline_payload(&offline, text),
-            "served response diverged from offline extract for {text:?}"
-        );
-    }
+                    })
+                    .collect();
+                workers.into_iter().flat_map(|w| w.join().expect("client thread")).collect()
+            });
+            for (text, served) in &results {
+                assert_eq!(
+                    *served,
+                    offline_payload(&offline, text),
+                    "max_batch {max_batch}: served response diverged from offline extract for {text:?}"
+                );
+            }
 
-    // The batch endpoint returns the same payloads, in request order.
-    let mut conn = client::Conn::connect(addr).expect("connect");
-    let batch_body = format!(
-        "{{\"texts\": [{}]}}",
-        texts
-            .iter()
-            .take(5)
-            .map(|t| format!("\"{}\"", json_escape(t)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let resp = conn.post("/v1/extract_batch", &batch_body).expect("extract_batch");
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
-    let parsed: Value = serde_json::from_str(&resp.body).expect("batch json");
-    let results = parsed.get("results").and_then(|r| r.as_array()).expect("results array");
-    assert_eq!(results.len(), 5);
-    for (text, served) in texts.iter().take(5).zip(results) {
-        assert_eq!(*served, offline_payload(&offline, text));
-    }
+            // The batch endpoint returns the same payloads, in request order.
+            let mut conn = client::Conn::connect(addr).expect("connect");
+            let batch_body = format!(
+                "{{\"texts\": [{}]}}",
+                texts
+                    .iter()
+                    .take(5)
+                    .map(|t| format!("\"{}\"", json_escape(t)))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            );
+            let resp = conn.post("/v1/extract_batch", &batch_body).expect("extract_batch");
+            assert_eq!(resp.status, 200, "body: {}", resp.body);
+            let parsed: Value = serde_json::from_str(&resp.body).expect("batch json");
+            let results = parsed.get("results").and_then(|r| r.as_array()).expect("results array");
+            assert_eq!(results.len(), 5);
+            for (text, served) in texts.iter().take(5).zip(results) {
+                assert_eq!(*served, offline_payload(&offline, text));
+            }
 
-    stop_server(addr, handle);
+            stop_server(addr, handle);
+        }
+    }
 }
 
 /// `(batches scored, requests scored)` so far — the `serve.batch_size`

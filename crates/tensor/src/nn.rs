@@ -311,7 +311,7 @@ impl MultiHeadAttention {
         d_model: usize,
         heads: usize,
     ) -> Self {
-        assert_eq!(d_model % heads, 0, "d_model must be divisible by heads");
+        assert!(heads > 0 && d_model.is_multiple_of(heads), "d_model must be divisible by heads");
         MultiHeadAttention {
             wq: Linear::new(store, rng, &format!("{name}.wq"), d_model, d_model),
             wk: Linear::new(store, rng, &format!("{name}.wk"), d_model, d_model),
