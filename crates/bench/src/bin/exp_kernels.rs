@@ -13,6 +13,9 @@
 //! with the naive oracle **bit for bit** — any nonzero
 //! `max_abs_diff_vs_naive` makes the harness exit non-zero (CI runs
 //! this via `--smoke` at both `NER_SIMD=off` and the default level).
+//! The segmented, reversed-row `matmul_tn_runs` behind the packed BPTT
+//! weight gradients is checked the same way but not timed, so it adds no
+//! row to the table.
 //!
 //! Results land in `results/exp_kernels.json` (with a run manifest that
 //! records the kernel backend). A full run also writes the repo-level
@@ -26,6 +29,7 @@ use ner_core::model::NerModel;
 use ner_core::repr::SentenceEncoder;
 use ner_core::trainer::predict_all;
 use ner_corpus::{GeneratorConfig, NewsGenerator};
+use ner_tensor::kernels::{self, Fold};
 use ner_tensor::simd::{self, SimdLevel};
 use ner_tensor::Tensor;
 use ner_text::TagScheme;
@@ -152,6 +156,61 @@ fn naive_matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f3
         }
     }
     out
+}
+
+/// Divergence check (untimed, so it adds no row to the kernel table) for
+/// the segmented `matmul_tn_runs` with `Fold::Reverse` — the packed BPTT's
+/// weight-gradient kernel. Each run must equal the naive TN oracle over
+/// the run's rows in reverse order, at every forced SIMD level and at
+/// 1/2/4 threads. Shapes are the BiLSTM gate gradients (`m` = input or
+/// hidden width, `n` = 4·hidden) over sentence-length runs; every fifth
+/// input is an exact zero, so the zero-skip runs. Returns the number of
+/// diverging runs.
+fn check_segmented_tn() -> usize {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let runs = [(0usize, 25usize), (25, 1), (26, 12), (38, 40)];
+    let rows = 78;
+    let mut failures = 0;
+    for (m, n) in [(62usize, 192usize), (48, 192), (33, 29)] {
+        let zeroed = |mut v: Vec<f32>| {
+            v.iter_mut().step_by(5).for_each(|x| *x = 0.0);
+            v
+        };
+        let a = zeroed(random_vec(&mut rng, rows * m));
+        let b = zeroed(random_vec(&mut rng, rows * n));
+        let oracle: Vec<Vec<f32>> = runs
+            .iter()
+            .map(|&(off, len)| {
+                let rev = |x: &[f32], w: usize| -> Vec<f32> {
+                    (off..off + len).rev().flat_map(|r| x[r * w..(r + 1) * w].to_vec()).collect()
+                };
+                naive_matmul_tn(&rev(&a, m), &rev(&b, n), len, m, n)
+            })
+            .collect();
+        for threads in [1usize, 2, 4] {
+            ner_par::set_global_threads(threads);
+            for lvl in forced_levels() {
+                let mut outs = vec![vec![0.0f32; m * n]; runs.len()];
+                let mut views: Vec<&mut [f32]> =
+                    outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+                simd::with_level(lvl, || {
+                    kernels::matmul_tn_runs(&a, &b, &mut views, &runs, m, n, Fold::Reverse)
+                });
+                for (s, (got, want)) in outs.iter().zip(&oracle).enumerate() {
+                    let d = max_abs_diff(got, want);
+                    if d != 0.0 {
+                        failures += 1;
+                        eprintln!(
+                            "DIVERGENCE: matmul_tn_runs reverse run {s} {m}x{n} {}@{threads}: max|Δ| = {d:e}",
+                            lvl.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    ner_par::set_global_threads(1);
+    failures
 }
 
 fn random_vec(rng: &mut StdRng, len: usize) -> Vec<f32> {
@@ -447,6 +506,7 @@ fn main() {
 
     let mut failures = 0usize;
     let kernels = bench_kernels(&shapes, &thread_counts, reps, &mut failures);
+    failures += check_segmented_tn();
     let batch_scoring = bench_scoring(scale, &thread_counts);
     for r in &batch_scoring {
         if !r.identical_to_serial {

@@ -39,6 +39,8 @@ pub enum RestoreError {
     /// The checkpoint's config describes an architecture that cannot be
     /// built.
     InvalidConfig(String),
+    /// A vocabulary's item → index map disagrees with its item list.
+    InvalidVocab(String),
 }
 
 impl std::fmt::Display for RestoreError {
@@ -49,6 +51,7 @@ impl std::fmt::Display for RestoreError {
                 write!(f, "checkpoint parameters do not match architecture: {matched}/{expected} restored")
             }
             RestoreError::InvalidConfig(e) => write!(f, "checkpoint config is invalid: {e}"),
+            RestoreError::InvalidVocab(e) => write!(f, "checkpoint vocabulary is corrupt: {e}"),
         }
     }
 }
@@ -84,9 +87,12 @@ impl Checkpoint {
     /// placeholder word table when the config declares pretrained
     /// embeddings — the checkpointed values overwrite it), then every
     /// parameter is restored by name. An encoder config that cannot be
-    /// built is a [`RestoreError::InvalidConfig`], not a panic.
+    /// built is a [`RestoreError::InvalidConfig`], and a vocabulary whose
+    /// index disagrees with its items a [`RestoreError::InvalidVocab`] —
+    /// errors here, not panics at the first request.
     pub fn restore(self) -> Result<NerPipeline, RestoreError> {
         Encoder::check(&self.config.encoder).map_err(RestoreError::InvalidConfig)?;
+        self.encoder.check_vocabs().map_err(RestoreError::InvalidVocab)?;
         let mut cfg = self.config.clone();
         // A pretrained-word config normally demands the embedding file at
         // construction; the checkpoint already carries the trained table,
@@ -392,6 +398,28 @@ mod tests {
             panic!("a zero-layer encoder must not restore");
         };
         assert!(matches!(err, RestoreError::InvalidConfig(_)), "got {err}");
+    }
+
+    #[test]
+    fn corrupt_vocabulary_index_is_an_error() {
+        // A word's index moved past the embedding table used to restore
+        // and then panic in the lookup of the first request using it.
+        let (pipeline, _) = trained_pipeline(DecoderKind::Crf);
+        let ckpt = Checkpoint::capture(&pipeline);
+        let word = ckpt.encoder.word_vocab.item(3).to_string();
+        let json = ckpt.to_json();
+        let (from, to) = (format!("\"{word}\":3"), format!("\"{word}\":93"));
+        let at = json
+            .match_indices(&from)
+            .map(|(i, _)| i)
+            .find(|&i| matches!(json.as_bytes().get(i + from.len()), Some(b',' | b'}')))
+            .expect("the word's index entry is in the checkpoint");
+        let corrupt = format!("{}{to}{}", &json[..at], &json[at + from.len()..]);
+        let Err(err) = Checkpoint::from_json(&corrupt).expect("still valid JSON").restore() else {
+            panic!("a corrupt vocabulary index must not restore");
+        };
+        assert!(matches!(err, RestoreError::InvalidVocab(_)), "got {err}");
+        assert!(err.to_string().contains("indexed as 93"), "got {err}");
     }
 
     /// A per-process temp path: concurrent `cargo test` invocations must

@@ -104,6 +104,12 @@ impl SentenceEncoder {
         self
     }
 
+    /// Checks every vocabulary the encoder carries with [`Vocab::check`].
+    pub fn check_vocabs(&self) -> Result<(), String> {
+        self.word_vocab.check().map_err(|e| format!("word vocabulary: {e}"))?;
+        self.char_vocab.check().map_err(|e| format!("char vocabulary: {e}"))
+    }
+
     /// Enables the hand-crafted feature channel.
     pub fn with_features(mut self, on: bool) -> Self {
         self.use_features = on;

@@ -128,8 +128,9 @@ fn parity_data(n_train: usize) -> (Vec<EncodedSentence>, Vec<EncodedSentence>, S
 
 /// Every zoo preset in buckets of 3, plus wide recurrent buckets: a
 /// BiLSTM-CRF with no char channel over 64-wide random word vectors at
-/// hidden 48/128/256 in buckets of 16 sentences — the shapes where the
-/// packed GEMMs and the packed BPTT do the most work per bucket.
+/// hidden 48/128/256, and a BiGRU-CRF at hidden 128, in buckets of 16
+/// sentences — the shapes where the packed GEMMs and the packed BPTT do
+/// the most work per bucket.
 #[test]
 fn batched_trainer_is_bit_identical_to_per_sentence_oracle_for_every_zoo_preset() {
     let zoo_data = parity_data(18);
@@ -154,6 +155,15 @@ fn batched_trainer_is_bit_identical_to_per_sentence_oracle_for_every_zoo_preset(
         };
         cases.push((format!("bilstm-crf hidden {hidden}"), cfg, 16, &wide_data));
     }
+    let cfg = NerConfig {
+        scheme: TagScheme::Bio,
+        word: WordRepr::Random { dim: 64 },
+        char_repr: CharRepr::None,
+        encoder: EncoderKind::Gru { hidden: 128, bidirectional: true },
+        decoder: DecoderKind::Crf,
+        ..NerConfig::default()
+    };
+    cases.push(("bigru-crf hidden 128".to_string(), cfg, 16, &wide_data));
     for (name, cfg, batch, (train_enc, test_enc, encoder)) in cases {
         for threads in [1usize, 4] {
             let (got, want) = with_threads(threads, || {

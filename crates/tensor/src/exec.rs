@@ -32,6 +32,7 @@
 //! accumulation order.
 
 use crate::fused::{self, Activation};
+use crate::kernels::{self, Fold};
 use crate::{pool, simd, OpClass, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::Rng;
 use std::borrow::Cow;
@@ -499,11 +500,9 @@ struct Packing {
     lens: Vec<usize>,
     /// Packed row offset of each segment, caller order.
     offsets: Vec<usize>,
-    /// Segment indices sorted longest-first (ties by index, so the sweep
-    /// order — and therefore every float — is deterministic).
-    order: Vec<usize>,
-    /// `(offset, len)` of segment `order[p]` at position `p`: the runs the
-    /// sequence operations sweep, longest first.
+    /// Each segment's `(offset, len)`, sorted longest-first (ties by
+    /// index, so the sweep order — and therefore every float — is
+    /// deterministic): the runs the sequence operations sweep.
     runs: Vec<(usize, usize)>,
     /// Total packed rows, `Σ lens`.
     total: usize,
@@ -525,7 +524,7 @@ impl Packing {
         let mut order: Vec<usize> = (0..lens.len()).collect();
         order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
         let runs = order.iter().map(|&s| (offsets[s], lens[s])).collect();
-        Packing { lens: lens.to_vec(), offsets, order, runs, total }
+        Packing { lens: lens.to_vec(), offsets, runs, total }
     }
 
     /// The runs of a packed-rows value; `op` names the caller in the
@@ -956,6 +955,55 @@ fn rows_of(t: &Tensor, off: usize, len: usize) -> Tensor {
     out
 }
 
+/// Each run's `aᵀ·b` over packed rows (`a` rows `m` wide, `b` rows `n`
+/// wide) as its own `[m, n]` tensor, summed in `fold` row order by
+/// [`kernels::matmul_tn_runs`].
+fn tn_per_run(
+    a: &[f32],
+    b: &[f32],
+    runs: &[(usize, usize)],
+    m: usize,
+    n: usize,
+    fold: Fold,
+) -> Vec<Tensor> {
+    let mut outs: Vec<Tensor> = runs.iter().map(|_| Tensor::zeros(m, n)).collect();
+    let mut views: Vec<&mut [f32]> = outs.iter_mut().map(Tensor::data_mut).collect();
+    kernels::matmul_tn_runs(a, b, &mut views, runs, m, n, fold);
+    outs
+}
+
+/// Each segment's recurrent weight gradients `(dW_ih, dW_hh)`, from every
+/// packed row's gradient w.r.t. the input projection (`d_xp`) and the
+/// recurrent projection (`d_hp`; the same tensor for the LSTM). Each sums
+/// its segment's per-step products from the last step down, the order the
+/// per-step oracle adds them in (DESIGN.md §4). `h_{-1}` is zero, so
+/// `dW_hh` pairs output rows `0..len-1` with gradient rows `1..len`.
+fn recurrent_weight_grads(
+    xs: &Tensor,
+    hs: &Tensor,
+    d_xp: &Tensor,
+    d_hp: &Tensor,
+    seg_runs: &[(usize, usize)],
+) -> (Vec<Tensor>, Vec<Tensor>) {
+    let g = d_xp.cols();
+    let dw_ih = tn_per_run(xs.data(), d_xp.data(), seg_runs, xs.cols(), g, Fold::Reverse);
+    let hh_runs: Vec<_> = seg_runs.iter().map(|&(off, len)| (off, len - 1)).collect();
+    let dw_hh = tn_per_run(hs.data(), &d_hp.data()[g..], &hh_runs, hs.cols(), g, Fold::Reverse);
+    (dw_ih, dw_hh)
+}
+
+/// The sum of `t`'s rows `[off, off + len)` as a `[1, cols]` tensor, added
+/// from zero last row first — a per-timestep bias gradient's fold order.
+fn reverse_row_sum(t: &Tensor, (off, len): (usize, usize)) -> Tensor {
+    let mut out = Tensor::zeros(1, t.cols());
+    for r in (off..off + len).rev() {
+        for (o, &v) in out.data_mut().iter_mut().zip(t.row(r)) {
+            *o += v;
+        }
+    }
+    out
+}
+
 /// Applies the per-sentence kernel `f` to each run's rows of `x` on their
 /// own and writes each result back at the run's rows, `[x.rows(), cols]` in
 /// all. A single run is handed to `f` whole, without copies.
@@ -1163,12 +1211,14 @@ fn gru_sweep(
 /// losses) run inside [`PackedExec::scoped`], which records the ordinary
 /// per-sentence node chain tagged with the owning segment.
 ///
-/// Two deliberate deviations from naive "replay the oracle" are proven
+/// Three deliberate deviations from naive "replay the oracle" are proven
 /// harmless in DESIGN.md ("Batched training"): zero-initialized
 /// accumulators and skipped zero-padding adds can flip the sign of a ±0.0
-/// gradient, and the full-height `dX` GEMMs rely on the kernels'
+/// gradient, the full-height `dX` GEMMs rely on the kernels'
 /// per-output-element accumulation order being height-independent
-/// (pinned by `kernels::tests`).
+/// (pinned by `kernels::tests`), and the recurrent weight gradients sum a
+/// sentence's per-step products in one reversed-row GEMM
+/// ([`kernels::matmul_tn_runs`]) instead of one rank-1 product per step.
 pub struct BatchedTapeExec<'t> {
     tape: &'t mut Tape,
     pack: Packing,
@@ -1238,6 +1288,12 @@ impl<'t> BatchedTapeExec<'t> {
         (self.pack.lens.clone(), self.pack.offsets.clone())
     }
 
+    /// Each segment's `(offset, len)` in caller order — the order the
+    /// backward closures emit per-segment gradients in.
+    fn seg_runs(&self) -> Vec<(usize, usize)> {
+        self.pack.offsets.iter().copied().zip(self.pack.lens.iter().copied()).collect()
+    }
+
     /// The parameter behind `p` when `x` is packed token rows outside any
     /// scope — the case the packed nodes record. Anything else (`None`)
     /// takes the per-sentence tape path.
@@ -1295,16 +1351,15 @@ impl Exec for BatchedTapeExec<'_> {
         let Some(id) = self.packed_param(a, b) else {
             return Tape::matmul(self.tape, a, b);
         };
-        let (lens, offsets) = self.layout();
+        let seg_runs = self.seg_runs();
         let va = self.tape.value(a).clone();
         let vb = self.tape.value(b).clone();
         let out = va.matmul(&vb);
         self.tape.custom_segmented(OpClass::MatMul, out, &[a, b], move |g, em| {
-            for s in 0..lens.len() {
-                let (off, len) = (offsets[s], lens[s]);
-                let xs = rows_of(&va, off, len);
-                let gs = rows_of(g, off, len);
-                em.dense(s, id, xs.matmul_tn(&gs));
+            let (m, n) = (va.cols(), g.cols());
+            let dws = tn_per_run(va.data(), g.data(), &seg_runs, m, n, Fold::Forward);
+            for (s, dw) in dws.into_iter().enumerate() {
+                em.dense(s, id, dw);
             }
             vec![Some(g.matmul_nt(&vb)), None]
         })
@@ -1559,12 +1614,14 @@ impl Exec for BatchedTapeExec<'_> {
 
     // The eager backend's sweep, stashing the post-activation gates, cell
     // states and tanh(c) so the backward is a hand-rolled BPTT over the
-    // same packing. The backward's fold orders mirror the per-sentence tape
+    // same packing. The time loop's fold orders mirror the per-sentence tape
     // sweep: `dh` is the output gradient plus the recurrent term, `dc` is
-    // the carry (from t+1's `f⊙c` node, visited first) plus the tanh term,
-    // and each segment's `db`/`dW_hh`/`dW_ih` accumulate per timestep,
-    // descending, through the same `matmul_tn` kernel calls the oracle's
-    // `[1, ·]` nodes made.
+    // the carry (from t+1's `f⊙c` node, visited first) plus the tanh term.
+    // The loop keeps every row's `dpre` and runs only the recurrent GEMM
+    // per step. After it, each segment's `db` adds its `dpre` rows from
+    // t = len-1 down, and `dW_ih`/`dW_hh` are one reversed-row
+    // `matmul_tn_runs` per weight — the fold the oracle's per-step `[1, ·]`
+    // products add up in (DESIGN.md §4) — and `dX` is one full-height GEMM.
     fn lstm_sequence(
         &mut self,
         store: &ParamStore,
@@ -1596,27 +1653,23 @@ impl Exec for BatchedTapeExec<'_> {
         });
 
         let out_c = out.clone();
-        let (lens, offsets) = self.layout();
-        let (order, runs) = (self.pack.order.clone(), self.pack.runs.clone());
+        let (seg_runs, runs) = (self.seg_runs(), self.pack.runs.clone());
         self.tape.custom_segmented(OpClass::Custom, out, &[xs], move |g, em| {
-            let nseg = lens.len();
-            let mut db: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 4 * h)).collect();
-            let mut dw_hh: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(h, 4 * h)).collect();
-            let mut dw_ih: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(d_in, 4 * h)).collect();
-            let mut dxs = Tensor::zeros(total, d_in);
+            let nseg = runs.len();
+            // Every packed row's pre-activation gradient, at its own row.
+            let mut dpre = Tensor::zeros(total, 4 * h);
+            // The live rows of one step, contiguous for the recurrent GEMM.
+            let mut step = Tensor::zeros(nseg, 4 * h);
             let mut rec = vec![0.0f32; nseg * h];
             let mut carry = vec![0.0f32; nseg * h];
-            let zero_h = vec![0.0f32; h];
             for t in (0..runs[0].1).rev() {
                 let (live, live_next) = (live_at(&runs, t), live_at(&runs, t + 1));
-                let mut dpre_mat = Tensor::zeros(live, 4 * h);
-                for p in 0..live {
-                    let s = order[p];
-                    let r = offsets[s] + t;
+                for (p, &(off, _)) in runs[..live].iter().enumerate() {
+                    let r = off + t;
                     let g_row = g.row(r);
                     let gates_row = gates.row(r);
                     let cts_row = cts.row(r);
-                    let dpre_row = dpre_mat.row_mut(p);
+                    let dpre_row = step.row_mut(p);
                     for j in 0..h {
                         // dOut first (set by concat), then the t+1
                         // recurrent matmul's contribution.
@@ -1642,34 +1695,32 @@ impl Exec for BatchedTapeExec<'_> {
                         dpre_row[2 * h + j] = dg * (1.0 - gg * gg);
                         dpre_row[3 * h + j] = do_ * (o * (1.0 - o));
                     }
-                    // Per-segment parameter gradients via the oracle's own
-                    // kernel calls on [1, ·] shapes.
-                    let dpre_t = Tensor::row_vector(dpre_mat.row(p));
-                    db[s].add_scaled(&dpre_t, 1.0);
-                    let h_prev = if t > 0 {
-                        Tensor::row_vector(out_c.row(r - 1))
-                    } else {
-                        Tensor::row_vector(&zero_h)
-                    };
-                    dw_hh[s].add_scaled(&h_prev.matmul_tn(&dpre_t), 1.0);
-                    let x_row = Tensor::row_vector(xs_c.row(r));
-                    dw_ih[s].add_scaled(&x_row.matmul_tn(&dpre_t), 1.0);
+                    dpre.row_mut(r).copy_from_slice(dpre_row);
                 }
-                let dx_mat = dpre_mat.matmul_nt(&w_ih_v); // [live, d_in]
-                let rec_mat = dpre_mat.matmul_nt(&w_hh_v); // [live, h]
-                for p in 0..live {
-                    let r = offsets[order[p]] + t;
-                    dxs.row_mut(r).copy_from_slice(dx_mat.row(p));
-                    rec[p * h..(p + 1) * h].copy_from_slice(rec_mat.row(p));
+                if t > 0 {
+                    let rec = &mut rec[..live * h];
+                    rec.fill(0.0);
+                    kernels::matmul_nt(
+                        &step.data()[..live * 4 * h],
+                        w_hh_v.data(),
+                        rec,
+                        live,
+                        4 * h,
+                        h,
+                    );
                 }
             }
-            for (s, ((dbs, dwhhs), dwihs)) in db.into_iter().zip(dw_hh).zip(dw_ih).enumerate() {
+            let (dw_ih, dw_hh) = recurrent_weight_grads(&xs_c, &out_c, &dpre, &dpre, &seg_runs);
+            for (s, (dwhhs, dwihs)) in dw_hh.into_iter().zip(dw_ih).enumerate() {
                 // Oracle sink order: b leaf (latest) first, then w_hh,
                 // then w_ih.
-                em.dense(s, b, dbs);
+                em.dense(s, b, reverse_row_sum(&dpre, seg_runs[s]));
                 em.dense(s, w_hh, dwhhs);
                 em.dense(s, w_ih, dwihs);
             }
+            // dX rows are height-independent: one GEMM over all rows.
+            let mut dxs = Tensor::zeros(total, d_in);
+            kernels::matmul_nt(dpre.data(), w_ih_v.data(), dxs.data_mut(), total, 4 * h, d_in);
             vec![Some(dxs)]
         })
     }
@@ -1710,30 +1761,27 @@ impl Exec for BatchedTapeExec<'_> {
         });
 
         let out_c = out.clone();
-        let (lens, offsets) = self.layout();
-        let (order, runs) = (self.pack.order.clone(), self.pack.runs.clone());
+        let (seg_runs, runs) = (self.seg_runs(), self.pack.runs.clone());
         self.tape.custom_segmented(OpClass::Custom, out, &[xs], move |g, em| {
-            let nseg = lens.len();
-            let mut db_ih: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 3 * h)).collect();
-            let mut db_hh: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 3 * h)).collect();
-            let mut dw_hh: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(h, 3 * h)).collect();
-            let mut dw_ih: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(d_in, 3 * h)).collect();
-            let mut dxs = Tensor::zeros(total, d_in);
+            let nseg = runs.len();
+            // Every packed row's gradients w.r.t. the recurrent and input
+            // projections (post-bias), at its own row.
+            let mut dhp = Tensor::zeros(total, 3 * h);
+            let mut dxp = Tensor::zeros(total, 3 * h);
+            // The live `dhp` rows of one step, contiguous for the
+            // recurrent GEMM.
+            let mut step = Tensor::zeros(nseg, 3 * h);
             let mut zh_term = vec![0.0f32; nseg * h];
             let mut mat_term = vec![0.0f32; nseg * h];
-            let zero_h = vec![0.0f32; h];
             for t in (0..runs[0].1).rev() {
                 let (live, live_next) = (live_at(&runs, t), live_at(&runs, t + 1));
-                let mut dhp_mat = Tensor::zeros(live, 3 * h);
-                let mut dxp_mat = Tensor::zeros(live, 3 * h);
-                for p in 0..live {
-                    let s = order[p];
-                    let r = offsets[s] + t;
+                for (p, &(off, _)) in runs[..live].iter().enumerate() {
+                    let r = off + t;
                     let g_row = g.row(r);
                     let gates_row = gates.row(r);
                     let hns_row = hns.row(r);
-                    let dhp_row = dhp_mat.row_mut(p);
-                    let dxp_row = dxp_mat.row_mut(p);
+                    let dhp_row = step.row_mut(p);
+                    let dxp_row = dxp.row_mut(r);
                     for j in 0..h {
                         let dh = if p < live_next {
                             (g_row[j] + zh_term[p * h + j]) + mat_term[p * h + j]
@@ -1764,36 +1812,31 @@ impl Exec for BatchedTapeExec<'_> {
                         dxp_row[2 * h + j] = dn_pre;
                         zh_term[p * h + j] = dh * z;
                     }
-                    let dhp_t = Tensor::row_vector(dhp_mat.row(p));
-                    db_hh[s].add_scaled(&dhp_t, 1.0);
-                    let h_prev = if t > 0 {
-                        Tensor::row_vector(out_c.row(r - 1))
-                    } else {
-                        Tensor::row_vector(&zero_h)
-                    };
-                    dw_hh[s].add_scaled(&h_prev.matmul_tn(&dhp_t), 1.0);
-                    let dxp_t = Tensor::row_vector(dxp_mat.row(p));
-                    db_ih[s].add_scaled(&dxp_t, 1.0);
-                    let x_row = Tensor::row_vector(xs_c.row(r));
-                    dw_ih[s].add_scaled(&x_row.matmul_tn(&dxp_t), 1.0);
+                    dhp.row_mut(r).copy_from_slice(dhp_row);
                 }
-                let dx_mat = dxp_mat.matmul_nt(&w_ih_v); // [live, d_in]
-                let mt = dhp_mat.matmul_nt(&w_hh_v); // [live, h]
-                for p in 0..live {
-                    let r = offsets[order[p]] + t;
-                    dxs.row_mut(r).copy_from_slice(dx_mat.row(p));
-                    mat_term[p * h..(p + 1) * h].copy_from_slice(mt.row(p));
+                if t > 0 {
+                    let mt = &mut mat_term[..live * h];
+                    mt.fill(0.0);
+                    kernels::matmul_nt(
+                        &step.data()[..live * 3 * h],
+                        w_hh_v.data(),
+                        mt,
+                        live,
+                        3 * h,
+                        h,
+                    );
                 }
             }
-            for (s, (((dbhhs, dbihs), dwhhs), dwihs)) in
-                db_hh.into_iter().zip(db_ih).zip(dw_hh).zip(dw_ih).enumerate()
-            {
+            let (dw_ih, dw_hh) = recurrent_weight_grads(&xs_c, &out_c, &dxp, &dhp, &seg_runs);
+            for (s, (dwhhs, dwihs)) in dw_hh.into_iter().zip(dw_ih).enumerate() {
                 // Oracle sink order: b_hh, b_ih, w_hh, w_ih.
-                em.dense(s, b_hh, dbhhs);
-                em.dense(s, b_ih, dbihs);
+                em.dense(s, b_hh, reverse_row_sum(&dhp, seg_runs[s]));
+                em.dense(s, b_ih, reverse_row_sum(&dxp, seg_runs[s]));
                 em.dense(s, w_hh, dwhhs);
                 em.dense(s, w_ih, dwihs);
             }
+            let mut dxs = Tensor::zeros(total, d_in);
+            kernels::matmul_nt(dxp.data(), w_ih_v.data(), dxs.data_mut(), total, 3 * h, d_in);
             vec![Some(dxs)]
         })
     }

@@ -277,6 +277,89 @@ pub fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: u
     pool::recycle_aligned(at);
 }
 
+/// The order in which [`matmul_tn_runs`] folds a run's rows into each
+/// output element.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fold {
+    /// First row first: the ascending-`p` order of [`matmul_tn`].
+    Forward,
+    /// Last row first: the order in which a per-timestep backward sums its
+    /// rank-1 weight-gradient products (BPTT visits `t = len - 1` first).
+    Reverse,
+}
+
+/// Segmented `aᵀ × b` over packed rows: for each run `(off, len)`,
+/// `outs[s] += a[off..off+len]ᵀ × b[off..off+len]`, where `a` rows are `m`
+/// wide, `b` rows `n` wide and `outs[s]` is `[m, n]`. A run of length 0
+/// leaves its output as it is.
+///
+/// Every output element accumulates the run's rows one at a time in
+/// `fold` order, with no FMA and skipping rows whose `a` value is exactly
+/// zero — [`matmul_tn`]'s per-element contract over the run's rows taken
+/// in that order. With zeroed outputs, [`Fold::Reverse`] therefore
+/// reproduces the bits of a loop that adds one `[1, m]ᵀ × [1, n]` product
+/// per row from the last row down (up to the sign of a zero; DESIGN.md
+/// §4), and [`Fold::Forward`] the bits of one [`matmul_tn`] per run.
+///
+/// Each run's `aᵀ` is packed on the calling thread into a pooled aligned
+/// panel in fold order (for [`Fold::Reverse`] the run's `b` rows are
+/// copied in that order too), and the NN register or lane tiles run over
+/// the panels, parallel over output rows above [`PAR_MIN_FLOPS`]. Packing
+/// only moves bytes, so it is bit-identical at every `m`, SIMD level and
+/// thread count.
+///
+/// # Panics
+/// Panics if `outs` and `runs` differ in length, an output is not `m·n`
+/// long, or a run reaches past the end of `a` or `b`.
+pub fn matmul_tn_runs(
+    a: &[f32],
+    b: &[f32],
+    outs: &mut [&mut [f32]],
+    runs: &[(usize, usize)],
+    m: usize,
+    n: usize,
+    fold: Fold,
+) {
+    assert_eq!(outs.len(), runs.len(), "matmul_tn_runs: one output per run");
+    let lvl = simd::active();
+    for (out, &(off, len)) in outs.iter_mut().zip(runs) {
+        assert_eq!(out.len(), m * n, "matmul_tn_runs: output must be [m, n]");
+        if len == 0 || out.is_empty() {
+            continue;
+        }
+        let row = |q: usize| match fold {
+            Fold::Forward => off + q,
+            Fold::Reverse => off + len - 1 - q,
+        };
+        let mut at = pool::take_aligned(m * len);
+        let ats = at.as_mut_slice();
+        for q in 0..len {
+            for (i, &v) in a[row(q) * m..][..m].iter().enumerate() {
+                ats[i * len + q] = v;
+            }
+        }
+        let rev: Vec<f32>;
+        let bs = match fold {
+            Fold::Forward => &b[off * n..(off + len) * n],
+            Fold::Reverse => {
+                // Freed, not pooled: its size follows the run length, and
+                // a pooled copy per size class would stay resident on
+                // every thread.
+                rev = (0..len).flat_map(|q| &b[row(q) * n..][..n]).copied().collect();
+                &rev
+            }
+        };
+        let ats = at.as_slice();
+        over_rows(m, n, m * len * n, out, |r0, r1, rows| {
+            if simd::nn_rows(lvl, ats, bs, rows, r0, r1, len, n) {
+                return;
+            }
+            matmul_rows(ats, bs, rows, r0, r1, len, n)
+        });
+        pool::recycle_aligned(at);
+    }
+}
+
 /// `out[r0..r1] = (a × bᵀ)[r0..r1]` for `a: [m,k]`, `b: [n,k]`. Each
 /// output element is an independent dot product accumulated in ascending
 /// `p` order; blocking keeps a panel of `b` rows hot across `MC` rows of

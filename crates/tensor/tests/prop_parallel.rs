@@ -285,3 +285,100 @@ fn threshold_boundary_shapes_are_bit_identical() {
         }
     }
 }
+
+/// The oracle for `kernels::matmul_tn_runs`: each run's rows added into a
+/// zeroed `[m, n]` one at a time in fold order — last row first for
+/// `Fold::Reverse` — skipping rows whose `a` value is exactly zero.
+fn naive_tn_runs(
+    a: &[f32],
+    b: &[f32],
+    runs: &[(usize, usize)],
+    m: usize,
+    n: usize,
+    fold: kernels::Fold,
+) -> Vec<Vec<f32>> {
+    runs.iter()
+        .map(|&(off, len)| {
+            let mut out = vec![0.0f32; m * n];
+            let rows: Vec<usize> = match fold {
+                kernels::Fold::Forward => (off..off + len).collect(),
+                kernels::Fold::Reverse => (off..off + len).rev().collect(),
+            };
+            for r in rows {
+                for i in 0..m {
+                    let av = a[r * m + i];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        out[i * n + j] += av * b[r * n + j];
+                    }
+                }
+            }
+            out
+        })
+        .collect()
+}
+
+/// [`fill`] with some of its exact zeros negated, so both `0.0` and `-0.0`
+/// reach the zero-skip test.
+fn fill_signed_zeros(len: usize, salt: usize, scale: f32) -> Vec<f32> {
+    fill(len, salt, scale)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| if v == 0.0 && i % 2 == 1 { -0.0 } else { v })
+        .collect()
+}
+
+/// The segmented TN kernel reproduces the row-by-row fold oracle bit for
+/// bit (zero signs included), in both fold orders: at every SIMD level,
+/// every `n % 8` lane remainder, `m` on both sides of the kernels' pack
+/// threshold (4), runs of length 0 and 1, and at 1 and 4 threads with
+/// runs on both sides of `PAR_MIN_FLOPS`.
+#[test]
+fn segmented_tn_matches_the_row_fold_oracle() {
+    let mut levels = vec![SimdLevel::Off];
+    levels.extend(vector_levels());
+    let small_runs = [(0usize, 1usize), (1, 5), (6, 0), (6, 3), (9, 1)];
+    let small_rows = 10;
+    // One run well over the gate, one just under it, one of length 1.
+    let (big_m, big_len) = (64usize, 70usize);
+    let big_runs = [(0usize, big_len), (big_len, 63), (big_len + 63, 1)];
+    let big_rows = big_len + 64;
+    assert!(big_m * big_len * 64 > PAR_MIN_FLOPS && big_m * 63 * 64 < PAR_MIN_FLOPS);
+    let check = |m: usize, n: usize, rows: usize, runs: &[(usize, usize)]| {
+        let a = fill_signed_zeros(rows * m, 7, 0.37);
+        let b = fill_signed_zeros(rows * n, 3, 0.23);
+        for fold in [kernels::Fold::Reverse, kernels::Fold::Forward] {
+            let want = naive_tn_runs(&a, &b, runs, m, n, fold);
+            for threads in [1usize, 4] {
+                for &lvl in &levels {
+                    let got = with_threads(threads, || {
+                        simd::with_level(lvl, || {
+                            let mut outs = vec![vec![0.0f32; m * n]; runs.len()];
+                            let mut views: Vec<&mut [f32]> =
+                                outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+                            kernels::matmul_tn_runs(&a, &b, &mut views, runs, m, n, fold);
+                            outs
+                        })
+                    });
+                    for (s, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.iter().zip(w).all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "run {s} of {m}x{n} {fold:?} {}@{threads}thr",
+                            lvl.name()
+                        );
+                    }
+                }
+            }
+        }
+    };
+    for n in 1usize..=17 {
+        for m in [1usize, 3, 4, 7, 9] {
+            check(m, n, small_rows, &small_runs);
+        }
+    }
+    for n in [64usize, 67] {
+        check(big_m, n, big_rows, &big_runs);
+    }
+}

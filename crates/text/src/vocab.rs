@@ -105,6 +105,29 @@ impl Vocab {
         word.chars().map(|c| self.get_or_unk(&c.to_string())).collect()
     }
 
+    /// Checks that the item → index map inverts the item list: one entry
+    /// per item, and `index[items[i]] == i` for every `i`. A vocabulary
+    /// built through [`Vocab::add`] always passes; a deserialized one need
+    /// not, and an index past the item list would address past the end of
+    /// an embedding table.
+    pub fn check(&self) -> Result<(), String> {
+        if self.index.len() != self.items.len() {
+            return Err(format!(
+                "{} index entries for {} items",
+                self.index.len(),
+                self.items.len()
+            ));
+        }
+        for (i, item) in self.items.iter().enumerate() {
+            match self.index.get(item) {
+                Some(&j) if j == i => {}
+                Some(&j) => return Err(format!("item {i} ({item:?}) is indexed as {j}")),
+                None => return Err(format!("item {i} ({item:?}) is missing from the index")),
+            }
+        }
+        Ok(())
+    }
+
     /// Fraction of `items` that are out of vocabulary — the OOV rate, a key
     /// covariate in the paper's informal-text discussion (§5.1).
     pub fn oov_rate<S: AsRef<str>>(&self, items: &[S]) -> f64 {
@@ -168,6 +191,21 @@ mod tests {
         let v = Vocab::build(["a", "b"], 1);
         assert!((v.oov_rate(&["a", "zz", "b", "qq"]) - 0.5).abs() < 1e-12);
         assert_eq!(v.oov_rate::<&str>(&[]), 0.0);
+    }
+
+    #[test]
+    fn check_rejects_an_index_that_disagrees_with_the_items() {
+        let v = Vocab::build(["a", "b", "b"], 1);
+        assert!(v.check().is_ok());
+        let mut moved = v.clone();
+        moved.index.insert("a".into(), 93);
+        assert!(moved.check().unwrap_err().contains("indexed as 93"));
+        let mut missing = v.clone();
+        missing.index.remove("a");
+        assert!(missing.check().is_err());
+        let mut extra = v;
+        extra.index.insert("zz".into(), 2);
+        assert!(extra.check().is_err());
     }
 
     #[test]
