@@ -9,16 +9,19 @@
 #      4 threads — the parallel paths must not change results — and once
 #      more at NER_SIMD=off so forced-scalar kernels reproduce the same
 #      bits the default SIMD level produced; ner-tensor's backend tests and
-#      ner-core's train_parity and plan_parity also run at NER_SIMD=sse2,
-#      because the packed training forward and the trainer's dev
-#      evaluation (whose F1 drives early stopping and best-model restore)
-#      run the same SIMD-dispatched fused kernels and LSTM/GRU sweeps as
-#      serving, and the middle level must keep those bits too.
+#      ner-core's train_parity, plan_parity and prop_batched also run at
+#      NER_SIMD=sse2, because the packed training forward and the trainer's
+#      dev evaluation (whose F1 drives early stopping and best-model
+#      restore) run the same SIMD-dispatched fused kernels and LSTM/GRU
+#      sweeps as serving, and the middle level must keep those bits too.
 #      train_parity pins the batched trainer's loss curve (f64 bits per
 #      epoch), final weights and F1 to the one-tape-per-sentence oracle
 #      trainer::train_tape, over every zoo preset and wide BiLSTM-CRF
 #      buckets; plan_parity pins the packed forward's predictions to the
-#      tape, one sentence at a time and in buckets, warm and refreshed)
+#      tape, one sentence at a time and in buckets, warm and refreshed;
+#      prop_batched pins packed-batch predictions to the tape across the
+#      zoo, which is what lets every layer keep a single forward whose
+#      one-segment case is the tape)
 #   4. kernel smoke     (exp_kernels --smoke exits non-zero on any
 #      blocked/SIMD/parallel-vs-naive kernel divergence, run at both the
 #      default SIMD level and NER_SIMD=off; it writes only results/, so
@@ -71,6 +74,7 @@ echo "== tier-1: tensor backends + training and prediction parity at the middle 
 NER_SIMD=sse2 cargo test --release -p ner-tensor -q
 NER_SIMD=sse2 cargo test --release -p ner-core --test train_parity -q
 NER_SIMD=sse2 cargo test --release -p ner-core --test plan_parity -q
+NER_SIMD=sse2 cargo test --release -p ner-core --test prop_batched -q
 
 echo "== kernel smoke: blocked/SIMD/parallel must match the naive oracle =="
 cargo run --release -p ner-bench --bin exp_kernels -- --smoke

@@ -106,7 +106,7 @@ impl MultitaskNer {
         enc: &EncodedSentence,
         rng: &mut impl Rng,
     ) -> ner_tensor::Var {
-        let x0 = self.input.forward(tape, &self.store, enc);
+        let x0 = self.input.forward(tape, &self.store, &[enc]);
         let x = if self.input.dropout() > 0.0 {
             tape.dropout(x0, self.input.dropout(), rng)
         } else {
@@ -156,8 +156,8 @@ impl MultitaskNer {
             return Vec::new();
         }
         let mut bx = BatchedExec::new(&self.store, &[enc.len()]);
-        let x = self.input.forward_batch(&mut bx, &self.store, &[enc]);
-        let h = self.encoder.forward_batch(&mut bx, &self.store, x);
+        let x = self.input.forward(&mut bx, &self.store, &[enc]);
+        let h = self.encoder.forward(&mut bx, &self.store, x);
         let emissions = self.proj.forward(&mut bx, &self.store, h);
         let (tags, _) = self.crf.viterbi(&self.store, bx.value(emissions), Some(&self.tag_set));
         let labels = self.tag_set.decode(&tags);
@@ -281,7 +281,7 @@ mod tests {
         // The packed forward reproduces the per-sentence tape's decode.
         for e in &encoded {
             let mut tape = Tape::new();
-            let x = model.input.forward(&mut tape, &model.store, e);
+            let x = model.input.forward(&mut tape, &model.store, &[e]);
             let h = model.encoder.forward(&mut tape, &model.store, x);
             let em = model.proj.forward(&mut tape, &model.store, h);
             let (tags, _) = model.crf.viterbi(&model.store, tape.value(em), Some(&model.tag_set));

@@ -74,7 +74,7 @@ fn encoder_speed(reps: usize) -> Vec<EncoderTiming> {
             let us = best_us(reps, 1, || {
                 let mut bx = BatchedExec::new(&store, &[tokens]);
                 let xv = bx.constant(x.clone());
-                let h = enc.forward_batch(&mut bx, &store, xv);
+                let h = enc.forward(&mut bx, &store, xv);
                 black_box(bx.value(h));
             });
             out.push(EncoderTiming { encoder: name.to_string(), tokens, best_us: us });

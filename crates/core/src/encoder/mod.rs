@@ -8,7 +8,7 @@ pub mod recursive;
 use crate::config::EncoderKind;
 use ner_tensor::fused::Activation;
 use ner_tensor::nn::{GruCell, Linear, LstmCell, TransformerBlock};
-use ner_tensor::{init, nn, Exec, PackedExec, ParamId, ParamStore, Tensor};
+use ner_tensor::{init, nn, Exec, ParamId, ParamStore, Tensor};
 use rand::Rng;
 
 /// A built context encoder: maps `[n, in_dim] → [n, out_dim]`.
@@ -190,12 +190,27 @@ impl Encoder {
         self.out_dim
     }
 
-    /// Encodes `x [n, in_dim] → [n, out_dim]` on any backend.
+    /// Encodes the packed rows `x [N, in_dim] → [N, out_dim]` on any
+    /// backend; each segment's output rows are bit-identical to the
+    /// one-segment [`ner_tensor::Tape`] on that segment alone.
+    ///
+    /// The backends' overrides already make convolutions, sequence reversal
+    /// and the recurrent runners segment-aware. The three cases with
+    /// sentence-shaped intermediates that those overrides cannot see
+    /// (window stacking, the global max pool, the attention core) run per
+    /// segment via [`Exec::scoped`].
     pub fn forward<E: Exec>(&self, ex: &mut E, store: &ParamStore, x: E::V) -> E::V {
         match &self.imp {
             EncoderImpl::Identity => x,
             EncoderImpl::WindowMlp { lin, window } => {
-                let windowed = window_concat(ex, x, *window);
+                // Window stacking pads with zeros at *sentence* edges, so
+                // it runs per segment in sentence scope.
+                let mut segs = Vec::with_capacity(ex.segments());
+                for s in 0..ex.segments() {
+                    let xs = ex.slice_segment(x, s);
+                    segs.push(ex.scoped(s, |ex| window_concat(ex, xs, *window)));
+                }
+                let windowed = ex.concat_segments(&segs);
                 lin.forward_act(ex, store, windowed, Activation::Tanh)
             }
             EncoderImpl::Cnn { layers, width, global } => {
@@ -205,16 +220,22 @@ impl Encoder {
                     let bv = ex.param(store, *b);
                     h = ex.conv1d_act(h, wv, bv, *width, 1, Activation::Relu);
                 }
-                if *global {
-                    // Fig. 5's sentence-level global feature: max over time,
-                    // broadcast back onto every position.
-                    let n = ex.value(h).rows();
-                    let g = ex.max_over_rows(h);
-                    let broadcast = ex.concat_rows(&vec![g; n]);
-                    ex.concat_cols(&[h, broadcast])
-                } else {
-                    h
+                if !*global {
+                    return h;
                 }
+                // Fig. 5's sentence-level global feature: max over time,
+                // broadcast back over that sentence's positions only.
+                let mut segs = Vec::with_capacity(ex.segments());
+                for s in 0..ex.segments() {
+                    let hs = ex.slice_segment(h, s);
+                    let n = ex.value(hs).rows();
+                    segs.push(ex.scoped(s, |ex| {
+                        let g = ex.max_over_rows(hs);
+                        ex.concat_rows(&vec![g; n])
+                    }));
+                }
+                let broadcast = ex.concat_segments(&segs);
+                ex.concat_cols(&[h, broadcast])
             }
             EncoderImpl::IdCnn { initial, block, width, iterations } => {
                 let wv = ex.param(store, initial.0);
@@ -257,66 +278,6 @@ impl Encoder {
                 }
                 h
             }
-        }
-    }
-
-    /// Encodes a packed batch `x [N, in_dim] → [N, out_dim]` on a packed
-    /// backend; each segment's output rows are bit-identical to
-    /// [`Self::forward`] on that segment alone.
-    ///
-    /// Most encoder kinds fall through to the generic forward — the
-    /// packed-backend overrides already make convolutions, sequence
-    /// reversal and the recurrent runners segment-aware. The three cases
-    /// with sentence-shaped intermediates that those overrides cannot see
-    /// (window stacking, the global max pool, the attention core) are
-    /// handled per segment here via [`PackedExec::scoped`].
-    pub fn forward_batch<P: PackedExec>(&self, bx: &mut P, store: &ParamStore, x: P::V) -> P::V {
-        match &self.imp {
-            EncoderImpl::WindowMlp { lin, window } => {
-                // Window stacking pads with zeros at *sentence* edges, so
-                // it runs per segment in sentence scope.
-                let mut segs = Vec::with_capacity(bx.segments());
-                for s in 0..bx.segments() {
-                    let xs = bx.slice_segment(x, s);
-                    segs.push(bx.scoped(s, |ex| window_concat(ex, xs, *window)));
-                }
-                let windowed = bx.concat_rows(&segs);
-                lin.forward_act(bx, store, windowed, Activation::Tanh)
-            }
-            EncoderImpl::Cnn { layers, width, global: true } => {
-                let mut h = x;
-                for (w, b) in layers {
-                    let wv = bx.param(store, *w);
-                    let bv = bx.param(store, *b);
-                    h = bx.conv1d_act(h, wv, bv, *width, 1, Activation::Relu);
-                }
-                // The global feature is a *sentence-level* max, broadcast
-                // back over that sentence's positions only.
-                let mut segs = Vec::with_capacity(bx.segments());
-                for s in 0..bx.segments() {
-                    let hs = bx.slice_segment(h, s);
-                    let n = bx.len_of(s);
-                    segs.push(bx.scoped(s, |ex| {
-                        let g = ex.max_over_rows(hs);
-                        ex.concat_rows(&vec![g; n])
-                    }));
-                }
-                let broadcast = bx.concat_rows(&segs);
-                bx.concat_cols(&[h, broadcast])
-            }
-            EncoderImpl::Transformer { proj, blocks, d_model } => {
-                let p = proj.forward(bx, store, x);
-                let n = bx.value(p).rows();
-                let pe = bx.positional_encoding(n, *d_model);
-                let mut h = bx.add(p, pe);
-                for block in blocks {
-                    h = block.forward_batch(bx, store, h, false);
-                }
-                h
-            }
-            // Identity, plain CNN, ID-CNN, LSTM and GRU: every op in the
-            // generic forward is row-wise or already overridden.
-            _ => self.forward(bx, store, x),
         }
     }
 }

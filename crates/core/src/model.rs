@@ -9,9 +9,7 @@ use crate::plan::{self, ForwardPlan};
 use crate::repr::{EncodedSentence, InputLayer, SentenceEncoder};
 use ner_embed::WordEmbeddings;
 use ner_tensor::nn::Linear;
-use ner_tensor::{
-    BatchedExec, BatchedTapeExec, BatchedVal, Exec, PackedExec, ParamStore, Tape, Tensor, Var,
-};
+use ner_tensor::{BatchedExec, BatchedTapeExec, BatchedVal, Exec, ParamStore, Tape, Tensor, Var};
 use ner_text::{EntitySpan, TagSet};
 use rand::{Rng, RngCore};
 
@@ -138,7 +136,7 @@ impl NerModel {
         let x = match input {
             Some(t) => tape.constant(t),
             None => {
-                let x0 = self.input.forward(tape, &self.store, enc);
+                let x0 = self.input.forward(tape, &self.store, &[enc]);
                 tape.dropout(x0, p, rng)
             }
         };
@@ -226,9 +224,9 @@ impl NerModel {
         assert_eq!(encs.len(), rngs.len(), "one dropout stream per sentence");
         let lens: Vec<usize> = encs.iter().map(|e| e.len()).collect();
         let mut bx = BatchedTapeExec::new(tape, &lens);
-        let x0 = self.input.forward_batch(&mut bx, &self.store, encs);
+        let x0 = self.input.forward(&mut bx, &self.store, encs);
         let x = bx.dropout_packed(x0, self.cfg.dropout, rngs);
-        let h0 = self.encoder.forward_batch(&mut bx, &self.store, x);
+        let h0 = self.encoder.forward(&mut bx, &self.store, x);
         let h = bx.dropout_packed(h0, self.cfg.dropout, rngs);
         let v = self.project(&mut bx, h);
         let losses: Vec<Var> = (0..encs.len())
@@ -432,7 +430,7 @@ impl NerModel {
             None => self.input.forward_batch_cached(&mut bx, &self.store, encs, plan.token_cache()),
         };
         let t1 = std::time::Instant::now();
-        let h = self.encoder.forward_batch(&mut bx, &self.store, x);
+        let h = self.encoder.forward(&mut bx, &self.store, x);
         let t2 = std::time::Instant::now();
         let decoded = self.decode_from_states_batch(&mut bx, h, plan);
         let stages = BatchStageMicros {

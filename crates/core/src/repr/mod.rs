@@ -15,7 +15,7 @@ use crate::plan::TokenFeatureCache;
 use ner_embed::{ContextualEmbedder, WordEmbeddings};
 use ner_tensor::fused::Activation;
 use ner_tensor::nn::{Embedding, Linear, LstmCell};
-use ner_tensor::{init, BatchedExec, BatchedVal, Exec, PackedExec, ParamId, ParamStore, Tensor};
+use ner_tensor::{init, BatchedExec, BatchedVal, Exec, ParamId, ParamStore, Tensor};
 use ner_text::features::{token_features, FEATURE_DIM};
 use ner_text::pos::{tag_sentence, POS_DIM};
 use ner_text::{Dataset, EntitySpan, Gazetteer, Sentence, TagScheme, TagSet, Vocab};
@@ -327,56 +327,33 @@ impl InputLayer {
         self.dropout
     }
 
-    /// Assembles the `[n, out_dim]` input matrix for one sentence on any
-    /// backend: the per-token base (word + char [+ gate]) followed by the
-    /// position-dependent feature/context columns.
-    pub fn forward<E: Exec>(&self, ex: &mut E, store: &ParamStore, enc: &EncodedSentence) -> E::V {
-        let n = enc.len();
-        assert!(n > 0, "cannot represent an empty sentence");
-        let base = self.batched_base(ex, store, enc);
-
-        let mut parts: Vec<E::V> = Vec::with_capacity(3);
-        parts.push(base);
-        if self.feat_dim > 0 {
-            debug_assert_eq!(enc.feats.len(), n, "encoder/features mismatch");
-            parts.push(ex.constant(rows_to_tensor(&enc.feats, self.feat_dim)));
-        }
-        if self.ctx_dim > 0 {
-            assert_eq!(enc.ctx.len(), n, "contextual vectors missing from encoded sentence");
-            parts.push(ex.constant(rows_to_tensor(&enc.ctx, self.ctx_dim)));
-        }
-        if parts.len() == 1 {
-            parts[0]
-        } else {
-            ex.concat_cols(&parts)
-        }
-    }
-
-    /// Assembles the packed `[N, out_dim]` input matrix for a whole batch
-    /// of sentences (`N = Σ lenᵢ`, segment layout owned by `bx`). Rows are
-    /// bit-identical to running [`Self::forward`] per sentence: every base
-    /// op treats rows independently, the char composition runs per word in
-    /// sentence scope either way, and the feature/context columns are
-    /// plain copies. Works on any packed backend — tape-free inference or
-    /// the gradient-recording [`ner_tensor::BatchedTapeExec`].
-    pub fn forward_batch<P: PackedExec>(
+    /// Assembles the packed `[N, out_dim]` input matrix for a batch of
+    /// sentences (`N = Σ lenᵢ`, one segment per sentence, layout owned by
+    /// `ex`) on any backend: the per-token base (word + char [+ gate])
+    /// followed by the position-dependent feature/context columns. Every
+    /// base op treats rows independently, the char composition runs per
+    /// word in its sentence's scope, and the feature/context columns are
+    /// plain copies, so each sentence's rows are bit-identical to the
+    /// one-segment [`ner_tensor::Tape`] on that sentence alone.
+    pub fn forward<E: Exec>(
         &self,
-        bx: &mut P,
+        ex: &mut E,
         store: &ParamStore,
         encs: &[&EncodedSentence],
-    ) -> P::V {
-        debug_assert_eq!(encs.len(), bx.segments(), "one encoded sentence per segment");
-        let base = self.packed_base_batch(bx, store, encs);
-        self.append_batch_cols(bx, encs, base)
+    ) -> E::V {
+        debug_assert_eq!(encs.len(), ex.segments(), "one encoded sentence per segment");
+        assert!(encs.iter().all(|e| !e.is_empty()), "cannot represent an empty sentence");
+        let base = self.packed_base(ex, store, encs);
+        self.append_cols(ex, encs, base)
     }
 
-    /// Inference-only [`Self::forward_batch`] that routes the per-token
-    /// base through the serving token cache: hits for the whole batch are
+    /// Inference-only [`Self::forward`] that routes the per-token base
+    /// through the serving token cache: hits for the whole batch are
     /// served through **one** lock acquisition
     /// (`TokenFeatureCache::lookup_batch`) instead of one per token, and
     /// duplicate uncached surfaces are computed once. The cached base
     /// enters the graph as a constant, so this path never records
-    /// gradients — training uses the generic [`Self::forward_batch`].
+    /// gradients — training uses the generic [`Self::forward`].
     pub fn forward_batch_cached(
         &self,
         bx: &mut BatchedExec<'_>,
@@ -387,64 +364,59 @@ impl InputLayer {
         debug_assert_eq!(encs.len(), bx.segments(), "one encoded sentence per segment");
         let base = match cache {
             Some(c) => self.cached_base_batch(bx, store, encs, c),
-            None => self.packed_base_batch(bx, store, encs),
+            None => self.packed_base(bx, store, encs),
         };
-        self.append_batch_cols(bx, encs, base)
+        self.append_cols(bx, encs, base)
     }
 
     /// Appends the feature/context constant columns to a packed base.
-    fn append_batch_cols<P: PackedExec>(
-        &self,
-        bx: &mut P,
-        encs: &[&EncodedSentence],
-        base: P::V,
-    ) -> P::V {
-        let mut parts: Vec<P::V> = Vec::with_capacity(3);
+    fn append_cols<E: Exec>(&self, ex: &mut E, encs: &[&EncodedSentence], base: E::V) -> E::V {
+        let mut parts: Vec<E::V> = Vec::with_capacity(3);
         parts.push(base);
         if self.feat_dim > 0 {
             let rows: Vec<&Vec<f32>> = encs.iter().flat_map(|e| e.feats.iter()).collect();
-            parts.push(bx.constant(rows_to_tensor(&rows, self.feat_dim)));
+            parts.push(ex.constant(rows_to_tensor(&rows, self.feat_dim)));
         }
         if self.ctx_dim > 0 {
             let rows: Vec<&Vec<f32>> = encs.iter().flat_map(|e| e.ctx.iter()).collect();
-            assert_eq!(rows.len(), bx.total_rows(), "contextual vectors missing from batch");
-            parts.push(bx.constant(rows_to_tensor(&rows, self.ctx_dim)));
+            let total = ex.value(base).rows();
+            assert_eq!(rows.len(), total, "contextual vectors missing from batch");
+            parts.push(ex.constant(rows_to_tensor(&rows, self.ctx_dim)));
         }
         if parts.len() == 1 {
             parts[0]
         } else {
-            bx.concat_cols(&parts)
+            ex.concat_cols(&parts)
         }
     }
 
-    /// Packed-batch analogue of [`Self::batched_base`]: one embedding
-    /// gather over every word id in the batch, char rows stacked across
-    /// sentence boundaries (each word's composition still runs alone, in
-    /// its sentence's scope), and the gate applied to the whole packed
-    /// matrix — all row-wise, so rows match the per-sentence formulation
-    /// bit for bit.
-    fn packed_base_batch<P: PackedExec>(
+    /// The packed base `[N, base_dim]`: one embedding gather over every
+    /// word id in the batch, char rows stacked across sentence boundaries
+    /// (each word's composition still runs alone, in its sentence's scope),
+    /// and the gate applied to the whole packed matrix. This is the
+    /// gradient-carrying formulation the trainer records.
+    fn packed_base<E: Exec>(
         &self,
-        bx: &mut P,
+        ex: &mut E,
         store: &ParamStore,
         encs: &[&EncodedSentence],
-    ) -> P::V {
+    ) -> E::V {
         let word_ids: Vec<usize> = encs.iter().flat_map(|e| e.word_ids.iter().copied()).collect();
-        let words = self.word_emb.lookup(bx, store, &word_ids);
+        let words = self.word_emb.lookup(ex, store, &word_ids);
         let cm = match &self.char {
             None => return words,
             Some(cm) => cm,
         };
-        let mut rows: Vec<P::V> = Vec::with_capacity(bx.total_rows());
+        let mut rows: Vec<E::V> = Vec::with_capacity(word_ids.len());
         for (s, e) in encs.iter().enumerate() {
-            bx.scoped(s, |ex| {
+            ex.scoped(s, |ex| {
                 for chars in &e.char_ids {
                     rows.push(cm.word_vector(ex, store, chars));
                 }
             });
         }
-        let chars = bx.concat_rows(&rows);
-        self.combine(bx, store, words, chars)
+        let chars = ex.concat_rows(&rows);
+        self.combine(ex, store, words, chars)
     }
 
     /// The packed base served through the token cache: hits for the whole
@@ -452,7 +424,7 @@ impl InputLayer {
     /// computed once each (duplicates within the batch share the row), and
     /// the fresh rows feed back in one batched insert. Every base op treats
     /// rows independently, so cached rows are bit-identical to
-    /// [`Self::packed_base_batch`]'s. The result enters the graph as a
+    /// [`Self::packed_base`]'s. The result enters the graph as a
     /// single constant — gradient-free, which is why training never uses
     /// the cache.
     fn cached_base_batch(
@@ -504,21 +476,6 @@ impl InputLayer {
     /// token itself, not its sentence position.
     fn base_dim(&self) -> usize {
         self.out_dim - self.feat_dim - self.ctx_dim
-    }
-
-    /// Sentence-batched base `[n, base_dim]`: one embedding gather for all
-    /// word ids, char rows stacked, the gate applied to the whole matrix.
-    /// This is the gradient-carrying formulation the trainer records.
-    fn batched_base<E: Exec>(&self, ex: &mut E, store: &ParamStore, enc: &EncodedSentence) -> E::V {
-        let words = self.word_emb.lookup(ex, store, &enc.word_ids);
-        let cm = match &self.char {
-            None => return words,
-            Some(cm) => cm,
-        };
-        let rows: Vec<E::V> =
-            enc.char_ids.iter().map(|chars| cm.word_vector(ex, store, chars)).collect();
-        let chars = ex.concat_rows(&rows);
-        self.combine(ex, store, words, chars)
     }
 
     /// The `[1, base_dim]` representation for one token. Every op here
@@ -632,7 +589,7 @@ mod tests {
         );
         let e = enc.encode(&ds.sentences[0]);
         let mut tape = ner_tensor::Tape::new();
-        let x = layer.forward(&mut tape, &store, &e);
+        let x = layer.forward(&mut tape, &store, &[&e]);
         assert_eq!(tape.value(x).shape(), (e.len(), layer.out_dim()));
         assert!(tape.value(x).all_finite());
         layer.out_dim()

@@ -2,9 +2,10 @@
 //!
 //! Each neural building block in [`crate::nn`] (and every module built on
 //! top of it in `ner-core`) has exactly **one** forward implementation,
-//! written against the [`Exec`] trait. The trait has three implementations:
+//! written against the [`Exec`] trait. Every backend holds a packed batch
+//! of segments (sentences); the trait has three implementations:
 //!
-//! * [`Tape`] (aliased [`TapeExec`]) — records an autograd node per
+//! * [`Tape`] — the one-segment case: records an autograd node per
 //!   operation for one sentence. The trait methods expand coarse
 //!   operations (`affine_act`, `lstm_gates`, …) into exactly the node
 //!   chains the historical per-layer forwards pushed, so training
@@ -45,6 +46,17 @@ use std::sync::{Arc, Mutex};
 ///
 /// Values are lightweight `Copy` handles; [`value`](Exec::value) reads the
 /// tensor behind a handle.
+///
+/// Every backend is a *packed* backend: it holds one or more segments
+/// (sentences) whose token rows are packed into a single `[N, d]` value,
+/// segment `s` occupying its own rows in caller order. Packed row-wise
+/// operations go through the plain methods; per-segment subgraphs
+/// (attention cores, char compositions, decoder losses) run inside
+/// [`scoped`](Exec::scoped), which treats each value as a single sentence.
+/// The provided segment methods describe the one-segment case, which is
+/// what the [`Tape`] is: [`slice_segment`](Exec::slice_segment) and
+/// [`concat_segments`](Exec::concat_segments) pass their value through
+/// without recording a node, and `scoped` runs `f` as is.
 pub trait Exec {
     /// Handle to a computed tensor.
     type V: Copy;
@@ -193,46 +205,34 @@ pub trait Exec {
         }
         self.concat_rows(&outputs)
     }
-}
 
-/// An [`Exec`] backend that evaluates a whole batch of sentences as one
-/// *packed-rows* problem: token rows packed into a single `[N, d]` matrix,
-/// segment `s` occupying rows `[offset_of(s), offset_of(s) + len_of(s))` in
-/// caller order.
-///
-/// Two implementations share this shape and one packed forward:
-/// [`BatchedExec`] (tape-free inference) and [`BatchedTapeExec`] (autograd
-/// recording for batched training, which runs the same sweeps and per-run
-/// kernels and records one node around each). Layer forwards that need
-/// per-segment work (attention cores, char compositions, decoder losses)
-/// are written once against this trait: packed row-wise operations go
-/// through the plain [`Exec`] methods, and per-segment subgraphs run
-/// inside [`scoped`](PackedExec::scoped), which
-/// treats each value as a single sentence — one run for the sequence
-/// operations at inference, the raw per-sentence [`Tape`] chain (tagged
-/// with the owning segment for gradient routing) in training.
-pub trait PackedExec: Exec {
-    /// Number of segments (sentences) in the batch.
-    fn segments(&self) -> usize;
-    /// Length of segment `s`.
-    fn len_of(&self, s: usize) -> usize;
-    /// Packed row offset of segment `s`.
-    fn offset_of(&self, s: usize) -> usize;
-    /// Total packed rows across all segments.
-    fn total_rows(&self) -> usize;
-    /// Copies segment `s` out of a packed `[N, d]` value as its own
-    /// `[len_of(s), d]` value.
-    fn slice_segment(&mut self, v: Self::V, s: usize) -> Self::V;
+    /// Number of segments (sentences) the backend holds.
+    fn segments(&self) -> usize {
+        1
+    }
+
+    /// Segment `s` of a packed `[N, d]` value as its own value.
+    fn slice_segment(&mut self, v: Self::V, s: usize) -> Self::V {
+        debug_assert_eq!(s, 0, "a one-segment backend has only segment 0");
+        v
+    }
+
+    /// Stacks one value per segment back into packed rows: the inverse of
+    /// [`Exec::slice_segment`].
+    fn concat_segments(&mut self, parts: &[Self::V]) -> Self::V {
+        debug_assert_eq!(parts.len(), 1, "a one-segment backend has one part");
+        parts[0]
+    }
+
     /// Runs `f` in segment `s`'s per-sentence scope: every operation
-    /// recorded inside behaves exactly as it would on the per-sentence
+    /// recorded inside behaves exactly as it would on the one-segment
     /// backend, and (in training) its parameter gradients are routed to
     /// segment `s`'s buffer.
-    fn scoped<R>(&mut self, s: usize, f: impl FnOnce(&mut Self) -> R) -> R;
+    fn scoped<R>(&mut self, s: usize, f: impl FnOnce(&mut Self) -> R) -> R {
+        debug_assert_eq!(s, 0, "a one-segment backend has only segment 0");
+        f(self)
+    }
 }
-
-/// The recording backend: [`Tape`] itself. Named for symmetry with
-/// [`BatchedExec`].
-pub type TapeExec = Tape;
 
 impl Exec for Tape {
     type V = Var;
@@ -445,12 +445,11 @@ pub struct BatchedVal(usize);
 /// [`crate::fused`]. A single sentence is simply a batch of one.
 ///
 /// The batch's token rows are packed into a single `[N, d]` matrix
-/// (`N = Σ lenᵢ`), segment `s` occupying rows
-/// `[offset_of(s), offset_of(s) + len_of(s))` in caller order. Row-wise
-/// operations (affine layers, activations, layer norm, embedding lookups)
-/// need no special handling — each packed row is computed exactly as the
-/// same row of a single sentence. The sequence-shaped operations respect
-/// segment boundaries:
+/// (`N = Σ lenᵢ`), each segment occupying its own contiguous rows in
+/// caller order. Row-wise operations (affine layers, activations, layer
+/// norm, embedding lookups) need no special handling — each packed row is
+/// computed exactly as the same row of a single sentence. The
+/// sequence-shaped operations respect segment boundaries:
 ///
 /// * [`lstm_sequence`](Exec::lstm_sequence) / [`gru_sequence`](Exec::gru_sequence)
 ///   run **one recurrent GEMM per timestep across the whole batch**: the
@@ -468,7 +467,7 @@ pub struct BatchedVal(usize);
 ///
 /// Operations whose inputs are *not* packed token rows (per-word character
 /// matrices, per-segment attention scores, greedy decoder steps) run inside
-/// [`PackedExec::scoped`], where every sequence-shaped operation treats the
+/// [`Exec::scoped`], where every sequence-shaped operation treats the
 /// value's rows as a single segment.
 ///
 /// Parameters are leased by id (no copy); every owned intermediate is
@@ -487,7 +486,7 @@ pub struct BatchedExec<'a> {
     pe: Option<&'a PeCache>,
     slots: Vec<Slot>,
     pack: Packing,
-    /// Inside a [`PackedExec::scoped`] call the values in flight are
+    /// Inside an [`Exec::scoped`] call the values in flight are
     /// per-segment tensors, not packed rows: sequence operations treat
     /// their input as one segment.
     in_scope: bool,
@@ -573,7 +572,7 @@ impl<'a> BatchedExec<'a> {
 
     /// The `(offset, len)` runs a sequence-shaped operation sweeps over a
     /// value of `rows` rows, longest first: the batch's segments for packed
-    /// token rows, or — inside [`PackedExec::scoped`] — all rows as one run.
+    /// token rows, or — inside [`Exec::scoped`] — all rows as one run.
     fn runs(&self, rows: usize, op: &str) -> Cow<'_, [(usize, usize)]> {
         if self.in_scope {
             return Cow::Owned(vec![(0, rows)]);
@@ -902,28 +901,18 @@ impl Exec for BatchedExec<'_> {
         };
         self.push(out)
     }
-}
 
-impl PackedExec for BatchedExec<'_> {
     fn segments(&self) -> usize {
         self.pack.lens.len()
-    }
-
-    fn len_of(&self, s: usize) -> usize {
-        self.pack.lens[s]
-    }
-
-    fn offset_of(&self, s: usize) -> usize {
-        self.pack.offsets[s]
-    }
-
-    fn total_rows(&self) -> usize {
-        self.pack.total
     }
 
     fn slice_segment(&mut self, v: BatchedVal, s: usize) -> BatchedVal {
         let (off, len) = (self.pack.offsets[s], self.pack.lens[s]);
         self.slice_rows(v, off, len)
+    }
+
+    fn concat_segments(&mut self, parts: &[BatchedVal]) -> BatchedVal {
+        self.concat_rows(parts)
     }
 
     // Inside a scope the values in flight are per-segment tensors, so the
@@ -1208,7 +1197,7 @@ fn gru_sweep(
 /// can keep one [`GradBuffer`](crate::GradBuffer) per sentence
 /// bit-identical to the historical one-tape-per-sentence trainer.
 /// Per-segment subgraphs (char compositions, attention cores, decoder
-/// losses) run inside [`PackedExec::scoped`], which records the ordinary
+/// losses) run inside [`Exec::scoped`], which records the ordinary
 /// per-sentence node chain tagged with the owning segment.
 ///
 /// Three deliberate deviations from naive "replay the oracle" are proven
@@ -1222,7 +1211,7 @@ fn gru_sweep(
 pub struct BatchedTapeExec<'t> {
     tape: &'t mut Tape,
     pack: Packing,
-    /// `Some(s)` inside a [`PackedExec::scoped`] call: every operation
+    /// `Some(s)` inside an [`Exec::scoped`] call: every operation
     /// delegates to the raw per-sentence tape chain, tagged with segment
     /// `s` for gradient routing.
     scope: Option<usize>,
@@ -1240,7 +1229,7 @@ impl<'t> BatchedTapeExec<'t> {
     }
 
     /// Inverted dropout over the packed rows, one RNG stream per segment:
-    /// segment `s` draws exactly the `len_of(s) · d` row-major mask values
+    /// segment `s` draws exactly the `lenₛ · d` row-major mask values
     /// the per-sentence oracle would draw from `rngs[s]`, so masks — and
     /// therefore every trained float — match the one-tape-per-sentence
     /// trainer. With `p == 0` this is the identity (no node), mirroring
@@ -1276,7 +1265,7 @@ impl<'t> BatchedTapeExec<'t> {
 
     /// The underlying tape, for per-segment subgraphs that need
     /// `Tape`-only operations (decoder losses, CRF custom nodes). Use
-    /// inside [`PackedExec::scoped`] so the recorded nodes are tagged
+    /// inside [`Exec::scoped`] so the recorded nodes are tagged
     /// with the owning segment; unscoped parameter leaves reached by the
     /// segmented backward panic.
     pub fn tape_mut(&mut self) -> &mut Tape {
@@ -1840,28 +1829,18 @@ impl Exec for BatchedTapeExec<'_> {
             vec![Some(dxs)]
         })
     }
-}
 
-impl PackedExec for BatchedTapeExec<'_> {
     fn segments(&self) -> usize {
         self.pack.lens.len()
-    }
-
-    fn len_of(&self, s: usize) -> usize {
-        self.pack.lens[s]
-    }
-
-    fn offset_of(&self, s: usize) -> usize {
-        self.pack.offsets[s]
-    }
-
-    fn total_rows(&self) -> usize {
-        self.pack.total
     }
 
     fn slice_segment(&mut self, v: Var, s: usize) -> Var {
         let (off, len) = (self.pack.offsets[s], self.pack.lens[s]);
         Tape::slice_rows(self.tape, v, off, len)
+    }
+
+    fn concat_segments(&mut self, parts: &[Var]) -> Var {
+        Tape::concat_rows(self.tape, parts)
     }
 
     fn scoped<R>(&mut self, s: usize, f: impl FnOnce(&mut Self) -> R) -> R {
@@ -2016,7 +1995,7 @@ mod tests {
             if with_cache {
                 bx = bx.with_pe_cache(&cache);
             }
-            let total = bx.total_rows();
+            let total = LENS.iter().sum();
             let pe = bx.positional_encoding(total, d);
             let pe_t = bx.value(pe).clone();
             let mut off = 0;

@@ -76,7 +76,7 @@ pub mod simd;
 mod tape;
 mod tensor;
 
-pub use exec::{BatchedExec, BatchedTapeExec, BatchedVal, Exec, PackedExec, PeCache, TapeExec};
+pub use exec::{BatchedExec, BatchedTapeExec, BatchedVal, Exec, PeCache};
 pub use kernels::PAR_MIN_FLOPS;
 pub use param::{ParamId, ParamStore};
 pub use simd::SimdLevel;

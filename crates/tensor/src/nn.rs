@@ -12,7 +12,7 @@
 //! (`ner-embed`) and the NER models (`ner-core`); everything here is
 //! architecture-agnostic.
 
-use crate::exec::{Exec, PackedExec};
+use crate::exec::Exec;
 use crate::fused::Activation;
 use crate::{init, ParamId, ParamStore, Tensor};
 use rand::Rng;
@@ -322,78 +322,35 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Self-attention over `x [n, d_model]`. With `causal = true`, position
-    /// `t` may only attend to positions `≤ t` (the GPT-style mask); with
-    /// `false`, attention is bidirectional (the BERT-style encoder).
+    /// Self-attention over the packed rows `x [N, d_model]`. With
+    /// `causal = true`, position `t` may only attend to positions `≤ t`
+    /// (the GPT-style mask); with `false`, attention is bidirectional (the
+    /// BERT-style encoder).
+    ///
+    /// The q/k/v and output projections run as single GEMMs over all packed
+    /// rows, while the per-head attention core (scores, softmax, weighted
+    /// sum) runs per segment inside [`Exec::scoped`] — attention must not
+    /// mix tokens from different sentences. Each segment's output rows are
+    /// bit-identical to the one-segment [`crate::Tape`] on that segment
+    /// alone.
     ///
     /// The per-head scores are `q_h · (k_h)ᵀ` via an explicit transpose +
     /// `matmul` — NOT `matmul_nt`, whose register-accumulator dot products
     /// round differently and would break bit-identity between backends.
     pub fn forward<E: Exec>(&self, ex: &mut E, store: &ParamStore, x: E::V, causal: bool) -> E::V {
-        let n = ex.value(x).rows();
         let dk = self.d_model / self.heads;
         let scale = 1.0 / (dk as f32).sqrt();
         let q = self.wq.forward(ex, store, x);
         let k = self.wk.forward(ex, store, x);
         let v = self.wv.forward(ex, store, x);
 
-        let mask = causal.then(|| {
-            let mut m = Tensor::zeros(n, n);
-            for r in 0..n {
-                for c in (r + 1)..n {
-                    m.set2(r, c, -1e9);
-                }
-            }
-            ex.constant(m)
-        });
-
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = ex.slice_cols(q, h * dk, dk);
-            let kh = ex.slice_cols(k, h * dk, dk);
-            let vh = ex.slice_cols(v, h * dk, dk);
-            let kt = ex.transpose(kh);
-            let scores0 = ex.matmul(qh, kt);
-            let mut scores = ex.scale(scores0, scale);
-            if let Some(m) = mask {
-                scores = ex.add(scores, m);
-            }
-            let attn = ex.softmax_rows(scores);
-            head_outputs.push(ex.matmul(attn, vh));
-        }
-        let concat = ex.concat_cols(&head_outputs);
-        self.wo.forward(ex, store, concat)
-    }
-
-    /// Self-attention over a packed batch of segments: the q/k/v and
-    /// output projections run as single GEMMs over all `[N, d_model]`
-    /// packed rows, while the per-head attention core (scores, softmax,
-    /// weighted sum) runs per segment inside [`PackedExec::scoped`] —
-    /// attention must not mix tokens from different sentences. Each
-    /// segment's output rows are bit-identical to
-    /// [`MultiHeadAttention::forward`] on that segment alone, on both the
-    /// inference ([`crate::BatchedExec`]) and training
-    /// ([`crate::BatchedTapeExec`]) backends.
-    pub fn forward_batch<P: PackedExec>(
-        &self,
-        bx: &mut P,
-        store: &ParamStore,
-        x: P::V,
-        causal: bool,
-    ) -> P::V {
-        let dk = self.d_model / self.heads;
-        let scale = 1.0 / (dk as f32).sqrt();
-        let q = self.wq.forward(bx, store, x);
-        let k = self.wk.forward(bx, store, x);
-        let v = self.wv.forward(bx, store, x);
-
-        let mut seg_outputs = Vec::with_capacity(bx.segments());
-        for s in 0..bx.segments() {
-            let qs = bx.slice_segment(q, s);
-            let ks = bx.slice_segment(k, s);
-            let vs = bx.slice_segment(v, s);
-            let n = bx.len_of(s);
-            let out = bx.scoped(s, |ex| {
+        let mut seg_outputs = Vec::with_capacity(ex.segments());
+        for s in 0..ex.segments() {
+            let qs = ex.slice_segment(q, s);
+            let ks = ex.slice_segment(k, s);
+            let vs = ex.slice_segment(v, s);
+            let n = ex.value(qs).rows();
+            let out = ex.scoped(s, |ex| {
                 let mask = causal.then(|| {
                     let mut m = Tensor::zeros(n, n);
                     for r in 0..n {
@@ -421,8 +378,8 @@ impl MultiHeadAttention {
             });
             seg_outputs.push(out);
         }
-        let concat = bx.concat_rows(&seg_outputs);
-        self.wo.forward(bx, store, concat)
+        let concat = ex.concat_segments(&seg_outputs);
+        self.wo.forward(ex, store, concat)
     }
 }
 
@@ -460,7 +417,9 @@ impl TransformerBlock {
         }
     }
 
-    /// Applies the block to `x [n, d_model]`.
+    /// Applies the block to the packed rows `x [N, d_model]`: layer norm,
+    /// residual adds and the feed-forward are row-wise and run over the
+    /// whole packed matrix; only the attention core is segment-aware.
     pub fn forward<E: Exec>(&self, ex: &mut E, store: &ParamStore, x: E::V, causal: bool) -> E::V {
         let g1 = ex.param(store, self.ln1_g);
         let b1 = ex.param(store, self.ln1_b);
@@ -474,31 +433,6 @@ impl TransformerBlock {
         let h = self.ff1.forward_act(ex, store, normed, Activation::Relu);
         let h = self.ff2.forward(ex, store, h);
         ex.add(x, h)
-    }
-
-    /// Applies the block to a packed batch `x [N, d_model]`: layer norm,
-    /// residual adds and the feed-forward are row-wise and run over the
-    /// whole packed matrix; only the attention core is segment-aware (via
-    /// [`MultiHeadAttention::forward_batch`]).
-    pub fn forward_batch<P: PackedExec>(
-        &self,
-        bx: &mut P,
-        store: &ParamStore,
-        x: P::V,
-        causal: bool,
-    ) -> P::V {
-        let g1 = bx.param(store, self.ln1_g);
-        let b1 = bx.param(store, self.ln1_b);
-        let normed = bx.layer_norm(x, g1, b1);
-        let attended = self.attn.forward_batch(bx, store, normed, causal);
-        let x = bx.add(x, attended);
-
-        let g2 = bx.param(store, self.ln2_g);
-        let b2 = bx.param(store, self.ln2_b);
-        let normed = bx.layer_norm(x, g2, b2);
-        let h = self.ff1.forward_act(bx, store, normed, Activation::Relu);
-        let h = self.ff2.forward(bx, store, h);
-        bx.add(x, h)
     }
 }
 
@@ -706,6 +640,8 @@ mod tests {
             outs.push(ex.value(g).data().to_vec());
             let t = block.forward(ex, store, x, false);
             outs.push(ex.value(t).data().to_vec());
+            let tc = block.forward(ex, store, x, true);
+            outs.push(ex.value(tc).data().to_vec());
             let pe = ex.positional_encoding(5, 6);
             let xp = ex.add(x, pe);
             outs.push(ex.value(xp).data().to_vec());
