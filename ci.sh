@@ -24,8 +24,12 @@
 #      one-segment case is the tape)
 #   4. kernel smoke     (exp_kernels --smoke exits non-zero on any
 #      blocked/SIMD/parallel-vs-naive kernel divergence, run at both the
-#      default SIMD level and NER_SIMD=off; it writes only results/, so
-#      the committed BENCH_kernels.json is left alone)
+#      default SIMD level and NER_SIMD=off; the committed
+#      BENCH_kernels.json is left alone)
+#      + harness smoke  (exp_fig4, exp_fig8, exp_fig9, exp_fig11 and
+#      exp_adversarial at --quick: together they drive the four LM
+#      pretrainers, multi-task co-training, the recursive encoder and FGM
+#      adversarial training end to end)
 #   5. prometheus lint  (the /metrics exposition must have typed, unique
 #      families with cumulative histogram buckets)
 #   6. serving smoke    (serve integration tests — including batched
@@ -43,6 +47,9 @@
 #   7. benchmark build  (perfbench's own package: it builds against the
 #      workspace crates by path, and its plumbing tests run, so an API
 #      change in ner-core/ner-tensor that breaks the benchmark fails here)
+#
+# A --quick or --smoke harness run writes no results/ file, so ./ci.sh
+# leaves the working tree clean.
 #
 # The build is fully offline: every external dependency is a vendored stub
 # under compat/, so no network access is required.
@@ -81,6 +88,11 @@ cargo run --release -p ner-bench --bin exp_kernels -- --smoke
 
 echo "== kernel smoke again with SIMD forced off (NER_SIMD=off) =="
 NER_SIMD=off cargo run --release -p ner-bench --bin exp_kernels -- --smoke
+
+echo "== harness smoke: LM pretrainers, multi-task, recursive encoder, FGM (--quick) =="
+for harness in exp_fig4 exp_fig8 exp_fig9 exp_fig11 exp_adversarial; do
+    cargo run --release -q -p ner-bench --bin "$harness" -- --quick
+done
 
 echo "== prometheus lint: /metrics families must be typed, unique, cumulative =="
 cargo test --release -p ner-serve --lib -q prometheus

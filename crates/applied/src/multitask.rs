@@ -18,7 +18,7 @@ use ner_core::encoder::Encoder;
 use ner_core::metrics::EvalResult;
 use ner_core::repr::{EncodedSentence, InputLayer, SentenceEncoder};
 use ner_tensor::nn::Linear;
-use ner_tensor::optim::{Adam, Optimizer};
+use ner_tensor::optim::fit_per_example;
 use ner_tensor::{BatchedExec, Exec, ParamStore, Tape};
 use ner_text::{EntitySpan, TagSet};
 use rand::Rng;
@@ -172,24 +172,15 @@ impl MultitaskNer {
         lr: f32,
         rng: &mut impl Rng,
     ) -> Vec<f64> {
-        let mut opt = Adam::new(lr);
-        let mut losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            for enc in data {
-                if enc.is_empty() {
-                    continue;
-                }
-                let mut tape = Tape::new();
-                let loss = self.loss(&mut tape, enc, rng);
-                total += tape.value(loss).item() as f64;
-                tape.backward(loss, &mut self.store);
-                self.store.clip_grad_norm(5.0);
-                opt.step(&mut self.store);
-            }
-            losses.push(total / data.len().max(1) as f64);
-        }
-        losses
+        let fit = fit_per_example(
+            self,
+            |m| &mut m.store,
+            data,
+            epochs,
+            lr,
+            |m, tape, enc| (!enc.is_empty()).then(|| (m.loss(tape, enc, rng), enc.len())),
+        );
+        fit.epochs.iter().map(|&(sum, _)| sum / data.len().max(1) as f64).collect()
     }
 
     /// Evaluates exact-match span metrics on encoded data.

@@ -104,6 +104,5 @@ fn main() {
     println!("\nFull-data ceiling: {}", pct(ceiling));
     println!("Expected shape (paper): uncertainty strategies (MNLP/entropy) reach ~99% of the");
     println!("ceiling near the 25% budget and beat random at every low budget.");
-    let path = write_report("active", &curves);
-    println!("report: {}", path.display());
+    write_report("active", &curves);
 }

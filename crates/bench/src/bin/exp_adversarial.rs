@@ -85,6 +85,5 @@ fn main() {
     println!("to attack' — the FGM-attacked column improves with training ε — while clean F1 is");
     println!("maintained. Char-level channel noise (last column) is a different threat model");
     println!("that embedding-space FGM does not target.");
-    let path = write_report("adversarial", &rows);
-    println!("report: {}", path.display());
+    write_report("adversarial", &rows);
 }

@@ -171,6 +171,5 @@ fn main() {
     );
     println!("\nExpected shape (paper): each representation source adds signal; the full");
     println!("char+word+LM stack of Fig. 10 sits at the top on unseen entities.");
-    let path = write_report("fig10", &rows);
-    println!("report: {}", path.display());
+    write_report("fig10", &rows);
 }

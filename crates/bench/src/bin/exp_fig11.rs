@@ -145,6 +145,5 @@ fn main() {
         &table,
     );
     println!("\nExpected shape (paper): bidirectional regimes > causal GPT > no pretraining.");
-    let path = write_report("fig11", &rows);
-    println!("report: {}", path.display());
+    write_report("fig11", &rows);
 }

@@ -160,6 +160,5 @@ fn main() {
     );
     println!("\nExpected shape (paper §3.5): Viterbi grows ~quadratically with the tag count;");
     println!("softmax decoding stays linear.");
-    let path = write_report("fig12", &Report { rows, decode_us });
-    println!("report: {}", path.display());
+    write_report("fig12", &Report { rows, decode_us });
 }

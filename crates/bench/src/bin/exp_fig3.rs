@@ -81,6 +81,5 @@ fn main() {
     println!(
         "\nExpected shape (paper §3.2.2): both char channels lift unseen-entity recall over 'none'."
     );
-    let path = write_report("fig3", &rows);
-    println!("report: {}", path.display());
+    write_report("fig3", &rows);
 }

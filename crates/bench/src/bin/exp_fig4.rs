@@ -93,7 +93,7 @@ fn main() {
     println!("\nExpected shape (paper): contextualized embeddings of the same word differ across");
     println!("contexts (cross-context cosine < same-role cosine) and lift downstream F1.");
 
-    let path = write_report(
+    write_report(
         "fig4",
         &Report {
             same_word_cross_context_cosine: same_word_cross,
@@ -102,5 +102,4 @@ fn main() {
             f1_unseen_with_lm: f1_lm,
         },
     );
-    println!("report: {}", path.display());
 }

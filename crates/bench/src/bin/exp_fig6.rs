@@ -198,7 +198,7 @@ fn main() {
     println!("\nExpected shape (paper §3.5): self-attention is O(n^2*d) and recurrence O(n*d^2):");
     println!("the Transformer is cheaper than the BiLSTM at short n and grows superlinearly.");
 
-    let path = write_report(
+    write_report(
         "fig6",
         &Report {
             f1_bilstm: f1_l,
@@ -207,5 +207,4 @@ fn main() {
             encoder_forward_us,
         },
     );
-    println!("report: {}", path.display());
 }

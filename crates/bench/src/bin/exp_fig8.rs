@@ -83,9 +83,8 @@ fn main() {
     );
     println!("\nExpected shape (paper §3.3.3): structural composition beats the structure-free");
     println!("baseline, demonstrating constituency information is a usable context signal.");
-    let path = write_report(
+    write_report(
         "fig8",
         &Report { f1_recursive: f1_rec, f1_flat_softmax: f1_flat, mean_tree_depth: mean_depth },
     );
-    println!("report: {}", path.display());
 }

@@ -77,6 +77,5 @@ fn main() {
     println!("in the low-resource regime (the smaller training size), where the unsupervised");
     println!("signal adds information supervision cannot; at saturation the auxiliary gradient");
     println!("competes with the NER objective and the gain disappears.");
-    let path = write_report("fig9", &rows);
-    println!("report: {}", path.display());
+    write_report("fig9", &rows);
 }

@@ -76,7 +76,7 @@ fn main() {
     );
     println!("\nExpected shape (paper §5.1): formal ≫ noisy (≈90% vs ≈40% band); seen recall ≫");
     println!("unseen recall; in-domain data partially closes the informal gap.");
-    let path = write_report(
+    write_report(
         "informal",
         &Report {
             f1_formal,
@@ -87,5 +87,4 @@ fn main() {
             unseen_recall: split.unseen_recall,
         },
     );
-    println!("report: {}", path.display());
 }

@@ -573,8 +573,7 @@ fn main() {
         batch_scoring,
         divergence_failures: failures,
     };
-    let path = write_report("exp_kernels", &report);
-    println!("\nreport: {}", path.display());
+    write_report("exp_kernels", &report);
     if !smoke {
         let bench_json = serde_json::to_string_pretty(&report).expect("serialize BENCH report");
         std::fs::write("BENCH_kernels.json", bench_json).expect("write BENCH_kernels.json");

@@ -85,7 +85,7 @@ fn main() {
         pct(1.0 - stats.nested_fraction)
     );
     println!("the layered model recovers nested mentions and lifts recall past the cap.");
-    let path = write_report(
+    write_report(
         "nested",
         &Report {
             nested_fraction: stats.nested_fraction,
@@ -97,5 +97,4 @@ fn main() {
             layered_f1: layered_eval.micro.f1,
         },
     );
-    println!("report: {}", path.display());
 }

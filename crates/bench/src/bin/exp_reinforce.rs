@@ -112,7 +112,7 @@ fn main() {
     println!("\nselector precision (kept sentences that are clean): {}", pct(selector_precision));
     println!("Expected shape (paper §4.4): noisy < selected ≤ clean — the selector recovers");
     println!("part of the gap the label noise opened.");
-    let path = write_report(
+    write_report(
         "reinforce",
         &Report {
             corruption_rate: rate,
@@ -123,5 +123,4 @@ fn main() {
             selector_precision,
         },
     );
-    println!("report: {}", path.display());
 }

@@ -516,8 +516,7 @@ fn main() {
         stage_percentiles,
         soak,
     };
-    let path = write_report("exp_serving", &report);
-    println!("report: {}", path.display());
+    write_report("exp_serving", &report);
 
     let mut failures = Vec::new();
     if report.soak.divergences > 0 {

@@ -100,6 +100,5 @@ fn main() {
         ],
         &table,
     );
-    let path = write_report("table1", &rows);
-    println!("\nreport: {}", path.display());
+    write_report("table1", &rows);
 }

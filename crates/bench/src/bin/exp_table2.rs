@@ -62,6 +62,5 @@ fn main() {
         &["Preset", "Architecture", "Params", "Survey reference"],
         &table,
     );
-    let path = write_report("table2", &rows);
-    println!("\nreport: {}", path.display());
+    write_report("table2", &rows);
 }

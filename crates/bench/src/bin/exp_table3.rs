@@ -474,6 +474,5 @@ fn main() {
         &["Architecture", "Survey reference", "F1 (test)", "F1 (unseen)", "Params"],
         &table,
     );
-    let path = write_report("table3", &rows);
-    println!("\nreport: {}", path.display());
+    write_report("table3", &rows);
 }

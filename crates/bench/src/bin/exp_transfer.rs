@@ -98,6 +98,5 @@ fn main() {
     println!("\nZero-shot (no target training): {}", pct(zero_shot));
     println!("Expected shape (paper): FineTuneAll ≥ FreezeEncoder ≥ FromScratch, with the");
     println!("transfer margin shrinking as target data grows.");
-    let path = write_report("transfer", &rows);
-    println!("report: {}", path.display());
+    write_report("transfer", &rows);
 }

@@ -182,26 +182,39 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Writes a JSON report next to the experiment outputs (`results/`),
-/// creating the directory on demand. Returns the path written.
+/// Writes a JSON report next to the experiment outputs
+/// (`results/<name>.json`, creating the directory on demand) and prints its
+/// path. A run [`init_harness`] recorded as [`Scale::Quick`] writes no
+/// file: its numbers are smoke-test numbers, not results.
 ///
 /// When the harness went through [`init_harness`], a run manifest (seed,
 /// config signature, wall clock, peak tape nodes, flattened final metrics)
-/// is written to `results/<name>.manifest.json`, emitted to any installed
-/// sinks, and the observability layer is drained via [`ner_obs::finish`].
-pub fn write_report<T: Serialize>(name: &str, value: &T) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize report");
-    std::fs::write(&path, json).expect("write report");
-    if let Some(manifest) = build_manifest(name, value) {
-        let mjson = serde_json::to_string_pretty(&manifest).expect("serialize manifest");
-        std::fs::write(dir.join(format!("{name}.manifest.json")), mjson).expect("write manifest");
+/// is written to `results/<name>.manifest.json` (full runs only), emitted
+/// to any installed sinks, and the observability layer is drained via
+/// [`ner_obs::finish`].
+pub fn write_report<T: Serialize>(name: &str, value: &T) {
+    let quick =
+        RUN.lock().expect("run info lock").as_ref().is_some_and(|r| r.scale == Scale::Quick);
+    let manifest = build_manifest(name, value);
+    if quick {
+        println!("report: not written (--quick run)");
+    } else {
+        let dir = std::path::Path::new("results");
+        std::fs::create_dir_all(dir).expect("create results dir");
+        let path = dir.join(format!("{name}.json"));
+        let json = serde_json::to_string_pretty(value).expect("serialize report");
+        std::fs::write(&path, json).expect("write report");
+        if let Some(manifest) = &manifest {
+            let mjson = serde_json::to_string_pretty(manifest).expect("serialize manifest");
+            std::fs::write(dir.join(format!("{name}.manifest.json")), mjson)
+                .expect("write manifest");
+        }
+        println!("report: {}", path.display());
+    }
+    if let Some(manifest) = manifest {
         ner_obs::emit_manifest(&manifest);
         ner_obs::finish();
     }
-    path
 }
 
 /// Builds the run manifest for a report, or `None` when [`init_harness`]

@@ -8,18 +8,10 @@
 //! This is the classic implementation strategy — faster and numerically
 //! sturdier than composing the DP out of logsumexp graph ops.
 
+use super::{logsumexp, loss_with_grads};
 use ner_tensor::{init, ParamId, ParamStore, Tape, Tensor, Var};
 use ner_text::TagSet;
 use rand::Rng;
-
-/// Numerically stable log-sum-exp over a slice.
-fn logsumexp(xs: &[f64]) -> f64 {
-    let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if max.is_infinite() {
-        return max;
-    }
-    max + xs.iter().map(|x| (x - max).exp()).sum::<f64>().ln()
-}
 
 /// A linear-chain CRF over `k` tags with learned transition, start and end
 /// scores.
@@ -65,43 +57,10 @@ impl Crf {
         let trans_var = tape.param(store, self.transitions);
         let start_var = tape.param(store, self.start);
         let end_var = tape.param(store, self.end);
-        let trans = tape.value(trans_var).clone();
-        let start = tape.value(start_var).clone();
-        let end = tape.value(end_var).clone();
-
-        // Forward pass (alphas) in f64.
+        let (trans, start, end) = self.params(store);
+        let (alpha, beta, log_z) = self.lattice(store, &emis_v);
         let e = |t: usize, j: usize| emis_v.at2(t, j) as f64;
         let tr = |i: usize, j: usize| trans.at2(i, j) as f64;
-        let mut alpha = vec![vec![0.0f64; k]; t_len];
-        for j in 0..k {
-            alpha[0][j] = start.at2(0, j) as f64 + e(0, j);
-        }
-        let mut scratch = vec![0.0f64; k];
-        for t in 1..t_len {
-            for j in 0..k {
-                for (i, s) in scratch.iter_mut().enumerate() {
-                    *s = alpha[t - 1][i] + tr(i, j);
-                }
-                alpha[t][j] = logsumexp(&scratch) + e(t, j);
-            }
-        }
-        let final_scores: Vec<f64> =
-            (0..k).map(|j| alpha[t_len - 1][j] + end.at2(0, j) as f64).collect();
-        let log_z = logsumexp(&final_scores);
-
-        // Backward pass (betas).
-        let mut beta = vec![vec![0.0f64; k]; t_len];
-        for j in 0..k {
-            beta[t_len - 1][j] = end.at2(0, j) as f64;
-        }
-        for t in (0..t_len - 1).rev() {
-            for i in 0..k {
-                for (j, s) in scratch.iter_mut().enumerate() {
-                    *s = tr(i, j) + e(t + 1, j) + beta[t + 1][j];
-                }
-                beta[t][i] = logsumexp(&scratch);
-            }
-        }
 
         // Gold path score.
         let mut gold = start.at2(0, tags[0]) as f64 + e(0, tags[0]);
@@ -111,7 +70,10 @@ impl Crf {
         gold += end.at2(0, tags[t_len - 1]) as f64;
         let nll = (log_z - gold) as f32;
 
-        // Precompute gradient tensors (scaled by upstream grad in closure).
+        // Gradients, scaled by the upstream grad on backward: token
+        // marginals minus gold one-hots. The start and end gradients are the
+        // first and last rows of the emission gradient (beta at the last
+        // step is the end score).
         let mut d_emis = Tensor::zeros(t_len, k);
         for t in 0..t_len {
             for j in 0..k {
@@ -133,31 +95,14 @@ impl Crf {
             let cur = d_trans.at2(tags[t], tags[t + 1]);
             d_trans.set2(tags[t], tags[t + 1], cur - 1.0);
         }
-        let mut d_start = Tensor::zeros(1, k);
-        for j in 0..k {
-            d_start.set2(0, j, (alpha[0][j] + beta[0][j] - log_z).exp() as f32);
-        }
-        d_start.set2(0, tags[0], d_start.at2(0, tags[0]) - 1.0);
-        let mut d_end = Tensor::zeros(1, k);
-        for j in 0..k {
-            d_end.set2(0, j, (final_scores[j] - log_z).exp() as f32);
-        }
-        d_end.set2(0, tags[t_len - 1], d_end.at2(0, tags[t_len - 1]) - 1.0);
-
-        tape.custom(Tensor::scalar(nll), &[emissions, trans_var, start_var, end_var], move |g| {
-            let s = g.item();
-            let scaled = |t: &Tensor| {
-                let mut t = t.clone();
-                t.scale_in_place(s);
-                t
-            };
-            vec![
-                Some(scaled(&d_emis)),
-                Some(scaled(&d_trans)),
-                Some(scaled(&d_start)),
-                Some(scaled(&d_end)),
-            ]
-        })
+        let d_start = Tensor::row_vector(d_emis.row(0));
+        let d_end = Tensor::row_vector(d_emis.row(t_len - 1));
+        loss_with_grads(
+            tape,
+            nll,
+            &[emissions, trans_var, start_var, end_var],
+            vec![d_emis, d_trans, d_start, d_end],
+        )
     }
 
     /// Viterbi decoding: the maximum-scoring tag sequence for `emissions`,
@@ -213,37 +158,41 @@ impl Crf {
     /// Log partition function for `emissions` (used to normalize Viterbi
     /// scores into path probabilities for confidence estimates, §4.3 MNLP).
     pub fn log_partition(&self, store: &ParamStore, emissions: &Tensor) -> f64 {
-        let (t_len, k) = emissions.shape();
-        let trans = store.value(self.transitions);
-        let start = store.value(self.start);
-        let end = store.value(self.end);
-        let mut alpha: Vec<f64> =
-            (0..k).map(|j| start.at2(0, j) as f64 + emissions.at2(0, j) as f64).collect();
-        let mut next = vec![0.0f64; k];
-        let mut scratch = vec![0.0f64; k];
-        for t in 1..t_len {
-            for j in 0..k {
-                for (i, s) in scratch.iter_mut().enumerate() {
-                    *s = alpha[i] + trans.at2(i, j) as f64;
-                }
-                next[j] = logsumexp(&scratch) + emissions.at2(t, j) as f64;
-            }
-            std::mem::swap(&mut alpha, &mut next);
-        }
-        let finals: Vec<f64> = (0..k).map(|j| alpha[j] + end.at2(0, j) as f64).collect();
-        logsumexp(&finals)
+        self.lattice(store, emissions).2
     }
 
     /// Per-token posterior marginals `[T, k]` (each row sums to 1) — the
     /// confidence signal for uncertainty-based active learning.
     pub fn marginals(&self, store: &ParamStore, emissions: &Tensor) -> Tensor {
         let (t_len, k) = emissions.shape();
-        let trans = store.value(self.transitions);
-        let start = store.value(self.start);
-        let end = store.value(self.end);
+        let (alpha, beta, log_z) = self.lattice(store, emissions);
+        let mut out = Tensor::zeros(t_len, k);
+        for t in 0..t_len {
+            for j in 0..k {
+                out.set2(t, j, (alpha[t][j] + beta[t][j] - log_z).exp() as f32);
+            }
+        }
+        out
+    }
+
+    fn params<'s>(&self, store: &'s ParamStore) -> (&'s Tensor, &'s Tensor, &'s Tensor) {
+        (store.value(self.transitions), store.value(self.start), store.value(self.end))
+    }
+
+    /// One f64 forward–backward pass over the chain: `alpha[t][j]` log-sums
+    /// every path over `0..=t` ending in tag `j`, `beta[t][i]` every
+    /// continuation of tag `i` at `t` to the end (end scores included), and
+    /// `log_z` is the log partition function, so the token marginals are
+    /// `exp(alpha + beta − log_z)`.
+    fn lattice(
+        &self,
+        store: &ParamStore,
+        emissions: &Tensor,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, f64) {
+        let (trans, start, end) = self.params(store);
+        let (t_len, k) = emissions.shape();
         let e = |t: usize, j: usize| emissions.at2(t, j) as f64;
         let tr = |i: usize, j: usize| trans.at2(i, j) as f64;
-
         let mut alpha = vec![vec![0.0f64; k]; t_len];
         for j in 0..k {
             alpha[0][j] = start.at2(0, j) as f64 + e(0, j);
@@ -257,6 +206,9 @@ impl Crf {
                 alpha[t][j] = logsumexp(&scratch) + e(t, j);
             }
         }
+        let finals: Vec<f64> = (0..k).map(|j| alpha[t_len - 1][j] + end.at2(0, j) as f64).collect();
+        let log_z = logsumexp(&finals);
+
         let mut beta = vec![vec![0.0f64; k]; t_len];
         for j in 0..k {
             beta[t_len - 1][j] = end.at2(0, j) as f64;
@@ -269,15 +221,7 @@ impl Crf {
                 beta[t][i] = logsumexp(&scratch);
             }
         }
-        let finals: Vec<f64> = (0..k).map(|j| alpha[t_len - 1][j] + end.at2(0, j) as f64).collect();
-        let log_z = logsumexp(&finals);
-        let mut out = Tensor::zeros(t_len, k);
-        for t in 0..t_len {
-            for j in 0..k {
-                out.set2(t, j, (alpha[t][j] + beta[t][j] - log_z).exp() as f32);
-            }
-        }
-        out
+        (alpha, beta, log_z)
     }
 }
 

@@ -9,16 +9,26 @@
 //! hand-derived from a semi-Markov forward–backward pass, mirroring the
 //! linear-chain CRF implementation.
 
+use super::{logsumexp, loss_with_grads};
 use ner_tensor::{init, ParamId, ParamStore, Tape, Tensor, Var};
 use ner_text::EntitySpan;
 use rand::Rng;
 
-fn logsumexp(xs: &[f64]) -> f64 {
-    let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if max.is_infinite() {
-        return max;
+/// `score(s, e, y)` of segment `[s, e)` with label `y`: its rows' emission
+/// sum for `y` (from per-label prefix sums, so O(1) per segment) plus the
+/// `(e − s, y)` length bias.
+fn segment_scorer<'a>(
+    emissions: &Tensor,
+    len_bias: &'a Tensor,
+) -> impl Fn(usize, usize, usize) -> f64 + 'a {
+    let (n, l) = emissions.shape();
+    let mut prefix = vec![vec![0.0f64; l]; n + 1];
+    for t in 0..n {
+        for y in 0..l {
+            prefix[t + 1][y] = prefix[t][y] + emissions.at2(t, y) as f64;
+        }
     }
-    max + xs.iter().map(|x| (x - max).exp()).sum::<f64>().ln()
+    move |s, e, y| prefix[e][y] - prefix[s][y] + len_bias.at2(e - s - 1, y) as f64
 }
 
 /// A typed segment `[start, end)` with label index (0 = `O`).
@@ -139,16 +149,7 @@ impl SemiCrf {
         let end = tape.value(end_var).clone();
         let len_bias = tape.value(len_var).clone();
 
-        // Prefix sums of emissions per label for O(1) segment scores.
-        let mut prefix = vec![vec![0.0f64; l]; n + 1];
-        for t in 0..n {
-            for y in 0..l {
-                prefix[t + 1][y] = prefix[t][y] + emis.at2(t, y) as f64;
-            }
-        }
-        let seg_score = |s: usize, e: usize, y: usize| -> f64 {
-            prefix[e][y] - prefix[s][y] + len_bias.at2(e - s - 1, y) as f64
-        };
+        let seg_score = segment_scorer(&emis, &len_bias);
         let tr = |a: usize, b: usize| trans.at2(a, b) as f64;
 
         // alpha[e][y]: log-sum of segmentations of [0, e) ending with label y.
@@ -303,24 +304,11 @@ impl SemiCrf {
         let last = prev.expect("non-empty gold");
         d_end.set2(0, last, d_end.at2(0, last) - 1.0);
 
-        tape.custom(
-            Tensor::scalar(nll),
+        loss_with_grads(
+            tape,
+            nll,
             &[emissions, trans_var, start_var, end_var, len_var],
-            move |g| {
-                let s = g.item();
-                let scaled = |t: &Tensor| {
-                    let mut t = t.clone();
-                    t.scale_in_place(s);
-                    t
-                };
-                vec![
-                    Some(scaled(&d_emis)),
-                    Some(scaled(&d_trans)),
-                    Some(scaled(&d_start)),
-                    Some(scaled(&d_end)),
-                    Some(scaled(&d_len)),
-                ]
-            },
+            vec![d_emis, d_trans, d_start, d_end, d_len],
         )
     }
 
@@ -336,15 +324,7 @@ impl SemiCrf {
         let end = store.value(self.end);
         let len_bias = store.value(self.length_bias);
 
-        let mut prefix = vec![vec![0.0f64; l]; n + 1];
-        for t in 0..n {
-            for y in 0..l {
-                prefix[t + 1][y] = prefix[t][y] + emissions.at2(t, y) as f64;
-            }
-        }
-        let seg_score = |s: usize, e: usize, y: usize| -> f64 {
-            prefix[e][y] - prefix[s][y] + len_bias.at2(e - s - 1, y) as f64
-        };
+        let seg_score = segment_scorer(emissions, len_bias);
 
         const NEG: f64 = -1e18;
         let mut best = vec![vec![NEG; l]; n + 1];

@@ -12,7 +12,7 @@
 
 use ner_tensor::fused::Activation;
 use ner_tensor::nn::{Embedding, Linear};
-use ner_tensor::optim::{Adam, Optimizer};
+use ner_tensor::optim::fit_per_example;
 use ner_tensor::{BatchedExec, Exec, ParamStore, Tape, Var};
 use ner_text::pos::{tag_sentence, PosTag};
 use ner_text::{EntitySpan, Sentence, TagScheme, TagSet, Vocab};
@@ -224,8 +224,6 @@ impl RecursiveNer {
         rng: &mut impl Rng,
     ) -> Vec<f64> {
         let _ = rng;
-        let mut opt = Adam::new(lr);
-        let mut losses = Vec::with_capacity(epochs);
         let prepared: Vec<(Vec<String>, Vec<usize>)> = data
             .iter()
             .filter(|s| !s.is_empty())
@@ -235,19 +233,15 @@ impl RecursiveNer {
                 (tokens, tags)
             })
             .collect();
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            for (tokens, tags) in &prepared {
-                let mut tape = Tape::new();
-                let loss = self.loss(&mut tape, tokens, tags);
-                total += tape.value(loss).item() as f64;
-                tape.backward(loss, &mut self.store);
-                self.store.clip_grad_norm(5.0);
-                opt.step(&mut self.store);
-            }
-            losses.push(total / prepared.len().max(1) as f64);
-        }
-        losses
+        let fit = fit_per_example(
+            self,
+            |m| &mut m.store,
+            &prepared,
+            epochs,
+            lr,
+            |m, tape, (tokens, tags)| Some((m.loss(tape, tokens, tags), tags.len())),
+        );
+        fit.epochs.iter().map(|&(sum, _)| sum / prepared.len().max(1) as f64).collect()
     }
 }
 

@@ -3,16 +3,17 @@
 //! (Devlin et al. 2019; paper §3.3.5, Fig. 11 left; Baevski et al.'s
 //! cloze-driven pretraining is the same objective family).
 //!
-//! As a feature extractor, a word's representation is the mean of its
-//! subword pieces' final hidden states — each of which conditions on *both*
-//! left and right context, the property Fig. 11 credits for BERT's edge over
-//! the causal GPT.
+//! The network is the crate's shared `lm::TransformerLm` core with
+//! unmasked attention; this module keeps the subword vocabulary and the
+//! 80/10/10 masking objective. As a feature extractor, a word's
+//! representation is the mean of its subword pieces' final hidden states —
+//! each of which conditions on *both* left and right context, the property
+//! Fig. 11 credits for BERT's edge over the causal GPT.
 
+use crate::lm::TransformerLm;
 use crate::subword::Bpe;
 use crate::ContextualEmbedder;
-use ner_tensor::nn::{positional_encoding, Embedding, Linear, TransformerBlock};
-use ner_tensor::optim::{Adam, Optimizer};
-use ner_tensor::{ParamStore, Tape, Var};
+use ner_tensor::Tape;
 use ner_text::Vocab;
 use rand::Rng;
 
@@ -56,11 +57,7 @@ impl Default for BertConfig {
 pub struct BertLite {
     bpe: Bpe,
     vocab: Vocab,
-    emb: Embedding,
-    blocks: Vec<TransformerBlock>,
-    out: Linear,
-    store: ParamStore,
-    d_model: usize,
+    lm: TransformerLm,
 }
 
 const CLS: &str = "<cls>";
@@ -81,16 +78,6 @@ impl BertLite {
         (ids, spans)
     }
 
-    fn encode(&self, tape: &mut Tape, ids: &[usize]) -> Var {
-        let e = self.emb.lookup(tape, &self.store, ids);
-        let pe = tape.constant(positional_encoding(ids.len(), self.d_model));
-        let mut h = tape.add(e, pe);
-        for block in &self.blocks {
-            h = block.forward(tape, &self.store, h, false);
-        }
-        h
-    }
-
     /// Trains on a tokenized corpus; returns the model and per-epoch average
     /// masked-position NLL.
     pub fn train(corpus: &[Vec<String>], cfg: &BertConfig, rng: &mut impl Rng) -> (Self, Vec<f32>) {
@@ -101,73 +88,52 @@ impl BertLite {
         for piece in bpe.piece_inventory(corpus) {
             vocab.add(&piece);
         }
-
-        let mut store = ParamStore::new();
-        let emb = Embedding::new(&mut store, rng, "bert.emb", vocab.len(), cfg.d_model);
-        let blocks = (0..cfg.layers)
-            .map(|i| {
-                TransformerBlock::new(
-                    &mut store,
-                    rng,
-                    &format!("bert.block{i}"),
-                    cfg.d_model,
-                    cfg.heads,
-                    cfg.d_ff,
-                )
-            })
-            .collect();
-        let out = Linear::new(&mut store, rng, "bert.out", cfg.d_model, vocab.len());
-        let mut model = BertLite { bpe, vocab, emb, blocks, out, store, d_model: cfg.d_model };
+        let lm = TransformerLm::new(
+            "bert",
+            vocab.len(),
+            cfg.d_model,
+            cfg.heads,
+            cfg.layers,
+            cfg.d_ff,
+            rng,
+        );
+        let mut model = BertLite { bpe, vocab, lm };
 
         let mask_id = model.vocab.get(MASK).expect("mask token registered");
         let vocab_len = model.vocab.len();
-        let mut opt = Adam::new(cfg.lr);
-        let mut epoch_nll = Vec::with_capacity(cfg.epochs);
-
-        for _ in 0..cfg.epochs {
-            let mut total = 0.0f64;
-            let mut preds = 0usize;
-            for sent in corpus {
-                let (ids, _) = model.pieces(sent);
-                if ids.len() < 3 {
-                    continue;
-                }
-                // BERT's 80/10/10 corruption of selected positions.
-                let mut corrupted = ids.clone();
-                let mut masked: Vec<(usize, usize)> = Vec::new(); // (position, original)
-                for (pos, &orig) in ids.iter().enumerate().skip(1) {
-                    if rng.gen_bool(cfg.mask_prob) {
-                        let roll: f64 = rng.gen();
-                        corrupted[pos] = if roll < 0.8 {
-                            mask_id
-                        } else if roll < 0.9 {
-                            rng.gen_range(2..vocab_len)
-                        } else {
-                            orig
-                        };
-                        masked.push((pos, orig));
-                    }
-                }
-                if masked.is_empty() {
-                    continue;
-                }
-                let mut tape = Tape::new();
-                let h = model.encode(&mut tape, &corrupted);
-                // Score only the masked rows.
-                let rows: Vec<ner_tensor::Var> =
-                    masked.iter().map(|&(pos, _)| tape.row(h, pos)).collect();
-                let picked = tape.concat_rows(&rows);
-                let logits = model.out.forward(&mut tape, &model.store, picked);
-                let targets: Vec<usize> = masked.iter().map(|&(_, orig)| orig).collect();
-                let loss = tape.cross_entropy_sum(logits, &targets);
-                total += tape.value(loss).item() as f64;
-                preds += targets.len();
-                tape.backward(loss, &mut model.store);
-                model.store.clip_grad_norm(5.0);
-                opt.step(&mut model.store);
+        let seqs: Vec<Vec<usize>> = corpus.iter().map(|s| model.pieces(s).0).collect();
+        let epoch_nll = model.lm.fit(&seqs, cfg.epochs, cfg.lr, |lm, tape, ids| {
+            if ids.len() < 3 {
+                return None;
             }
-            epoch_nll.push((total / preds.max(1) as f64) as f32);
-        }
+            // BERT's 80/10/10 corruption of selected positions.
+            let mut corrupted = ids.clone();
+            let mut masked: Vec<(usize, usize)> = Vec::new(); // (position, original)
+            for (pos, &orig) in ids.iter().enumerate().skip(1) {
+                if rng.gen_bool(cfg.mask_prob) {
+                    let roll: f64 = rng.gen();
+                    corrupted[pos] = if roll < 0.8 {
+                        mask_id
+                    } else if roll < 0.9 {
+                        rng.gen_range(2..vocab_len)
+                    } else {
+                        orig
+                    };
+                    masked.push((pos, orig));
+                }
+            }
+            if masked.is_empty() {
+                return None;
+            }
+            let h = lm.encode(tape, &corrupted, false);
+            // Score only the masked rows.
+            let rows: Vec<ner_tensor::Var> =
+                masked.iter().map(|&(pos, _)| tape.row(h, pos)).collect();
+            let picked = tape.concat_rows(&rows);
+            let logits = lm.logits(tape, picked);
+            let targets: Vec<usize> = masked.iter().map(|&(_, orig)| orig).collect();
+            Some((tape.cross_entropy_sum(logits, &targets), targets.len()))
+        });
         (model, epoch_nll)
     }
 
@@ -179,7 +145,7 @@ impl BertLite {
 
 impl ContextualEmbedder for BertLite {
     fn dim(&self) -> usize {
-        self.d_model
+        self.lm.dim()
     }
 
     fn embed(&self, tokens: &[String]) -> Vec<Vec<f32>> {
@@ -188,12 +154,12 @@ impl ContextualEmbedder for BertLite {
         }
         let (ids, spans) = self.pieces(tokens);
         let mut tape = Tape::new();
-        let h = self.encode(&mut tape, &ids);
+        let h = self.lm.encode(&mut tape, &ids, false);
         let v = tape.value(h);
         spans
             .iter()
             .map(|&(s, e)| {
-                let mut mean = vec![0.0f32; self.d_model];
+                let mut mean = vec![0.0f32; self.lm.dim()];
                 for r in s..e {
                     for (m, &x) in mean.iter_mut().zip(v.row(r)) {
                         *m += x;

@@ -1,7 +1,8 @@
 //! Contextual string embeddings from a character-level language model
 //! (Akbik et al. 2018; paper Fig. 4 and Table 3 row \[106\]).
 //!
-//! A forward and a backward character LSTM LM are trained over raw sentence
+//! A forward and a backward character LSTM LM (the crate's shared
+//! `lm::BiLstmLm` core over character ids) are trained over raw sentence
 //! character streams. A word's embedding is the concatenation of the
 //! forward LM's hidden state after the word's **last** character and the
 //! backward LM's hidden state at the word's **first** character — both
@@ -9,10 +10,8 @@
 //! word receives different vectors in different contexts (the polysemy
 //! property highlighted in the paper).
 
+use crate::lm::BiLstmLm;
 use crate::ContextualEmbedder;
-use ner_tensor::nn::{Embedding, Linear, LstmCell};
-use ner_tensor::optim::{Adam, Optimizer};
-use ner_tensor::{ParamStore, Tape};
 use ner_text::Vocab;
 use rand::Rng;
 
@@ -38,13 +37,7 @@ impl Default for CharLmConfig {
 /// A trained forward+backward character language model.
 pub struct CharLm {
     vocab: Vocab,
-    emb: Embedding,
-    fw: LstmCell,
-    bw: LstmCell,
-    out_fw: Linear,
-    out_bw: Linear,
-    store: ParamStore,
-    hidden: usize,
+    lm: BiLstmLm,
 }
 
 const BOS: &str = "<bos>";
@@ -88,72 +81,15 @@ impl CharLm {
                 }
             }
         }
-
-        let mut store = ParamStore::new();
-        let emb = Embedding::new(&mut store, rng, "charlm.emb", vocab.len(), cfg.dim);
-        let fw = LstmCell::new(&mut store, rng, "charlm.fw", cfg.dim, cfg.hidden);
-        let bw = LstmCell::new(&mut store, rng, "charlm.bw", cfg.dim, cfg.hidden);
-        let out_fw = Linear::new(&mut store, rng, "charlm.out_fw", cfg.hidden, vocab.len());
-        let out_bw = Linear::new(&mut store, rng, "charlm.out_bw", cfg.hidden, vocab.len());
-
-        let mut model = CharLm { vocab, emb, fw, bw, out_fw, out_bw, store, hidden: cfg.hidden };
-        let mut opt = Adam::new(cfg.lr);
-        let mut epoch_nll = Vec::with_capacity(cfg.epochs);
-
-        for _ in 0..cfg.epochs {
-            let mut total = 0.0f64;
-            let mut chars = 0usize;
-            for sent in corpus {
-                let (ids, _) = char_ids(&model.vocab, sent);
-                if ids.len() < 3 {
-                    continue;
-                }
-                let mut tape = Tape::new();
-                let loss = model.lm_loss(&mut tape, &ids);
-                total += tape.value(loss).item() as f64;
-                chars += 2 * (ids.len() - 1);
-                tape.backward(loss, &mut model.store);
-                model.store.clip_grad_norm(5.0);
-                opt.step(&mut model.store);
-            }
-            epoch_nll.push((total / chars.max(1) as f64) as f32);
-        }
-        (model, epoch_nll)
-    }
-
-    /// Combined forward+backward LM loss (summed NLL) for one id sequence.
-    fn lm_loss(&self, tape: &mut Tape, ids: &[usize]) -> ner_tensor::Var {
-        let n = ids.len();
-        // Forward: consume ids[..n-1], predict ids[1..].
-        let x = self.emb.lookup(tape, &self.store, &ids[..n - 1]);
-        let hs = self.fw.sequence(tape, &self.store, x);
-        let logits = self.out_fw.forward(tape, &self.store, hs);
-        let loss_f = tape.cross_entropy_sum(logits, &ids[1..]);
-        // Backward: consume reversed ids[1..], predict the token before each.
-        let rev: Vec<usize> = ids[1..].iter().rev().copied().collect();
-        let targets_rev: Vec<usize> = ids[..n - 1].iter().rev().copied().collect();
-        let xb = self.emb.lookup(tape, &self.store, &rev);
-        let hb = self.bw.sequence(tape, &self.store, xb);
-        let logits_b = self.out_bw.forward(tape, &self.store, hb);
-        let loss_b = tape.cross_entropy_sum(logits_b, &targets_rev);
-        tape.add(loss_f, loss_b)
+        let mut lm = BiLstmLm::new("charlm", vocab.len(), cfg.dim, cfg.hidden, rng);
+        let seqs: Vec<Vec<usize>> = corpus.iter().map(|s| char_ids(&vocab, s).0).collect();
+        let epoch_nll = lm.fit(&seqs, cfg.epochs, cfg.lr);
+        (CharLm { vocab, lm }, epoch_nll)
     }
 
     /// Average NLL per character over a held-out corpus (exp → perplexity).
     pub fn nll_per_char(&self, corpus: &[Vec<String>]) -> f64 {
-        let mut total = 0.0f64;
-        let mut chars = 0usize;
-        for sent in corpus {
-            let (ids, _) = char_ids(&self.vocab, sent);
-            if ids.len() < 3 {
-                continue;
-            }
-            let mut tape = Tape::new();
-            let loss = self.lm_loss(&mut tape, &ids);
-            total += tape.value(loss).item() as f64;
-            chars += 2 * (ids.len() - 1);
-        }
-        total / chars.max(1) as f64
+        self.lm.nll(corpus.iter().map(|s| char_ids(&self.vocab, s).0))
     }
 
     /// The character vocabulary.
@@ -164,7 +100,7 @@ impl CharLm {
 
 impl ContextualEmbedder for CharLm {
     fn dim(&self) -> usize {
-        2 * self.hidden
+        self.lm.dim()
     }
 
     fn embed(&self, tokens: &[String]) -> Vec<Vec<f32>> {
@@ -172,21 +108,9 @@ impl ContextualEmbedder for CharLm {
             return vec![];
         }
         let (ids, spans) = char_ids(&self.vocab, tokens);
-        let mut tape = Tape::new();
-        let x = self.emb.lookup(&mut tape, &self.store, &ids);
-        let fw_out = self.fw.sequence(&mut tape, &self.store, x);
-        let bw_out = self.bw.sequence_rev(&mut tape, &self.store, x);
-        let fw_v = tape.value(fw_out);
-        let bw_v = tape.value(bw_out);
-        spans
-            .iter()
-            .map(|&(s, e)| {
-                let mut v = Vec::with_capacity(2 * self.hidden);
-                v.extend_from_slice(fw_v.row(e - 1)); // after the last char
-                v.extend_from_slice(bw_v.row(s)); // backward state at the first char
-                v
-            })
-            .collect()
+        let (fw, bw) = self.lm.states(&ids);
+        // Forward state after the last char, backward state at the first.
+        spans.iter().map(|&(s, e)| [fw.row(e - 1), bw.row(s)].concat()).collect()
     }
 }
 

@@ -3,13 +3,13 @@
 //!
 //! A forward LM predicts the next word, an independent backward LM predicts
 //! the previous word; a token's contextual representation concatenates the
-//! two hidden states at its position. Following the original ELMo recipe the
-//! two directions share the input embedding table but nothing else.
+//! two hidden states at its position. The LM is the crate's shared
+//! `lm::BiLstmLm` core over lowercased word ids framed by `<s>`/`</s>`;
+//! following the original ELMo recipe the two directions share the input
+//! embedding table but nothing else.
 
+use crate::lm::BiLstmLm;
 use crate::ContextualEmbedder;
-use ner_tensor::nn::{Embedding, Linear, LstmCell};
-use ner_tensor::optim::{Adam, Optimizer};
-use ner_tensor::{ParamStore, Tape};
 use ner_text::Vocab;
 use rand::Rng;
 
@@ -37,13 +37,7 @@ impl Default for ElmoConfig {
 /// A trained bidirectional word-level LM.
 pub struct ElmoLm {
     vocab: Vocab,
-    emb: Embedding,
-    fw: LstmCell,
-    bw: LstmCell,
-    out_fw: Linear,
-    out_bw: Linear,
-    store: ParamStore,
-    hidden: usize,
+    lm: BiLstmLm,
 }
 
 const BOS: &str = "<s>";
@@ -66,97 +60,31 @@ impl ElmoLm {
         );
         vocab.add(BOS);
         vocab.add(EOS);
-
-        let mut store = ParamStore::new();
-        let emb = Embedding::new(&mut store, rng, "elmo.emb", vocab.len(), cfg.dim);
-        let fw = LstmCell::new(&mut store, rng, "elmo.fw", cfg.dim, cfg.hidden);
-        let bw = LstmCell::new(&mut store, rng, "elmo.bw", cfg.dim, cfg.hidden);
-        let out_fw = Linear::new(&mut store, rng, "elmo.out_fw", cfg.hidden, vocab.len());
-        let out_bw = Linear::new(&mut store, rng, "elmo.out_bw", cfg.hidden, vocab.len());
-        let mut model = ElmoLm { vocab, emb, fw, bw, out_fw, out_bw, store, hidden: cfg.hidden };
-
-        let mut opt = Adam::new(cfg.lr);
-        let mut epoch_nll = Vec::with_capacity(cfg.epochs);
-        for _ in 0..cfg.epochs {
-            let mut total = 0.0f64;
-            let mut preds = 0usize;
-            for sent in corpus {
-                let ids = model.ids(sent);
-                if ids.len() < 3 {
-                    continue;
-                }
-                let mut tape = Tape::new();
-                let loss = model.lm_loss(&mut tape, &ids);
-                total += tape.value(loss).item() as f64;
-                preds += 2 * (ids.len() - 1);
-                tape.backward(loss, &mut model.store);
-                model.store.clip_grad_norm(5.0);
-                opt.step(&mut model.store);
-            }
-            epoch_nll.push((total / preds.max(1) as f64) as f32);
-        }
+        let lm = BiLstmLm::new("elmo", vocab.len(), cfg.dim, cfg.hidden, rng);
+        let mut model = ElmoLm { vocab, lm };
+        let seqs: Vec<Vec<usize>> = corpus.iter().map(|s| model.ids(s)).collect();
+        let epoch_nll = model.lm.fit(&seqs, cfg.epochs, cfg.lr);
         (model, epoch_nll)
-    }
-
-    fn lm_loss(&self, tape: &mut Tape, ids: &[usize]) -> ner_tensor::Var {
-        let n = ids.len();
-        let x = self.emb.lookup(tape, &self.store, &ids[..n - 1]);
-        let hs = self.fw.sequence(tape, &self.store, x);
-        let logits = self.out_fw.forward(tape, &self.store, hs);
-        let loss_f = tape.cross_entropy_sum(logits, &ids[1..]);
-
-        let rev: Vec<usize> = ids[1..].iter().rev().copied().collect();
-        let targets_rev: Vec<usize> = ids[..n - 1].iter().rev().copied().collect();
-        let xb = self.emb.lookup(tape, &self.store, &rev);
-        let hb = self.bw.sequence(tape, &self.store, xb);
-        let logits_b = self.out_bw.forward(tape, &self.store, hb);
-        let loss_b = tape.cross_entropy_sum(logits_b, &targets_rev);
-        tape.add(loss_f, loss_b)
     }
 
     /// Average NLL per prediction on held-out data.
     pub fn nll(&self, corpus: &[Vec<String>]) -> f64 {
-        let mut total = 0.0f64;
-        let mut preds = 0usize;
-        for sent in corpus {
-            let ids = self.ids(sent);
-            if ids.len() < 3 {
-                continue;
-            }
-            let mut tape = Tape::new();
-            let loss = self.lm_loss(&mut tape, &ids);
-            total += tape.value(loss).item() as f64;
-            preds += 2 * (ids.len() - 1);
-        }
-        total / preds.max(1) as f64
+        self.lm.nll(corpus.iter().map(|s| self.ids(s)))
     }
 }
 
 impl ContextualEmbedder for ElmoLm {
     fn dim(&self) -> usize {
-        2 * self.hidden
+        self.lm.dim()
     }
 
     fn embed(&self, tokens: &[String]) -> Vec<Vec<f32>> {
         if tokens.is_empty() {
             return vec![];
         }
-        let ids = self.ids(tokens);
-        let mut tape = Tape::new();
-        let x = self.emb.lookup(&mut tape, &self.store, &ids);
-        let fw_out = self.fw.sequence(&mut tape, &self.store, x);
-        let bw_out = self.bw.sequence_rev(&mut tape, &self.store, x);
-        let fw_v = tape.value(fw_out);
-        let bw_v = tape.value(bw_out);
+        let (fw, bw) = self.lm.states(&self.ids(tokens));
         // Token k sits at id position k+1 (after BOS).
-        (0..tokens.len())
-            .map(|k| {
-                let mut v = Vec::with_capacity(2 * self.hidden);
-                v.extend_from_slice(fw_v.row(k + 1));
-                v.extend_from_slice(bw_v.row(k + 1));
-                v
-            })
-            .collect()
+        (1..=tokens.len()).map(|p| [fw.row(p), bw.row(p)].concat()).collect()
     }
 }
 

@@ -1,16 +1,16 @@
 //! GPT-lite: a left-to-right Transformer language model (Radford et al.
 //! 2018; paper §3.3.5, Fig. 11 middle).
 //!
-//! Pretrained with the causal next-token objective; as a feature extractor a
-//! token's representation is the final hidden state at its own position —
-//! which, by construction, conditions only on the *left* context. The
-//! Fig. 11 experiment contrasts this with BERT-lite's bidirectional
-//! conditioning.
+//! The crate's shared `lm::TransformerLm` core with causal attention,
+//! pretrained with the next-token objective over lowercased word ids; as a
+//! feature extractor a token's representation is the final hidden state at
+//! its own position — which, by construction, conditions only on the *left*
+//! context. The Fig. 11 experiment contrasts this with BERT-lite's
+//! bidirectional conditioning.
 
+use crate::lm::{held_out_nll, TransformerLm};
 use crate::ContextualEmbedder;
-use ner_tensor::nn::{positional_encoding, Embedding, Linear, TransformerBlock};
-use ner_tensor::optim::{Adam, Optimizer};
-use ner_tensor::{ParamStore, Tape, Var};
+use ner_tensor::{Tape, Var};
 use ner_text::Vocab;
 use rand::Rng;
 
@@ -42,30 +42,27 @@ impl Default for GptConfig {
 /// A trained causal Transformer LM.
 pub struct GptLite {
     vocab: Vocab,
-    emb: Embedding,
-    blocks: Vec<TransformerBlock>,
-    out: Linear,
-    store: ParamStore,
-    d_model: usize,
+    lm: TransformerLm,
 }
 
 const BOS: &str = "<s>";
+
+/// Summed next-token NLL of `ids` (all but the last position predict the
+/// next id) and its prediction count, or `None` for fewer than 2 ids.
+fn next_token_loss(lm: &TransformerLm, tape: &mut Tape, ids: &[usize]) -> Option<(Var, usize)> {
+    if ids.len() < 2 {
+        return None;
+    }
+    let h = lm.encode(tape, &ids[..ids.len() - 1], true);
+    let logits = lm.logits(tape, h);
+    Some((tape.cross_entropy_sum(logits, &ids[1..]), ids.len() - 1))
+}
 
 impl GptLite {
     fn ids(&self, tokens: &[String]) -> Vec<usize> {
         let mut ids = vec![self.vocab.get_or_unk(BOS)];
         ids.extend(tokens.iter().map(|t| self.vocab.get_or_unk(&t.to_lowercase())));
         ids
-    }
-
-    fn encode(&self, tape: &mut Tape, ids: &[usize]) -> Var {
-        let e = self.emb.lookup(tape, &self.store, ids);
-        let pe = tape.constant(positional_encoding(ids.len(), self.d_model));
-        let mut h = tape.add(e, pe);
-        for block in &self.blocks {
-            h = block.forward(tape, &self.store, h, true);
-        }
-        h
     }
 
     /// Trains on a tokenized corpus; returns the model and per-epoch average
@@ -76,85 +73,43 @@ impl GptLite {
             cfg.min_count,
         );
         vocab.add(BOS);
-
-        let mut store = ParamStore::new();
-        let emb = Embedding::new(&mut store, rng, "gpt.emb", vocab.len(), cfg.d_model);
-        let blocks = (0..cfg.layers)
-            .map(|i| {
-                TransformerBlock::new(
-                    &mut store,
-                    rng,
-                    &format!("gpt.block{i}"),
-                    cfg.d_model,
-                    cfg.heads,
-                    cfg.d_ff,
-                )
-            })
-            .collect();
-        let out = Linear::new(&mut store, rng, "gpt.out", cfg.d_model, vocab.len());
-        let mut model = GptLite { vocab, emb, blocks, out, store, d_model: cfg.d_model };
-
-        let mut opt = Adam::new(cfg.lr);
-        let mut epoch_nll = Vec::with_capacity(cfg.epochs);
-        for _ in 0..cfg.epochs {
-            let mut total = 0.0f64;
-            let mut preds = 0usize;
-            for sent in corpus {
-                let ids = model.ids(sent);
-                if ids.len() < 2 {
-                    continue;
-                }
-                let mut tape = Tape::new();
-                // Inputs: all but last position; targets: the next token.
-                let h = model.encode(&mut tape, &ids[..ids.len() - 1]);
-                let logits = model.out.forward(&mut tape, &model.store, h);
-                let loss = tape.cross_entropy_sum(logits, &ids[1..]);
-                total += tape.value(loss).item() as f64;
-                preds += ids.len() - 1;
-                tape.backward(loss, &mut model.store);
-                model.store.clip_grad_norm(5.0);
-                opt.step(&mut model.store);
-            }
-            epoch_nll.push((total / preds.max(1) as f64) as f32);
-        }
+        let lm = TransformerLm::new(
+            "gpt",
+            vocab.len(),
+            cfg.d_model,
+            cfg.heads,
+            cfg.layers,
+            cfg.d_ff,
+            rng,
+        );
+        let mut model = GptLite { vocab, lm };
+        let seqs: Vec<Vec<usize>> = corpus.iter().map(|s| model.ids(s)).collect();
+        let epoch_nll =
+            model.lm.fit(&seqs, cfg.epochs, cfg.lr, |lm, tape, ids| next_token_loss(lm, tape, ids));
         (model, epoch_nll)
     }
 
     /// Average next-token NLL on held-out data.
     pub fn nll(&self, corpus: &[Vec<String>]) -> f64 {
-        let mut total = 0.0f64;
-        let mut preds = 0usize;
-        for sent in corpus {
-            let ids = self.ids(sent);
-            if ids.len() < 2 {
-                continue;
-            }
-            let mut tape = Tape::new();
-            let h = self.encode(&mut tape, &ids[..ids.len() - 1]);
-            let logits = self.out.forward(&mut tape, &self.store, h);
-            let loss = tape.cross_entropy_sum(logits, &ids[1..]);
-            total += tape.value(loss).item() as f64;
-            preds += ids.len() - 1;
-        }
-        total / preds.max(1) as f64
+        let seqs = corpus.iter().map(|s| self.ids(s));
+        held_out_nll(seqs, |tape, ids| next_token_loss(&self.lm, tape, ids))
     }
 }
 
 impl ContextualEmbedder for GptLite {
     fn dim(&self) -> usize {
-        self.d_model
+        self.lm.dim()
     }
 
     fn embed(&self, tokens: &[String]) -> Vec<Vec<f32>> {
         if tokens.is_empty() {
             return vec![];
         }
-        let ids = self.ids(tokens);
         let mut tape = Tape::new();
-        let h = self.encode(&mut tape, &ids);
+        let h = self.lm.encode(&mut tape, &self.ids(tokens), true);
         let v = tape.value(h);
         // Token k sits at position k+1 (after BOS).
-        (0..tokens.len()).map(|k| v.row(k + 1).to_vec()).collect()
+        (1..=tokens.len()).map(|p| v.row(p).to_vec()).collect()
     }
 }
 

@@ -13,12 +13,17 @@
 //! all producing a [`WordEmbeddings`] artifact.
 //!
 //! **Contextual language-model embeddings** (paper §3.3.4–3.3.5, Figs. 4 and
-//! 11), all implementing [`ContextualEmbedder`]:
-//! * [`charlm::CharLm`] — Flair-style contextual *string* embeddings,
-//! * [`elmo::ElmoLm`] — ELMo-style biLSTM word LM,
-//! * [`gpt_lite::GptLite`] — left-to-right Transformer LM,
+//! 11), all implementing [`ContextualEmbedder`] on top of two shared cores
+//! in the private `lm` module — a forward+backward LSTM LM (`BiLstmLm`) and
+//! a Transformer LM (`TransformerLm`) — each trained by
+//! `ner_tensor::optim::fit_per_example`:
+//! * [`charlm::CharLm`] — Flair-style contextual *string* embeddings
+//!   (`BiLstmLm` over characters),
+//! * [`elmo::ElmoLm`] — ELMo-style biLSTM word LM (`BiLstmLm` over words),
+//! * [`gpt_lite::GptLite`] — left-to-right Transformer LM (causal
+//!   `TransformerLm`),
 //! * [`bert_lite::BertLite`] — bidirectional masked-LM Transformer over a
-//!   [`subword`] BPE vocabulary.
+//!   [`subword`] BPE vocabulary (unmasked `TransformerLm`).
 
 #![warn(missing_docs)]
 
@@ -28,6 +33,7 @@ pub mod charlm;
 pub mod elmo;
 pub mod glove;
 pub mod gpt_lite;
+mod lm;
 mod pretrained;
 pub mod skipgram;
 pub mod subword;
