@@ -26,10 +26,12 @@
 #      blocked/SIMD/parallel-vs-naive kernel divergence, run at both the
 #      default SIMD level and NER_SIMD=off; the committed
 #      BENCH_kernels.json is left alone)
-#      + harness smoke  (exp_fig4, exp_fig8, exp_fig9, exp_fig11 and
-#      exp_adversarial at --quick: together they drive the four LM
-#      pretrainers, multi-task co-training, the recursive encoder and FGM
-#      adversarial training end to end)
+#      + harness smoke  (exp_fig4, exp_fig8, exp_fig9, exp_fig11,
+#      exp_adversarial, exp_active and exp_reinforce at --quick: together
+#      they drive the four LM pretrainers, multi-task co-training, the
+#      recursive encoder, FGM adversarial training and the active-learning
+#      and reinforcement scores (`confidence`, `token_entropies`,
+#      `nll_of_labels`, which still build a per-sentence Tape) end to end)
 #   5. prometheus lint  (the /metrics exposition must have typed, unique
 #      families with cumulative histogram buckets)
 #   6. serving smoke    (serve integration tests — including batched
@@ -89,8 +91,8 @@ cargo run --release -p ner-bench --bin exp_kernels -- --smoke
 echo "== kernel smoke again with SIMD forced off (NER_SIMD=off) =="
 NER_SIMD=off cargo run --release -p ner-bench --bin exp_kernels -- --smoke
 
-echo "== harness smoke: LM pretrainers, multi-task, recursive encoder, FGM (--quick) =="
-for harness in exp_fig4 exp_fig8 exp_fig9 exp_fig11 exp_adversarial; do
+echo "== harness smoke: LM pretrainers, multi-task, recursive encoder, FGM, active learning, RL (--quick) =="
+for harness in exp_fig4 exp_fig8 exp_fig9 exp_fig11 exp_adversarial exp_active exp_reinforce; do
     cargo run --release -q -p ner-bench --bin "$harness" -- --quick
 done
 

@@ -17,7 +17,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::Serialize;
 
-/// Per-epoch record of adversarial training.
+/// Per-epoch record of adversarial training. Means are over the
+/// non-empty sentences: an empty one adds no loss and takes no step.
 #[derive(Clone, Debug, Serialize)]
 pub struct AdvEpoch {
     /// Mean clean loss per sentence.
@@ -37,6 +38,7 @@ pub fn train_fgm(
 ) -> Vec<AdvEpoch> {
     let mut opt = Adam::new(cfg.lr);
     let mut order: Vec<usize> = (0..data.len()).collect();
+    let live = data.iter().filter(|s| !s.is_empty()).count().max(1) as f64;
     let mut records = Vec::with_capacity(cfg.epochs);
 
     for _ in 0..cfg.epochs {
@@ -76,10 +78,7 @@ pub fn train_fgm(
             }
             opt.step(&mut model.store);
         }
-        records.push(AdvEpoch {
-            clean_loss: clean_total / data.len() as f64,
-            adv_loss: adv_total / data.len() as f64,
-        });
+        records.push(AdvEpoch { clean_loss: clean_total / live, adv_loss: adv_total / live });
     }
     records
 }
@@ -167,6 +166,34 @@ mod tests {
             );
         }
         assert!(records[1].clean_loss < records[0].clean_loss, "training still converges");
+    }
+
+    #[test]
+    fn empty_sentences_change_no_mean_and_no_weight() {
+        let gen = NewsGenerator::new(GeneratorConfig::default());
+        let mut rng = StdRng::seed_from_u64(4);
+        let ds = gen.dataset(&mut rng, 12);
+        let enc = SentenceEncoder::from_dataset(&ds, TagScheme::Bio, 1);
+        let data = enc.encode_dataset(&ds, None);
+        let mut padded = data.clone();
+        padded.extend(std::iter::repeat_with(EncodedSentence::default).take(5));
+        let cfg = TrainConfig { epochs: 2, patience: None, shuffle: false, ..Default::default() };
+        let run = |data: &[EncodedSentence]| {
+            let mut model = NerModel::new(quick_cfg(), &enc, None, &mut StdRng::seed_from_u64(5));
+            let records = train_fgm(&mut model, data, 0.5, &cfg, &mut StdRng::seed_from_u64(6));
+            let means: Vec<(u64, u64)> =
+                records.iter().map(|r| (r.clean_loss.to_bits(), r.adv_loss.to_bits())).collect();
+            (means, model)
+        };
+        let (want, plain) = run(&data);
+        let (got, model) = run(&padded);
+        assert_eq!(got, want, "epoch means");
+        for id in plain.store.ids() {
+            let bits = |m: &NerModel| {
+                m.store.value(id).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&model), bits(&plain), "weight {id:?}");
+        }
     }
 
     #[test]

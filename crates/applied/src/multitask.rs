@@ -164,7 +164,8 @@ impl MultitaskNer {
         self.tag_set.scheme().tags_to_spans(&labels)
     }
 
-    /// Trains for `epochs`; returns per-epoch mean losses.
+    /// Trains for `epochs`; returns per-epoch mean losses over the
+    /// non-empty sentences (an empty one adds no loss and takes no step).
     pub fn fit(
         &mut self,
         data: &[EncodedSentence],
@@ -180,7 +181,8 @@ impl MultitaskNer {
             lr,
             |m, tape, enc| (!enc.is_empty()).then(|| (m.loss(tape, enc, rng), enc.len())),
         );
-        fit.epochs.iter().map(|&(sum, _)| sum / data.len().max(1) as f64).collect()
+        let live = data.iter().filter(|e| !e.is_empty()).count().max(1) as f64;
+        fit.epochs.iter().map(|&(sum, _)| sum / live).collect()
     }
 
     /// Evaluates exact-match span metrics on encoded data.
@@ -255,6 +257,30 @@ mod tests {
         let m_losses = multi.fit(&encoded, 2, 0.01, &mut rng);
         assert!(s_losses[1] < s_losses[0]);
         assert!(m_losses[1] < m_losses[0]);
+    }
+
+    #[test]
+    fn empty_sentences_change_no_mean_and_no_weight() {
+        let (enc, encoded) = data(6, 12);
+        let mut padded = encoded.clone();
+        padded.extend(std::iter::repeat_with(EncodedSentence::default).take(5));
+        let weights = MultitaskWeights { lm: 0.1, segmentation: 0.2 };
+        let run = |data: &[EncodedSentence]| {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut model = MultitaskNer::new(&enc, 16, 16, weights, &mut rng);
+            let losses = model.fit(data, 2, 0.01, &mut rng);
+            (losses, model)
+        };
+        let (want, plain) = run(&encoded);
+        let (got, model) = run(&padded);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "epoch means");
+        for id in plain.store.ids() {
+            let weight_bits = |m: &MultitaskNer| {
+                m.store.value(id).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(weight_bits(&model), weight_bits(&plain), "weight {id:?}");
+        }
     }
 
     #[test]

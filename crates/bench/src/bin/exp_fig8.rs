@@ -45,7 +45,7 @@ fn main() {
     println!("training bidirectional recursive network ...");
     let types = data.train.entity_types();
     let mut recursive = RecursiveNer::new(data.train.word_vocab(1), &types, 32, &mut rng);
-    recursive.fit(&data.train.sentences, tc.epochs, 0.01, &mut rng);
+    recursive.fit(&data.train.sentences, tc.epochs, 0.01);
     let golds: Vec<_> = data.test.sentences.iter().map(|s| s.outermost_entities()).collect();
     let preds: Vec<_> = data
         .test

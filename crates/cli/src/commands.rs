@@ -379,16 +379,6 @@ pub fn report(raw: Vec<String>) -> CmdResult {
         println!("hits {hits:.0}  misses {misses:.0}  hit-rate {rate:.1}%");
     }
 
-    if let (Some(hits), Some(misses)) = (counter("pool.hits"), counter("pool.misses")) {
-        println!("\n== tensor buffer pool ==");
-        let total = hits + misses;
-        let rate = if total > 0.0 { 100.0 * hits / total } else { 0.0 };
-        println!(
-            "hits {hits:.0}  misses {misses:.0}  hit-rate {rate:.1}%  recycled {:.0}",
-            counter("pool.recycled").unwrap_or(0.0)
-        );
-    }
-
     if let Some(skipped) = counter("train.skipped_updates") {
         println!("\n== training stability ==");
         if skipped > 0.0 {

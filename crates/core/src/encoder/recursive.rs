@@ -216,14 +216,7 @@ impl RecursiveNer {
     }
 
     /// Trains on (sentence, IO-tag) pairs for `epochs`; returns mean losses.
-    pub fn fit(
-        &mut self,
-        data: &[Sentence],
-        epochs: usize,
-        lr: f32,
-        rng: &mut impl Rng,
-    ) -> Vec<f64> {
-        let _ = rng;
+    pub fn fit(&mut self, data: &[Sentence], epochs: usize, lr: f32) -> Vec<f64> {
         let prepared: Vec<(Vec<String>, Vec<usize>)> = data
             .iter()
             .filter(|s| !s.is_empty())
@@ -309,7 +302,7 @@ mod tests {
         let train = gen.dataset(&mut rng, 80);
         let types = train.entity_types();
         let mut model = RecursiveNer::new(train.word_vocab(1), &types, 24, &mut rng);
-        let losses = model.fit(&train.sentences, 5, 0.01, &mut rng);
+        let losses = model.fit(&train.sentences, 5, 0.01);
         assert!(
             losses.last().unwrap() < losses.first().unwrap(),
             "recursive training should reduce loss: {losses:?}"

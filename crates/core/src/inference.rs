@@ -206,18 +206,7 @@ impl NerPipeline {
             }
         });
         self.export_cache_stats();
-        export_pool_stats(ner_tensor::pool::take_stats());
         spans
-    }
-}
-
-/// Publishes tensor-buffer-pool counters (taken with
-/// `ner_tensor::pool::take_stats`) to `ner-obs`.
-pub(crate) fn export_pool_stats(s: ner_tensor::pool::PoolStats) {
-    if s.hits + s.misses + s.recycled > 0 {
-        ner_obs::counter("pool.hits", s.hits as f64);
-        ner_obs::counter("pool.misses", s.misses as f64);
-        ner_obs::counter("pool.recycled", s.recycled as f64);
     }
 }
 

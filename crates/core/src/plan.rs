@@ -24,9 +24,8 @@
 //! length-sorted compute buckets ([`buckets`]; a single sentence is a
 //! bucket of one). Serving, the trainer's dev evaluation and every span
 //! predictor share this path through one bucket engine
-//! (`NerModel::predict_bucketed`): no tape nodes, no backward closures,
-//! and intermediates drawn from (and returned to) the thread-local
-//! `ner_tensor::pool` buffer arena. The contract throughout is **bit-identity with the tape
+//! (`NerModel::predict_bucketed`): no tape nodes and no backward
+//! closures. The contract throughout is **bit-identity with the tape
 //! backend** — `tests/plan_parity.rs` checks it across every zoo
 //! architecture, one sentence at a time and in buckets, with the token
 //! cache warm and after a plan refresh.

@@ -436,7 +436,7 @@ impl InputLayer {
     ) -> BatchedVal {
         let tokens: Vec<&str> =
             encs.iter().flat_map(|e| e.tokens.iter().map(String::as_str)).collect();
-        let mut base = Tensor::zeros_pooled(tokens.len(), self.base_dim());
+        let mut base = Tensor::zeros(tokens.len(), self.base_dim());
         let missed = cache.lookup_batch(&tokens, &mut base);
         if !missed.is_empty() {
             let word_ids: Vec<usize> =

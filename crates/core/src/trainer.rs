@@ -42,7 +42,6 @@
 //! straight from the shared epoch rng and one step is taken per sentence:
 //! the historical serial trajectory, reproduced bit for bit by both.
 
-use crate::inference::export_pool_stats;
 use crate::metrics::{evaluate, EvalResult};
 use crate::model::NerModel;
 use crate::repr::EncodedSentence;
@@ -255,7 +254,6 @@ struct BucketResult {
     items: Vec<(usize, BucketItem)>,
     nodes: usize,
     ops: Vec<(OpClass, u32)>,
-    pool: ner_tensor::pool::PoolStats,
 }
 
 /// Runs `step` over one bucket of sentences on one worker. `k0` is the
@@ -299,7 +297,7 @@ fn run_bucket(
         step(model, &encs, &mut streams)
     };
     let items = live.iter().map(|&(_, i)| i).zip(items).collect();
-    BucketResult { items, nodes, ops, pool: ner_tensor::pool::take_stats() }
+    BucketResult { items, nodes, ops }
 }
 
 /// The epoch: chunks of `threads × batch` sentences, one bucket of `batch`
@@ -351,7 +349,6 @@ fn run_epoch_bucketed(
             for (class, n) in res.ops {
                 op_totals[class as usize] += n as u64;
             }
-            export_pool_stats(res.pool);
             for (index, item) in res.items {
                 match item {
                     BucketItem::NonFinite { loss, rolled_back } => {
@@ -500,10 +497,6 @@ fn run_training(
         );
         let EpochStats { total_loss, norm_sum, applied, skipped, peak_nodes } = stats;
         let train_loss = total_loss / train.len() as f64;
-
-        // Export the coordinator thread's buffer-pool counters (workers
-        // hand theirs back with each bucket result).
-        export_pool_stats(ner_tensor::pool::take_stats());
 
         let dev_f1 = dev.map(|d| {
             let _eval_span = ner_obs::span("eval");

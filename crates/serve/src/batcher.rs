@@ -10,8 +10,8 @@
 //! accumulate while previous batches score, never by holding an idle
 //! scorer back — and scores the whole batch with one
 //! [`ner_core::inference::NerPipeline::extract_batch`] call on its **own**
-//! replica: a private compiled plan, token-feature cache, and buffer pool,
-//! so concurrent dispatchers never contend on a shared lock. Batching and
+//! replica: a private compiled plan and token-feature cache, so
+//! concurrent dispatchers never contend on a shared lock. Batching and
 //! replication are throughput devices only: every replica's parameters are
 //! bit-identical and the batched backend is bit-identical to per-sentence
 //! evaluation, so any scheduling of a text yields a byte-identical

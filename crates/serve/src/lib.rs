@@ -31,8 +31,8 @@
 //! with one
 //! [`NerPipeline::extract_batch`](ner_core::prelude::NerPipeline::extract_batch)
 //! call on its **own** replica: parameters restored bit-identically from
-//! one checkpoint, but a private compiled plan, token-feature cache, and
-//! buffer pool, so the scoring hot path touches no shared lock.
+//! one checkpoint, but a private compiled plan and token-feature cache,
+//! so the scoring hot path touches no shared lock.
 //! `extract_batch` packs the batch into padded `[B,T]` buckets whose
 //! backend is bit-identical to per-sentence evaluation, so a batched
 //! response from any replica is **byte-identical** to scoring the same

@@ -27,8 +27,8 @@ pub struct ServeConfig {
     /// shed with 429 at submit time, before it can rot in the queue.
     pub slo_p99: Duration,
     /// Pipeline replicas: dispatcher threads, each owning its own
-    /// compiled plan, token-feature cache, and pooled buffers, so scoring
-    /// never contends on a shared lock.
+    /// compiled plan and token-feature cache, so scoring never contends on
+    /// a shared lock.
     pub replicas: usize,
     /// Poll-loop shards: connection I/O threads, each owning a subset of
     /// the live sockets.
@@ -69,10 +69,10 @@ impl Default for ServeConfig {
 /// The deployed model lives as `replicas` independent [`NerPipeline`]s,
 /// each rebuilt from the same checkpoint so their parameters — and
 /// therefore their predictions — are bit-identical, while their compiled
-/// plans, token-feature caches, and buffer pools are private. A dispatcher
-/// pins one replica and touches no shared lock while scoring: it holds a
-/// cached `Arc` and re-fetches only when the [`generation`] counter says a
-/// reload happened.
+/// plans and token-feature caches are private. A dispatcher pins one
+/// replica and touches no shared lock while scoring: it holds a cached
+/// `Arc` and re-fetches only when the [`generation`] counter says a reload
+/// happened.
 ///
 /// [`generation`]: ServeState::generation
 pub struct ServeState {

@@ -13,10 +13,9 @@
 //!   every parity test compares the packed backends against.
 //! * [`BatchedExec`] — tape-free inference over a packed batch of
 //!   sentences (one sentence is a batch of one). Operations write into
-//!   pooled buffers via the fused kernels in [`crate::fused`]; nothing is
+//!   fresh buffers via the fused kernels in [`crate::fused`]; nothing is
 //!   recorded, parameters are borrowed rather than copied, and every
-//!   intermediate buffer is recycled into the thread-local [`crate::pool`]
-//!   when the backend is dropped.
+//!   intermediate is freed when the backend is dropped.
 //! * [`BatchedTapeExec`] — autograd recording over the same packed layout,
 //!   for batched training. Its packed forwards *are* the eager ones: the
 //!   LSTM/GRU sweeps, the per-run convolution, reversal and positional
@@ -34,14 +33,14 @@
 
 use crate::fused::{self, Activation};
 use crate::kernels::{self, Fold};
-use crate::{pool, simd, OpClass, ParamId, ParamStore, Tape, Tensor, Var};
+use crate::{simd, OpClass, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::Rng;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// An execution backend for layer forwards: either records autograd nodes
-/// ([`Tape`], [`BatchedTapeExec`]) or evaluates eagerly into pooled buffers
+/// ([`Tape`], [`BatchedTapeExec`]) or evaluates eagerly into fresh buffers
 /// ([`BatchedExec`]).
 ///
 /// Values are lightweight `Copy` handles; [`value`](Exec::value) reads the
@@ -428,7 +427,7 @@ impl PeCache {
 
 /// What a [`BatchedExec`] slot holds.
 enum Slot {
-    /// A computed intermediate, recycled into the buffer pool on drop.
+    /// A computed intermediate, owned by the backend until it is dropped.
     Owned(Tensor),
     /// A cache-shared tensor (positional encodings).
     Shared(Arc<Tensor>),
@@ -470,9 +469,8 @@ pub struct BatchedVal(usize);
 /// [`Exec::scoped`], where every sequence-shaped operation treats the
 /// value's rows as a single segment.
 ///
-/// Parameters are leased by id (no copy); every owned intermediate is
-/// returned to the thread-local buffer [`crate::pool`] when the backend is
-/// dropped, so a warm evaluation loop allocates almost nothing per batch.
+/// Parameters are leased by id (no copy); every owned intermediate lives
+/// until the backend is dropped.
 ///
 /// **Float-parity contract.** The kernels in `crate::kernels` keep the
 /// per-output-element accumulation order independent of how many rows a
@@ -580,7 +578,7 @@ impl<'a> BatchedExec<'a> {
         Cow::Borrowed(self.pack.runs(rows, op))
     }
 
-    /// Elementwise `f(a, b)` into a pooled buffer.
+    /// Elementwise `f(a, b)` into a fresh buffer.
     fn zip_with(
         &mut self,
         a: BatchedVal,
@@ -589,25 +587,13 @@ impl<'a> BatchedExec<'a> {
     ) -> BatchedVal {
         let out = {
             let (av, bv) = (self.tensor(a), self.tensor(b));
-            let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
+            let mut out = Tensor::zeros(av.rows(), av.cols());
             for ((o, &x), &y) in out.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
                 *o = f(x, y);
             }
             out
         };
         self.push(out)
-    }
-}
-
-impl Drop for BatchedExec<'_> {
-    fn drop(&mut self) {
-        // One recycling sweep instead of per-op frees — mirrors how a
-        // dropped Tape returns all node buffers to the pool.
-        for slot in self.slots.drain(..) {
-            if let Slot::Owned(t) = slot {
-                pool::recycle(t.into_data());
-            }
-        }
     }
 }
 
@@ -627,7 +613,7 @@ impl Exec for BatchedExec<'_> {
     fn lookup(&mut self, store: &ParamStore, id: ParamId, ids: &[usize]) -> BatchedVal {
         let out = {
             let table = store.value(id);
-            let mut out = Tensor::zeros_pooled(ids.len(), table.cols());
+            let mut out = Tensor::zeros(ids.len(), table.cols());
             for (r, &i) in ids.iter().enumerate() {
                 out.row_mut(r).copy_from_slice(table.row(i));
             }
@@ -665,7 +651,7 @@ impl Exec for BatchedExec<'_> {
     fn scale(&mut self, a: BatchedVal, s: f32) -> BatchedVal {
         let out = {
             let av = self.tensor(a);
-            let mut out = Tensor::zeros_pooled(av.rows(), av.cols());
+            let mut out = Tensor::zeros(av.rows(), av.cols());
             for (o, &x) in out.data_mut().iter_mut().zip(av.data()) {
                 *o = x * s;
             }
@@ -676,7 +662,7 @@ impl Exec for BatchedExec<'_> {
 
     fn add_bias(&mut self, m: BatchedVal, bias: BatchedVal) -> BatchedVal {
         let out = {
-            let mut out = fused::pooled_copy(self.tensor(m));
+            let mut out = self.tensor(m).clone();
             fused::add_bias_in_place(&mut out, self.tensor(bias));
             out
         };
@@ -687,7 +673,7 @@ impl Exec for BatchedExec<'_> {
         if act == Activation::None {
             return a;
         }
-        let mut out = fused::pooled_copy(self.tensor(a));
+        let mut out = self.tensor(a).clone();
         act.apply(&mut out);
         self.push(out)
     }
@@ -728,7 +714,7 @@ impl Exec for BatchedExec<'_> {
     }
 
     fn softmax_rows(&mut self, a: BatchedVal) -> BatchedVal {
-        let mut out = fused::pooled_copy(self.tensor(a));
+        let mut out = self.tensor(a).clone();
         fused::softmax_rows_in_place(&mut out);
         self.push(out)
     }
@@ -747,7 +733,7 @@ impl Exec for BatchedExec<'_> {
         let out = {
             let av = self.tensor(a);
             assert!(start + len <= av.rows(), "slice_rows out of bounds");
-            let mut out = Tensor::zeros_pooled(len, av.cols());
+            let mut out = Tensor::zeros(len, av.cols());
             for r in 0..len {
                 out.row_mut(r).copy_from_slice(av.row(start + r));
             }
@@ -765,7 +751,7 @@ impl Exec for BatchedExec<'_> {
         let out = {
             let total: usize = parts.iter().map(|&p| self.tensor(p).rows()).sum();
             let cols = self.tensor(parts[0]).cols();
-            let mut out = Tensor::zeros_pooled(total, cols);
+            let mut out = Tensor::zeros(total, cols);
             let mut r = 0;
             for &p in parts {
                 let pv = self.tensor(p);
@@ -785,7 +771,7 @@ impl Exec for BatchedExec<'_> {
         let out = {
             let rows = self.tensor(parts[0]).rows();
             let total: usize = parts.iter().map(|&p| self.tensor(p).cols()).sum();
-            let mut out = Tensor::zeros_pooled(rows, total);
+            let mut out = Tensor::zeros(rows, total);
             let mut c = 0;
             for &p in parts {
                 let pv = self.tensor(p);
@@ -820,8 +806,8 @@ impl Exec for BatchedExec<'_> {
         let (h_new, c_new) = {
             let (pv, cv) = (self.tensor(pre), self.tensor(c));
             assert_eq!(pv.shape(), (1, 4 * hidden), "lstm_gates pre-activation shape");
-            let mut h_new = Tensor::zeros_pooled(1, hidden);
-            let mut c_new = fused::pooled_copy(cv);
+            let mut h_new = Tensor::zeros(1, hidden);
+            let mut c_new = cv.clone();
             lstm_cell(pv.row(0), c_new.row_mut(0), h_new.row_mut(0), |_, _, _, _| {});
             (h_new, c_new)
         };
@@ -840,7 +826,7 @@ impl Exec for BatchedExec<'_> {
         let out = {
             let (xv, hv, prev) = (self.tensor(xp), self.tensor(hp), self.tensor(h_prev));
             assert_eq!(xv.shape(), (1, 3 * hidden), "gru_gates projection shape");
-            let mut out = Tensor::zeros_pooled(1, hidden);
+            let mut out = Tensor::zeros(1, hidden);
             gru_cell(xv.row(0), hv.row(0), prev.row(0), out.row_mut(0), |_, _| {});
             out
         };
@@ -1005,21 +991,17 @@ fn per_run(
     if runs.len() == 1 {
         return f(x);
     }
-    let (d, mut out) = (x.cols(), Tensor::zeros_pooled(x.rows(), cols));
+    let mut out = Tensor::zeros(x.rows(), cols);
     for &(off, len) in runs {
-        let mut seg = Tensor::zeros_pooled(len, d);
-        seg.data_mut().copy_from_slice(&x.data()[off * d..(off + len) * d]);
-        let res = f(&seg);
+        let res = f(&rows_of(x, off, len));
         out.data_mut()[off * cols..(off + len) * cols].copy_from_slice(res.data());
-        fused::recycle(res);
-        fused::recycle(seg);
     }
     out
 }
 
 /// Reverses the row order within each run, never across a run boundary.
 fn reverse_runs(x: &Tensor, runs: &[(usize, usize)]) -> Tensor {
-    let mut out = Tensor::zeros_pooled(x.rows(), x.cols());
+    let mut out = Tensor::zeros(x.rows(), x.cols());
     for &(off, len) in runs {
         for r in 0..len {
             out.row_mut(off + r).copy_from_slice(x.row(off + len - 1 - r));
@@ -1031,7 +1013,7 @@ fn reverse_runs(x: &Tensor, runs: &[(usize, usize)]) -> Tensor {
 /// Each run's `[len, d]` sinusoidal encoding stacked at the run's rows —
 /// every segment restarts its positional clock.
 fn stacked_pe(runs: &[(usize, usize)], n: usize, d: usize, cache: Option<&PeCache>) -> Tensor {
-    let mut out = Tensor::zeros_pooled(n, d);
+    let mut out = Tensor::zeros(n, d);
     for &(off, len) in runs {
         let pe = match cache {
             Some(cache) => cache.get(len, d),
@@ -1109,7 +1091,7 @@ fn lstm_sweep(
 ) -> Tensor {
     let h = w_hh.rows();
     let xp = xs.matmul(w_ih); // [N, 4h]
-    let mut out = Tensor::zeros_pooled(xs.rows(), h);
+    let mut out = Tensor::zeros(xs.rows(), h);
     // Hidden/cell state per sorted position; the live prefix only ever
     // shrinks, so positions are stable for a run's lifetime.
     let mut hstate = Tensor::zeros(runs.len(), h);
@@ -1133,9 +1115,7 @@ fn lstm_sweep(
             lstm_cell(&pre, cs, out.row_mut(r), |j, gates, cn, ct| stash(r, j, gates, cn, ct));
             hstate.row_mut(p).copy_from_slice(out.row(r));
         }
-        fused::recycle(hp);
     }
-    fused::recycle(xp);
     out
 }
 
@@ -1156,7 +1136,7 @@ fn gru_sweep(
     let h = w_hh.rows();
     let mut xp = xs.matmul(w_ih); // [N, 3h]
     fused::add_bias_in_place(&mut xp, b_ih);
-    let mut out = Tensor::zeros_pooled(xs.rows(), h);
+    let mut out = Tensor::zeros(xs.rows(), h);
     let mut hstate = Tensor::zeros(runs.len(), h);
     for t in 0..runs[0].1 {
         let live = live_at(runs, t);
@@ -1173,9 +1153,7 @@ fn gru_sweep(
             });
             hstate.row_mut(p).copy_from_slice(out.row(r));
         }
-        fused::recycle(hp);
     }
-    fused::recycle(xp);
     out
 }
 
@@ -1382,7 +1360,7 @@ impl Exec for BatchedTapeExec<'_> {
             return Tape::add_bias(self.tape, m, bias);
         };
         let (lens, offsets) = self.layout();
-        let mut out = fused::pooled_copy(self.tape.value(m));
+        let mut out = self.tape.value(m).clone();
         fused::add_bias_in_place(&mut out, self.tape.value(bias));
         self.tape.custom_segmented(OpClass::Elementwise, out, &[m, bias], move |g, em| {
             for s in 0..lens.len() {

@@ -5,7 +5,7 @@
 //! (`matmul` → `add_bias` → `tanh`, …), each of which clones its input into
 //! a fresh node buffer so the backward pass can replay it. Inference needs
 //! none of that: these kernels write the bias and the nonlinearity straight
-//! into the matmul's (pooled) output buffer.
+//! into the matmul's output buffer.
 //!
 //! **Determinism contract.** Every fused kernel applies its extra stages
 //! only *after* the underlying accumulation has fully finished, touching
@@ -15,7 +15,7 @@
 //! DESIGN.md) — the property `tests/prop_fused.rs` checks at 1/2/4
 //! threads.
 
-use crate::{pool, simd, Tensor};
+use crate::{simd, Tensor};
 
 /// A nonlinearity fused into [`affine_act`] / [`conv1d_act`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +76,7 @@ pub fn add_bias_in_place(out: &mut Tensor, b: &Tensor) {
 }
 
 /// Fused affine layer: `act(x·w + b)` for `x [n, k]`, `w [k, d]`,
-/// `b [1, d]` in a single pooled output buffer.
+/// `b [1, d]` in a single output buffer.
 ///
 /// Bit-identical to the tape sequence `matmul` → `add_bias` → activation:
 /// the matmul accumulates each output element in the same ascending-`p`
@@ -132,7 +132,7 @@ pub fn conv1d_act(
 
     let half = (k / 2) as isize;
     let lvl = simd::active();
-    let mut out = Tensor::zeros_pooled(n, d_out);
+    let mut out = Tensor::zeros(n, d_out);
     for t in 0..n as isize {
         let out_row = out.row_mut(t as usize);
         out_row.copy_from_slice(b.row(0));
@@ -163,7 +163,7 @@ pub fn layer_norm(x: &Tensor, gain: &Tensor, bias: &Tensor) -> Tensor {
     assert_eq!(gain.shape(), (1, d), "gain must be [1, d]");
     assert_eq!(bias.shape(), (1, d), "bias must be [1, d]");
     let lvl = simd::active();
-    let mut out = Tensor::zeros_pooled(n, d);
+    let mut out = Tensor::zeros(n, d);
     for r in 0..n {
         let row = x.row(r);
         // Mean/variance are sequential reductions: scalar for bit-identity.
@@ -181,7 +181,7 @@ pub fn max_over_rows(x: &Tensor) -> Tensor {
     let (n, d) = x.shape();
     assert!(n > 0, "max_over_rows on empty tensor");
     let lvl = simd::active();
-    let mut out = Tensor::zeros_pooled(1, d);
+    let mut out = Tensor::zeros(1, d);
     // Row-major fold with columns as lanes: each column sees the same
     // ascending-`r` sequence of `v > best` comparisons as the scalar
     // column-at-a-time loop, so ties (first row wins) and NaN handling
@@ -193,30 +193,15 @@ pub fn max_over_rows(x: &Tensor) -> Tensor {
     out
 }
 
-/// Copies columns `[start, start+len)` into a fresh pooled tensor (the
+/// Copies columns `[start, start+len)` into a fresh tensor (the
 /// data movement of `Tape::slice_cols`).
 pub fn slice_cols(x: &Tensor, start: usize, len: usize) -> Tensor {
     assert!(start + len <= x.cols(), "slice_cols out of bounds");
-    let mut out = Tensor::zeros_pooled(x.rows(), len);
+    let mut out = Tensor::zeros(x.rows(), len);
     for r in 0..x.rows() {
         out.row_mut(r).copy_from_slice(&x.row(r)[start..start + len]);
     }
     out
-}
-
-/// Clones `x` into a pool-backed buffer (an allocation-free stand-in for
-/// the clones the tape's elementwise ops perform).
-pub fn pooled_copy(x: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros_pooled(x.rows(), x.cols());
-    out.data_mut().copy_from_slice(x.data());
-    out
-}
-
-/// Returns a dead intermediate's buffer to the thread-local [`pool`] so the
-/// next same-shaped tensor in the inference loop reuses it.
-#[inline]
-pub fn recycle(t: Tensor) {
-    pool::recycle(t.into_data());
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! unit-scale tensors never pay pool overhead, and only when the global
 //! [`ner_par`] pool has more than one thread.
 
-use crate::pool;
 use crate::simd;
+use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::ptr::NonNull;
 
 /// Rows of the left operand / output processed per cache block.
 pub(crate) const MC: usize = 32;
@@ -41,6 +42,64 @@ const JB: usize = 8;
 /// thread pool. Below this, dispatch overhead exceeds the work: a
 /// `64×64×64` product is ~260k FLOPs ≈ tens of microseconds.
 pub const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
+
+/// Alignment of [`AlignedBuf`] allocations: one cache line, which also
+/// covers the 32-byte loads of the AVX2 lane kernels.
+const PANEL_ALIGN: usize = 64;
+
+/// A zeroed, cache-line-aligned `f32` buffer for the packed panels of
+/// [`matmul_tn`], [`matmul_tn_runs`] and [`matmul_nt`]. `Vec<f32>` cannot
+/// guarantee alignment beyond 4 bytes — and rebuilding one around an
+/// over-aligned allocation would hand the wrong [`Layout`] to its
+/// destructor — so this type owns its allocation outright and its
+/// [`Drop`] impl deallocates with the exact layout used to allocate.
+pub struct AlignedBuf {
+    ptr: NonNull<f32>,
+    len: usize,
+}
+
+// Safety: `AlignedBuf` exclusively owns its heap allocation, exactly like
+// `Vec<f32>`; moving it between threads moves unique ownership.
+unsafe impl Send for AlignedBuf {}
+
+impl AlignedBuf {
+    /// Allocates `len` zeroed floats at a 64-byte boundary.
+    pub fn zeroed(len: usize) -> Self {
+        let layout = Self::layout(len);
+        // Safety: the layout is never zero-sized (see `layout`).
+        let raw = unsafe { alloc_zeroed(layout) };
+        let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
+            handle_alloc_error(layout);
+        };
+        AlignedBuf { ptr, len }
+    }
+
+    /// The allocation's layout: at least one float, so a zero-length
+    /// panel still has a valid, non-zero-sized allocation.
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(len.max(1) * std::mem::size_of::<f32>(), PANEL_ALIGN)
+            .expect("panel layout")
+    }
+
+    /// The buffer as a shared slice of its `len` floats.
+    pub fn as_slice(&self) -> &[f32] {
+        // Safety: `ptr` addresses `len` initialized floats.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+
+    /// The buffer as a mutable slice of its `len` floats.
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        // Safety: as `as_slice`, plus exclusive access through `&mut self`.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for AlignedBuf {
+    fn drop(&mut self) {
+        // Safety: `ptr` was allocated in `zeroed` with exactly this layout.
+        unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) };
+    }
+}
 
 /// A `*mut f32` that can cross threads for disjoint row-range writes.
 struct SendMut(*mut f32);
@@ -246,7 +305,7 @@ const TN_PACK_MIN_M: usize = 4;
 /// `aᵀ [m,k-rows] × b → out [m,n]` where `a: [k,m]`, `b: [k,n]`.
 ///
 /// For `m ≥ TN_PACK_MIN_M` the kernel transposes `a` once, on the calling
-/// thread, into a cache-aligned pooled panel `at: [m,k]` and runs the NN
+/// thread, into a cache-aligned panel `at: [m,k]` and runs the NN
 /// register tiles (or [`simd`] lane tiles) over it. TN's per-element
 /// contract — ascending `p`, skip when the `a` value is exactly zero,
 /// accumulate into `out` — is exactly NN's contract applied to `aᵀ`
@@ -265,7 +324,7 @@ pub fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: u
         });
         return;
     }
-    let mut at = pool::take_aligned(m * k);
+    let mut at = AlignedBuf::zeroed(m * k);
     transpose(a, at.as_mut_slice(), k, m);
     let ats = at.as_slice();
     over_rows(m, n, m * k * n, out, |r0, r1, rows| {
@@ -274,7 +333,6 @@ pub fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: u
         }
         matmul_rows(ats, b, rows, r0, r1, k, n)
     });
-    pool::recycle_aligned(at);
 }
 
 /// The order in which [`matmul_tn_runs`] folds a run's rows into each
@@ -301,7 +359,7 @@ pub enum Fold {
 /// per row from the last row down (up to the sign of a zero; DESIGN.md
 /// §4), and [`Fold::Forward`] the bits of one [`matmul_tn`] per run.
 ///
-/// Each run's `aᵀ` is packed on the calling thread into a pooled aligned
+/// Each run's `aᵀ` is packed on the calling thread into an aligned
 /// panel in fold order (for [`Fold::Reverse`] the run's `b` rows are
 /// copied in that order too), and the NN register or lane tiles run over
 /// the panels, parallel over output rows above [`PAR_MIN_FLOPS`]. Packing
@@ -331,7 +389,7 @@ pub fn matmul_tn_runs(
             Fold::Forward => off + q,
             Fold::Reverse => off + len - 1 - q,
         };
-        let mut at = pool::take_aligned(m * len);
+        let mut at = AlignedBuf::zeroed(m * len);
         let ats = at.as_mut_slice();
         for q in 0..len {
             for (i, &v) in a[row(q) * m..][..m].iter().enumerate() {
@@ -342,9 +400,6 @@ pub fn matmul_tn_runs(
         let bs = match fold {
             Fold::Forward => &b[off * n..(off + len) * n],
             Fold::Reverse => {
-                // Freed, not pooled: its size follows the run length, and
-                // a pooled copy per size class would stay resident on
-                // every thread.
                 rev = (0..len).flat_map(|q| &b[row(q) * n..][..n]).copied().collect();
                 &rev
             }
@@ -356,7 +411,6 @@ pub fn matmul_tn_runs(
             }
             matmul_rows(ats, bs, rows, r0, r1, len, n)
         });
-        pool::recycle_aligned(at);
     }
 }
 
@@ -497,7 +551,7 @@ const NT_PACK_MIN_M: usize = 4;
 /// `a [m,k] × bᵀ [k,n-rows] → out [m,n]` where `b: [n,k]`.
 ///
 /// For `m ≥ NT_PACK_MIN_M` the kernel packs `bᵀ` once, on the calling
-/// thread, into a cache-aligned pooled panel, then runs register tiles
+/// thread, into a cache-aligned panel, then runs register tiles
 /// over it (`nt_tile_quad` or the [`simd`] lane tiles) — replacing the
 /// loop-carried dependence of `n` sequential dot products per output row
 /// with `RB × JB` independent accumulators, which is where the historical
@@ -508,7 +562,7 @@ pub fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
         over_rows(m, n, m * k * n, out, |r0, r1, rows| matmul_nt_rows(a, b, rows, r0, r1, k, n));
         return;
     }
-    let mut bt = pool::take_aligned(k * n);
+    let mut bt = AlignedBuf::zeroed(k * n);
     transpose(b, bt.as_mut_slice(), n, k);
     let bts = bt.as_slice();
     over_rows(m, n, m * k * n, out, |r0, r1, rows| {
@@ -517,7 +571,6 @@ pub fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
         }
         matmul_nt_rows_tiled(a, b, bts, rows, r0, r1, k, n)
     });
-    pool::recycle_aligned(bt);
 }
 
 /// Tiled transpose of the `[rows, cols]` matrix `src` into the
@@ -571,6 +624,18 @@ mod tests {
 
     fn ramp(len: usize, scale: f32) -> Vec<f32> {
         (0..len).map(|i| ((i % 13) as f32 - 6.0) * scale).collect()
+    }
+
+    #[test]
+    fn aligned_panels_are_aligned_and_zeroed() {
+        for len in [0, 1, 100, 4096] {
+            let mut buf = AlignedBuf::zeroed(len);
+            assert_eq!(buf.as_slice().len(), len);
+            assert_eq!(buf.as_slice().as_ptr() as usize % PANEL_ALIGN, 0, "len {len}");
+            assert!(buf.as_slice().iter().all(|&x| x == 0.0), "len {len}");
+            buf.as_mut_slice().fill(3.5);
+            assert!(buf.as_slice().iter().all(|&x| x == 3.5));
+        }
     }
 
     #[test]

@@ -23,16 +23,15 @@
 //!
 //! The design favours clarity and determinism: graphs are built per sentence
 //! (lengths ≤ ~50) and every random component is seeded. Throughput comes
-//! from four mechanisms that never change the floats: cache-blocked matmul
+//! from three mechanisms that never change the floats: cache-blocked matmul
 //! and transpose kernels that split output rows across the `ner-par`
 //! work-stealing pool above a size threshold (accumulation order per output
 //! element is preserved exactly, so serial and parallel results are
 //! bit-identical), runtime-dispatched [`simd`] lane kernels (`NER_SIMD`,
 //! SSE2/AVX2) whose lanes are independent output elements accumulating in
 //! scalar order — bit-identical by construction, checked against the scalar
-//! oracle — a thread-local [`pool`] of `Vec<f32>` buffers that tape nodes
-//! recycle on drop, and a [`GradBuffer`] sink that lets data-parallel
-//! trainers backpropagate without mutable access to shared parameters.
+//! oracle — and a [`GradBuffer`] sink that lets data-parallel trainers
+//! backpropagate without mutable access to shared parameters.
 //!
 //! ```
 //! use ner_tensor::{ParamStore, Tape, Tensor, init, optim::{Optimizer, Sgd}};
@@ -71,7 +70,6 @@ pub mod nn;
 pub mod ops;
 pub mod optim;
 mod param;
-pub mod pool;
 pub mod simd;
 mod tape;
 mod tensor;

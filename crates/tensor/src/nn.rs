@@ -4,7 +4,7 @@
 //!
 //! Every block has exactly **one** forward implementation, written against
 //! the [`Exec`] backend: run it with a [`crate::Tape`] to record autograd
-//! nodes for training, or with a [`crate::BatchedExec`] for tape-free pooled
+//! nodes for training, or with a [`crate::BatchedExec`] for tape-free
 //! inference. The backends produce bit-identical forward values (see
 //! [`crate::exec`]).
 //!

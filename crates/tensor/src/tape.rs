@@ -596,19 +596,6 @@ impl Tape {
     }
 }
 
-impl Drop for Tape {
-    fn drop(&mut self) {
-        // Return every node buffer to the thread-local pool: the next tape
-        // for a same-shaped sentence reuses them instead of reallocating.
-        for node in self.nodes.drain(..) {
-            crate::pool::recycle(node.value.into_data());
-            if let Some(grad) = node.grad {
-                crate::pool::recycle(grad.into_data());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,20 +25,6 @@ impl Tensor {
         Tensor { rows, cols, data: vec![value; rows * cols] }
     }
 
-    /// A `rows × cols` zeroed tensor whose buffer is drawn from the
-    /// thread-local [`crate::pool`] when a matching allocation is free.
-    /// Kernels and tape ops use this for intermediates; [`crate::Tape`]
-    /// recycles node buffers on drop, closing the loop.
-    pub fn zeros_pooled(rows: usize, cols: usize) -> Self {
-        Tensor { rows, cols, data: crate::pool::take(rows * cols) }
-    }
-
-    /// Consumes the tensor, returning its flat buffer (so callers can
-    /// recycle it through [`crate::pool::recycle`]).
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// A `1 × 1` tensor holding a single scalar.
     pub fn scalar(value: f32) -> Self {
         Tensor { rows: 1, cols: 1, data: vec![value] }
@@ -210,7 +196,7 @@ impl Tensor {
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.cols, rhs.rows, "matmul inner dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = Tensor::zeros_pooled(m, n);
+        let mut out = Tensor::zeros(m, n);
         crate::kernels::matmul(&self.data, &rhs.data, &mut out.data, m, k, n);
         out
     }
@@ -219,7 +205,7 @@ impl Tensor {
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.rows, rhs.rows, "matmul_tn dimension mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = Tensor::zeros_pooled(m, n);
+        let mut out = Tensor::zeros(m, n);
         crate::kernels::matmul_tn(&self.data, &rhs.data, &mut out.data, k, m, n);
         out
     }
@@ -228,14 +214,14 @@ impl Tensor {
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.cols, rhs.cols, "matmul_nt dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        let mut out = Tensor::zeros_pooled(m, n);
+        let mut out = Tensor::zeros(m, n);
         crate::kernels::matmul_nt(&self.data, &rhs.data, &mut out.data, m, k, n);
         out
     }
 
     /// Returns the transposed tensor (tiled kernel, parallel when large).
     pub fn transposed(&self) -> Tensor {
-        let mut out = Tensor::zeros_pooled(self.cols, self.rows);
+        let mut out = Tensor::zeros(self.cols, self.rows);
         crate::kernels::transpose(&self.data, &mut out.data, self.rows, self.cols);
         out
     }

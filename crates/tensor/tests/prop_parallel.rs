@@ -1,11 +1,11 @@
-//! Property tests for the threading/pooling contract: the blocked kernels,
-//! at every thread count, must match a straightforward serial oracle — and
+//! Property tests for the threading contract: the blocked kernels, at
+//! every thread count, must match a straightforward serial oracle — and
 //! since blocking preserves each output element's accumulation order, they
-//! must in fact match **bit for bit**. Pooled allocations must behave like
-//! fresh zeroed memory.
+//! must in fact match **bit for bit**.
 
+use ner_tensor::kernels::{self, AlignedBuf};
 use ner_tensor::simd::{self, SimdLevel};
-use ner_tensor::{kernels, pool, Tensor, PAR_MIN_FLOPS};
+use ner_tensor::{Tensor, PAR_MIN_FLOPS};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -147,24 +147,6 @@ proptest! {
             prop_assert!(back.data() == t.data(), "transpose must round-trip exactly");
         }
     }
-
-    /// Pooled buffers behave like fresh zeroed memory: repeating an op after
-    /// its intermediates were recycled yields bit-identical results.
-    #[test]
-    fn pooled_reruns_are_bit_identical(
-        m in 4usize..32, k in 4usize..32, n in 4usize..32,
-        seed in prop::collection::vec(-2.0f32..2.0, 64)
-    ) {
-        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let a = Tensor::from_vec(m, k, seed.iter().cycle().take(m * k).copied().collect());
-        let b = Tensor::from_vec(k, n, seed.iter().rev().cycle().take(k * n).copied().collect());
-        let first = a.matmul(&b);
-        // Poison the pool with the result's own (dirty) buffer, then rerun:
-        // the recycled allocation must come back zeroed.
-        pool::recycle(first.clone().into_data());
-        let second = a.matmul(&b);
-        prop_assert!(first.data() == second.data(), "pooled rerun diverged");
-    }
 }
 
 /// The vector levels this CPU can actually run (empty on a pre-SSE2 host,
@@ -212,7 +194,7 @@ fn simd_levels_match_forced_scalar_at_lane_remainder_widths() {
 }
 
 /// Buffer base alignment must never change the bits: the same values run
-/// through the public slice kernels from a 64-byte-aligned pool panel and
+/// through the public slice kernels from 64-byte-aligned panels and
 /// from starts offset by 1..4 floats (so no vector width sees its natural
 /// alignment), at every supported SIMD level.
 #[test]
@@ -237,18 +219,15 @@ fn buffer_alignment_never_changes_the_bits() {
             simd::with_level(lvl, || {
                 let want = run(&vals_a, &vals_b, &vals_bt);
 
-                // 64-byte-aligned starts straight from the panel pool.
-                let mut pa = pool::take_aligned(m * k);
+                // 64-byte-aligned starts from the kernels' panel type.
+                let mut pa = AlignedBuf::zeroed(m * k);
                 pa.as_mut_slice().copy_from_slice(&vals_a);
-                let mut pb = pool::take_aligned(k * n);
+                let mut pb = AlignedBuf::zeroed(k * n);
                 pb.as_mut_slice().copy_from_slice(&vals_b);
-                let mut pbt = pool::take_aligned(n * k);
+                let mut pbt = AlignedBuf::zeroed(n * k);
                 pbt.as_mut_slice().copy_from_slice(&vals_bt);
                 let got = run(pa.as_slice(), pb.as_slice(), pbt.as_slice());
-                assert!(got == want, "aligned pool buffers diverged at {}", lvl.name());
-                pool::recycle_aligned(pa);
-                pool::recycle_aligned(pb);
-                pool::recycle_aligned(pbt);
+                assert!(got == want, "aligned panels diverged at {}", lvl.name());
 
                 // Misaligned starts: shift every operand by `off` floats.
                 for off in 1usize..4 {
