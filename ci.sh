@@ -10,7 +10,8 @@
 #      more at NER_SIMD=off so forced-scalar kernels reproduce the same
 #      bits the default SIMD level produced; ner-tensor's backend tests and
 #      ner-core's train_parity, plan_parity and prop_batched also run at
-#      NER_SIMD=sse2, because the packed training forward and the trainer's
+#      NER_SIMD=sse2 at NER_THREADS=1 and 4, like the other SIMD levels,
+#      because the packed training forward and backward and the trainer's
 #      dev evaluation (whose F1 drives early stopping and best-model
 #      restore) run the same SIMD-dispatched fused kernels and LSTM/GRU
 #      sweeps as serving, and the middle level must keep those bits too.
@@ -79,11 +80,13 @@ NER_SIMD=off NER_THREADS=1 cargo test -q
 echo "== tier-1: tests with SIMD forced off (NER_SIMD=off, NER_THREADS=4) =="
 NER_SIMD=off NER_THREADS=4 cargo test -q
 
-echo "== tier-1: tensor backends + training and prediction parity at the middle SIMD level (NER_SIMD=sse2) =="
-NER_SIMD=sse2 cargo test --release -p ner-tensor -q
-NER_SIMD=sse2 cargo test --release -p ner-core --test train_parity -q
-NER_SIMD=sse2 cargo test --release -p ner-core --test plan_parity -q
-NER_SIMD=sse2 cargo test --release -p ner-core --test prop_batched -q
+for threads in 1 4; do
+    echo "== tier-1: tensor backends + training and prediction parity at the middle SIMD level (NER_SIMD=sse2, NER_THREADS=$threads) =="
+    NER_SIMD=sse2 NER_THREADS=$threads cargo test --release -p ner-tensor -q
+    NER_SIMD=sse2 NER_THREADS=$threads cargo test --release -p ner-core --test train_parity -q
+    NER_SIMD=sse2 NER_THREADS=$threads cargo test --release -p ner-core --test plan_parity -q
+    NER_SIMD=sse2 NER_THREADS=$threads cargo test --release -p ner-core --test prop_batched -q
+done
 
 echo "== kernel smoke: blocked/SIMD/parallel must match the naive oracle =="
 cargo run --release -p ner-bench --bin exp_kernels -- --smoke

@@ -11,7 +11,7 @@
 use ner_core::model::NerModel;
 use ner_core::repr::EncodedSentence;
 use ner_core::trainer::TrainConfig;
-use ner_tensor::optim::{Adam, Optimizer};
+use ner_tensor::optim::{Adam, CLIP_NORM};
 use ner_tensor::Tape;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -73,9 +73,7 @@ pub fn train_fgm(
                     tape2.backward(adv_loss, &mut model.store);
                 }
             }
-            if cfg.clip > 0.0 {
-                model.store.clip_grad_norm(cfg.clip);
-            }
+            model.store.clip_grad_norm(CLIP_NORM);
             opt.step(&mut model.store);
         }
         records.push(AdvEpoch { clean_loss: clean_total / live, adv_loss: adv_total / live });

@@ -303,7 +303,7 @@ impl CrfDecodeTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ner_tensor::optim::{Adam, Optimizer};
+    use ner_tensor::optim::Adam;
     use ner_text::TagScheme;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

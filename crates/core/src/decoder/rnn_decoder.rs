@@ -87,7 +87,7 @@ impl RnnDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ner_tensor::optim::{Adam, Optimizer};
+    use ner_tensor::optim::Adam;
     use ner_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -389,7 +389,7 @@ impl SemiCrf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ner_tensor::optim::{Adam, Optimizer};
+    use ner_tensor::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

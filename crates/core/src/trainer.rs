@@ -1,6 +1,7 @@
-//! The training loop: minibatch SGD with gradient clipping, optional
-//! learning-rate schedules, dev-set early stopping with best-model
-//! restoration, and evaluation helpers.
+//! The training loop: Adam on the schedule and clip of Ma & Hovy (2016) —
+//! learning rate `lr / (1 + 0.05·epoch)`, global gradient norm clipped to
+//! [`ner_tensor::optim::CLIP_NORM`] — with dev-set early stopping,
+//! best-model restoration, and evaluation helpers.
 //!
 //! # Evaluation
 //!
@@ -31,10 +32,9 @@
 //! order in chunks of `threads × batch` sentences: every worker processes
 //! its bucket independently, and the coordinator merges the gradient
 //! buffers **in sentence order** (deterministic for a fixed thread count
-//! and batch size), clips once, and takes one optimizer step per chunk.
-//! Gradients are summed — not averaged — over the chunk, so the total SGD
-//! displacement per epoch matches the serial schedule's; Adam's update is
-//! scale-invariant either way. Dropout streams are seeded per sentence from
+//! and batch size), clips once, and takes one Adam step per chunk.
+//! Gradients are summed — not averaged — over the chunk; Adam's update is
+//! scale-invariant up to its ε. Dropout streams are seeded per sentence from
 //! one draw per chunk, so masks depend only on a sentence's position in the
 //! order — which makes [`train`] and [`train_tape`] produce bit-identical
 //! loss curves and final weights at any thread count. With
@@ -45,7 +45,7 @@
 use crate::metrics::{evaluate, EvalResult};
 use crate::model::NerModel;
 use crate::repr::EncodedSentence;
-use ner_tensor::optim::{Adam, LrSchedule, Optimizer, Sgd};
+use ner_tensor::optim::{Adam, CLIP_NORM};
 use ner_tensor::{GradBuffer, OpClass, Tape};
 use ner_text::EntitySpan;
 use rand::rngs::StdRng;
@@ -58,30 +58,18 @@ use serde::Serialize;
 /// neighboring sentences get decorrelated streams).
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Optimizer selection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
-pub enum OptimizerKind {
-    /// Plain SGD.
-    Sgd,
-    /// SGD with classical momentum 0.9.
-    SgdMomentum,
-    /// Adam (β₁=0.9, β₂=0.999).
-    Adam,
-}
+/// Per-epoch decay of the learning rate: epoch `e` trains at
+/// `lr / (1 + LR_DECAY·e)`.
+const LR_DECAY: f32 = 0.05;
 
 /// Training-loop configuration.
 #[derive(Clone, Debug, Serialize)]
 pub struct TrainConfig {
     /// Number of epochs.
     pub epochs: usize,
-    /// Base learning rate.
+    /// Adam's learning rate at epoch 0 (`neural-ner train --lr`); epoch
+    /// `e` trains at `lr / (1 + 0.05·e)`.
     pub lr: f32,
-    /// Optimizer.
-    pub optimizer: OptimizerKind,
-    /// Learning-rate schedule applied per epoch.
-    pub schedule: LrScheduleKind,
-    /// Global-norm gradient clip (0 disables).
-    pub clip: f32,
     /// Early-stopping patience in epochs on dev F1 (`None` disables; the
     /// best-dev parameters are restored either way when a dev set is given).
     pub patience: Option<usize>,
@@ -93,30 +81,9 @@ pub struct TrainConfig {
     pub batch: usize,
 }
 
-/// Serializable schedule selector (mirrors [`LrSchedule`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
-pub enum LrScheduleKind {
-    /// Constant rate.
-    Constant,
-    /// `lr / (1 + decay·epoch)`.
-    InverseTime {
-        /// Per-epoch decay.
-        decay: f32,
-    },
-}
-
 impl Default for TrainConfig {
     fn default() -> Self {
-        TrainConfig {
-            epochs: 12,
-            lr: 0.01,
-            optimizer: OptimizerKind::Adam,
-            schedule: LrScheduleKind::InverseTime { decay: 0.05 },
-            clip: 5.0,
-            patience: Some(4),
-            shuffle: true,
-            batch: 1,
-        }
+        TrainConfig { epochs: 12, lr: 0.01, patience: Some(4), shuffle: true, batch: 1 }
     }
 }
 
@@ -126,7 +93,8 @@ impl Default for TrainConfig {
 pub struct EpochRecord {
     /// Epoch index (0-based).
     pub epoch: usize,
-    /// Mean training loss per sentence.
+    /// Mean training loss over the sentences whose loss was summed (empty
+    /// sentences and non-finite losses add none).
     pub train_loss: f64,
     /// Dev micro-F1 (when a dev set was supplied).
     pub dev_f1: Option<f64>,
@@ -161,6 +129,8 @@ pub struct TrainReport {
 #[derive(Default)]
 struct EpochStats {
     total_loss: f64,
+    /// Sentences whose loss entered `total_loss`.
+    losses: usize,
     norm_sum: f64,
     applied: usize,
     skipped: usize,
@@ -309,7 +279,7 @@ fn run_epoch_bucketed(
     model: &mut NerModel,
     train: &[EncodedSentence],
     order: &[usize],
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     cfg: &TrainConfig,
     step: Step,
     epoch: usize,
@@ -365,6 +335,7 @@ fn run_epoch_bucketed(
                     }
                     BucketItem::Update { loss, grads } => {
                         stats.total_loss += loss;
+                        stats.losses += 1;
                         grads.apply_to(&mut model.store);
                         contributed += 1;
                     }
@@ -374,11 +345,7 @@ fn run_epoch_bucketed(
         if contributed == 0 {
             continue;
         }
-        let norm = if cfg.clip > 0.0 {
-            model.store.clip_grad_norm(cfg.clip)
-        } else {
-            model.store.grad_global_norm()
-        };
+        let norm = model.store.clip_grad_norm(CLIP_NORM);
         if !norm.is_finite() {
             stats.skipped += contributed;
             ner_obs::warn(format!(
@@ -392,28 +359,6 @@ fn run_epoch_bucketed(
         opt.step(&mut model.store);
     }
     stats
-}
-
-fn make_optimizer(cfg: &TrainConfig) -> Box<dyn Optimizer> {
-    match cfg.optimizer {
-        OptimizerKind::Sgd => Box::new(Sgd::new(cfg.lr)),
-        OptimizerKind::SgdMomentum => Box::new(Sgd::new(cfg.lr).with_momentum(0.9)),
-        OptimizerKind::Adam => Box::new(Adam::new(cfg.lr)),
-    }
-}
-
-fn schedule(cfg: &TrainConfig) -> LrSchedule {
-    match cfg.schedule {
-        LrScheduleKind::Constant => LrSchedule::Constant,
-        LrScheduleKind::InverseTime { decay } => LrSchedule::InverseTime { decay },
-    }
-}
-
-fn effective_lr(cfg: &TrainConfig, epoch: usize) -> f32 {
-    match cfg.schedule {
-        LrScheduleKind::Constant => cfg.lr,
-        LrScheduleKind::InverseTime { decay } => cfg.lr / (1.0 + decay * epoch as f32),
-    }
 }
 
 /// Trains `model` on `train`, optionally early-stopping on `dev` micro-F1.
@@ -464,8 +409,7 @@ fn run_training(
     ner_obs::gauge("train.batch", cfg.batch.max(1) as f64);
     ner_obs::info(format!("trainer batch {}", cfg.batch.max(1)));
     let epoch_tokens: usize = train.iter().map(|s| s.len()).sum();
-    let mut opt = make_optimizer(cfg);
-    let sched = schedule(cfg);
+    let mut opt = Adam::new(cfg.lr);
     let mut order: Vec<usize> = (0..train.len()).collect();
 
     let mut records = Vec::with_capacity(cfg.epochs);
@@ -479,7 +423,7 @@ fn run_training(
     for epoch in 0..cfg.epochs {
         let epoch_span = ner_obs::span("epoch");
         let epoch_start = std::time::Instant::now();
-        sched.apply(opt.as_mut(), cfg.lr, epoch);
+        opt.lr = cfg.lr / (1.0 + LR_DECAY * epoch as f32);
         if cfg.shuffle {
             order.shuffle(rng);
         }
@@ -487,7 +431,7 @@ fn run_training(
             model,
             train,
             &order,
-            opt.as_mut(),
+            &mut opt,
             cfg,
             step,
             epoch,
@@ -495,8 +439,8 @@ fn run_training(
             rng,
             &mut op_totals,
         );
-        let EpochStats { total_loss, norm_sum, applied, skipped, peak_nodes } = stats;
-        let train_loss = total_loss / train.len() as f64;
+        let EpochStats { total_loss, losses, norm_sum, applied, skipped, peak_nodes } = stats;
+        let train_loss = if losses > 0 { total_loss / losses as f64 } else { 0.0 };
 
         let dev_f1 = dev.map(|d| {
             let _eval_span = ner_obs::span("eval");
@@ -511,7 +455,7 @@ fn run_training(
             train_loss,
             dev_f1,
             grad_norm: if applied > 0 { norm_sum / applied as f64 } else { 0.0 },
-            lr: effective_lr(cfg, epoch),
+            lr: opt.lr,
             wall_ms: wall.as_millis() as u64,
             tokens_per_s,
             peak_tape_nodes: peak_nodes,
@@ -682,6 +626,47 @@ mod tests {
             after - before >= expected,
             "counter should grow by at least {expected} (before {before}, after {after})"
         );
+    }
+
+    #[test]
+    fn empty_sentences_change_no_train_loss_and_no_weight() {
+        let gen = NewsGenerator::new(GeneratorConfig::default());
+        let mut rng = StdRng::seed_from_u64(4);
+        let ds = gen.dataset(&mut rng, 12);
+        let enc = SentenceEncoder::from_dataset(&ds, TagScheme::Bio, 1);
+        let data = enc.encode_dataset(&ds, None);
+        let mut padded = data.clone();
+        padded.extend(std::iter::repeat_with(EncodedSentence::default).take(5));
+        // Without dropout and shuffling the rng draws nothing a sentence
+        // sees, so the trailing empties can change no float. Bucket 5 also
+        // packs empties beside live sentences.
+        let model_cfg = NerConfig { dropout: 0.0, ..quick_cfg() };
+        for batch in [1, 5] {
+            let cfg = TrainConfig {
+                epochs: 2,
+                patience: None,
+                shuffle: false,
+                batch,
+                ..Default::default()
+            };
+            let run = |data: &[EncodedSentence]| {
+                let mut model =
+                    NerModel::new(model_cfg.clone(), &enc, None, &mut StdRng::seed_from_u64(5));
+                let report = train(&mut model, data, None, &cfg, &mut StdRng::seed_from_u64(6));
+                let losses: Vec<u64> =
+                    report.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
+                (losses, model)
+            };
+            let (want, plain) = run(&data);
+            let (got, model) = run(&padded);
+            assert_eq!(got, want, "train_loss, batch {batch}");
+            for id in plain.store.ids() {
+                let bits = |m: &NerModel| {
+                    m.store.value(id).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&model), bits(&plain), "weight {id:?}, batch {batch}");
+            }
+        }
     }
 
     #[test]

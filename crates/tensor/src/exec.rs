@@ -1171,9 +1171,11 @@ fn gru_sweep(
 /// statistics its backward needs. The backward rule re-derives each
 /// **segment's** parameter gradients with the per-sentence formulas on
 /// that segment's row slice, emitting them through the tape's
-/// [`SegEmitter`](crate::SegEmitter) so [`Tape::backward_into_segmented`]
-/// can keep one [`GradBuffer`](crate::GradBuffer) per sentence
-/// bit-identical to the historical one-tape-per-sentence trainer.
+/// [`SegEmitter`](crate::SegEmitter) straight into that segment's
+/// [`GradBuffer`](crate::GradBuffer) (one per sentence, through
+/// [`Tape::backward_into_segmented`]), bit-identical to the historical
+/// one-tape-per-sentence trainer. The backward closures capture the
+/// layout as one `(offset, len)` pair per segment, in caller order.
 /// Per-segment subgraphs (char compositions, attention cores, decoder
 /// losses) run inside [`Exec::scoped`], which records the ordinary
 /// per-sentence node chain tagged with the owning segment.
@@ -1250,11 +1252,6 @@ impl<'t> BatchedTapeExec<'t> {
         self.tape
     }
 
-    /// Clones of the layout vectors for capture in backward closures.
-    fn layout(&self) -> (Vec<usize>, Vec<usize>) {
-        (self.pack.lens.clone(), self.pack.offsets.clone())
-    }
-
     /// Each segment's `(offset, len)` in caller order — the order the
     /// backward closures emit per-segment gradients in.
     fn seg_runs(&self) -> Vec<(usize, usize)> {
@@ -1293,12 +1290,11 @@ impl Exec for BatchedTapeExec<'_> {
         if self.scope.is_some() || ids.len() != self.pack.total {
             return self.tape.param_rows(store, id, ids);
         }
-        let (lens, offsets) = self.layout();
+        let seg_runs = self.seg_runs();
         let ids_c = ids.to_vec();
         let value = store.value(id).gather_rows(ids);
         self.tape.custom_segmented(OpClass::Embedding, value, &[], move |g, em| {
-            for s in 0..lens.len() {
-                let (off, len) = (offsets[s], lens[s]);
+            for (s, &(off, len)) in seg_runs.iter().enumerate() {
                 em.rows(s, id, ids_c[off..off + len].to_vec(), rows_of(g, off, len));
             }
             vec![]
@@ -1359,12 +1355,11 @@ impl Exec for BatchedTapeExec<'_> {
         let Some(id) = self.packed_param(m, bias) else {
             return Tape::add_bias(self.tape, m, bias);
         };
-        let (lens, offsets) = self.layout();
+        let seg_runs = self.seg_runs();
         let mut out = self.tape.value(m).clone();
         fused::add_bias_in_place(&mut out, self.tape.value(bias));
         self.tape.custom_segmented(OpClass::Elementwise, out, &[m, bias], move |g, em| {
-            for s in 0..lens.len() {
-                let (off, len) = (offsets[s], lens[s]);
+            for (s, &(off, len)) in seg_runs.iter().enumerate() {
                 let mut gb = Tensor::zeros(1, g.cols());
                 for r in 0..len {
                     let src = g.row(off + r);
@@ -1409,7 +1404,7 @@ impl Exec for BatchedTapeExec<'_> {
         let (Some(w_id), Some(b_id)) = (self.packed_param(x, w), self.packed_param(x, b)) else {
             return Exec::conv1d_act(&mut *self.tape, x, w, b, k, dilation, act);
         };
-        let (lens, offsets) = self.layout();
+        let seg_runs = self.seg_runs();
         let vx = self.tape.value(x).clone();
         let vw = self.tape.value(w).clone();
         let (d_in, d_out) = (vx.cols(), vw.cols());
@@ -1421,8 +1416,7 @@ impl Exec for BatchedTapeExec<'_> {
         let total = self.pack.total;
         let conv = self.tape.custom_segmented(OpClass::Conv, out, &[x, w, b], move |g, em| {
             let mut gx = Tensor::zeros(total, d_in);
-            for s in 0..lens.len() {
-                let (off, len) = (offsets[s], lens[s]);
+            for (s, &(off, len)) in seg_runs.iter().enumerate() {
                 let mut gw = Tensor::zeros(k * d_in, d_out);
                 let mut gb = Tensor::zeros(1, d_out);
                 for t in 0..len as isize {
@@ -1469,7 +1463,7 @@ impl Exec for BatchedTapeExec<'_> {
             return Tape::layer_norm(self.tape, x, gain, bias);
         };
         const EPS: f32 = 1e-5;
-        let (lens, offsets) = self.layout();
+        let seg_runs = self.seg_runs();
         let vx = self.tape.value(x).clone();
         let vg = self.tape.value(gain).clone();
         let vb = self.tape.value(bias).clone();
@@ -1495,8 +1489,7 @@ impl Exec for BatchedTapeExec<'_> {
 
         self.tape.custom_segmented(OpClass::Norm, out, &[x, gain, bias], move |g, em| {
             let mut gx = Tensor::zeros(n, d);
-            for s in 0..lens.len() {
-                let (off, len) = (offsets[s], lens[s]);
+            for (s, &(off, len)) in seg_runs.iter().enumerate() {
                 let mut ggain = Tensor::zeros(1, d);
                 let mut gbias = Tensor::zeros(1, d);
                 for r in off..off + len {

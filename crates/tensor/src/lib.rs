@@ -17,8 +17,8 @@
 //!   gradients, 1-D (dilated) convolution, max-over-time pooling, layer
 //!   normalization, concatenation / slicing, dropout and classification
 //!   losses.
-//! * [`optim`] — SGD (+momentum), Adagrad, RMSProp, Adam, AdamW, global-norm
-//!   gradient clipping and learning-rate schedules.
+//! * [`optim`] — Adam, the global-norm clip bound every trainer uses, and
+//!   the per-example training loop.
 //! * [`init`] — Xavier/Glorot, He/Kaiming and uniform initializers.
 //!
 //! The design favours clarity and determinism: graphs are built per sentence
@@ -34,7 +34,7 @@
 //! backpropagate without mutable access to shared parameters.
 //!
 //! ```
-//! use ner_tensor::{ParamStore, Tape, Tensor, init, optim::{Optimizer, Sgd}};
+//! use ner_tensor::{ParamStore, Tape, Tensor, init, optim::Adam};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -42,7 +42,7 @@
 //! let w = store.register("w", init::xavier(&mut rng, 2, 1));
 //!
 //! // Fit y = x0 + x1 with a linear model.
-//! let mut opt = Sgd::new(0.1);
+//! let mut opt = Adam::new(0.1);
 //! for _ in 0..200 {
 //!     let mut tape = Tape::new();
 //!     let x = tape.constant(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, -1.0]]));

@@ -439,7 +439,7 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use crate::{BatchedExec, Tape, Var};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -57,9 +57,9 @@ impl Deserialize for Slot {
 ///
 /// A model registers its weights once; every forward pass leases them into a
 /// fresh [`crate::Tape`]; `Tape::backward` accumulates gradients back here;
-/// an [`crate::optim::Optimizer`] then consumes the gradients. Gradients
+/// [`crate::optim::Adam`] then consumes the gradients. Gradients
 /// accumulate across multiple backward passes until [`ParamStore::zero_grad`]
-/// (optimizers call it for you after stepping).
+/// ([`crate::optim::Adam::step`] calls it for you).
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
     slots: Vec<Slot>,

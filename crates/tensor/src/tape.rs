@@ -16,15 +16,10 @@ enum Sink {
 
 /// Backward rule: given the gradient flowing into a node's output, produce
 /// the gradient contribution for each parent (aligned with the node's parent
-/// list; `None` means "no gradient to this parent").
-type BackFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>>>;
-
-/// Backward rule for a *packed* multi-segment node: like [`BackFn`] but the
-/// rule additionally receives a [`SegEmitter`] through which it must emit
-/// per-segment parameter-gradient contributions (computed with the same
-/// per-sentence formulas and fold orders the oracle tape uses), instead of
-/// returning a gradient for the parameter parents.
-type SegBackFn = Box<dyn Fn(&Tensor, &mut SegEmitter) -> Vec<Option<Tensor>>>;
+/// list; `None` means "no gradient to this parent"). Packed multi-segment
+/// nodes also emit per-segment parameter gradients through the
+/// [`SegEmitter`]; every other rule ignores it.
+type BackFn = Box<dyn Fn(&Tensor, &mut SegEmitter<'_>) -> Vec<Option<Tensor>>>;
 
 /// Segment tag meaning "owned by no packing segment".
 const SEG_NONE: u32 = u32::MAX;
@@ -38,42 +33,44 @@ struct Node {
     /// Packing segment that owns this node's parameter sink (`SEG_NONE` for
     /// shared/packed nodes). Assigned from [`Tape::cur_seg`] on push.
     seg: u32,
-    /// Segment-aware backward rule for packed nodes; mutually exclusive
-    /// with `backward`.
-    seg_backward: Option<SegBackFn>,
 }
 
-/// One parameter-gradient contribution recorded during a segmented sweep.
-enum Emit {
-    Dense(ParamId, Tensor),
-    Rows(ParamId, Vec<usize>, Tensor),
+/// The gradient sinks of one reverse sweep, one per packing segment.
+///
+/// Packed nodes emit each segment's parameter-gradient contribution
+/// through [`SegEmitter::dense`] / [`SegEmitter::rows`]; parameter leaves
+/// deliver theirs when the sweep reaches them. Either way the contribution
+/// is accumulated into its segment's sink at once, so sink `s` receives
+/// exactly segment `s`'s contributions in sweep order — the order the
+/// per-sentence oracle folds them in.
+pub struct SegEmitter<'a> {
+    sinks: Vec<&'a mut dyn GradSink>,
+    /// True for [`Tape::backward_into_segmented`]: leaves route by their
+    /// segment tag and an unscoped leaf panics. The plain sweep sends every
+    /// leaf to its one sink.
+    segmented: bool,
 }
 
-/// Collects per-segment parameter-gradient contributions during
-/// [`Tape::backward_into_segmented`]. Packed nodes emit each segment's
-/// contribution explicitly; scoped per-segment leaves emit automatically
-/// when the sweep reaches them. Phase two drains segment `s`'s list — in
-/// emission order — into the `s`-th [`GradBuffer`], so every accumulation
-/// folds in exactly the order the per-sentence oracle produced.
-pub struct SegEmitter {
-    lists: Vec<Vec<Emit>>,
-}
-
-impl SegEmitter {
-    fn new(segments: usize) -> SegEmitter {
-        SegEmitter { lists: (0..segments).map(|_| Vec::new()).collect() }
-    }
-
-    /// Records a whole-tensor gradient contribution for `id` on segment
-    /// `seg`.
+impl SegEmitter<'_> {
+    /// Accumulates a whole-tensor gradient contribution for `id` on
+    /// segment `seg`.
     pub fn dense(&mut self, seg: usize, id: ParamId, delta: Tensor) {
-        self.lists[seg].push(Emit::Dense(id, delta));
+        self.sinks[seg].accumulate(id, &delta);
     }
 
-    /// Records a row-scattered embedding gradient for `id` on segment
+    /// Accumulates a row-scattered embedding gradient for `id` on segment
     /// `seg`: row `i` of `delta` lands in table row `indices[i]`.
     pub fn rows(&mut self, seg: usize, id: ParamId, indices: Vec<usize>, delta: Tensor) {
-        self.lists[seg].push(Emit::Rows(id, indices, delta));
+        self.sinks[seg].accumulate_rows(id, &indices, &delta);
+    }
+
+    /// The sink a leaf tagged `seg` delivers to.
+    fn leaf(&mut self, seg: u32, kind: &str) -> &mut dyn GradSink {
+        if !self.segmented {
+            return &mut *self.sinks[0];
+        }
+        assert_ne!(seg, SEG_NONE, "segmented backward reached an unscoped {kind} leaf");
+        &mut *self.sinks[seg as usize]
     }
 }
 
@@ -202,16 +199,6 @@ impl GradBuffer {
         self.dense.iter().all(Option::is_none) && self.sparse.is_empty()
     }
 
-    /// Scales every accumulated gradient in place (minibatch averaging).
-    pub fn scale(&mut self, alpha: f32) {
-        for g in self.dense.iter_mut().flatten() {
-            g.scale_in_place(alpha);
-        }
-        for (_, _, g) in &mut self.sparse {
-            g.scale_in_place(alpha);
-        }
-    }
-
     /// Merges the buffer into `store` gradients: dense slots in ascending
     /// parameter order, then sparse row updates in insertion order.
     pub fn apply_to(self, store: &mut ParamStore) {
@@ -249,8 +236,8 @@ impl GradSink for GradBuffer {
 pub struct Tape {
     nodes: Vec<Node>,
     op_counts: [u32; OpClass::ALL.len()],
-    /// Segment tag stamped on every pushed node; `SEG_NONE` outside
-    /// [`Tape::with_segment`].
+    /// Segment tag stamped on every pushed node; `SEG_NONE` unless
+    /// [`Tape::set_segment`] set one.
     cur_seg: u32,
 }
 
@@ -281,30 +268,28 @@ impl Tape {
         OpClass::ALL.iter().map(|&c| (c, self.op_counts[c as usize])).filter(|&(_, n)| n > 0)
     }
 
-    fn push(&mut self, class: OpClass, mut node: Node) -> Var {
-        node.seg = self.cur_seg;
+    fn push(
+        &mut self,
+        class: OpClass,
+        value: Tensor,
+        parents: &[Var],
+        backward: Option<BackFn>,
+        sink: Option<Sink>,
+    ) -> Var {
+        debug_assert!(parents.iter().all(|p| p.0 < self.nodes.len()), "parent from another tape");
+        let parents = parents.iter().map(|p| p.0).collect();
+        let seg = self.cur_seg;
         self.op_counts[class as usize] += 1;
-        self.nodes.push(node);
+        self.nodes.push(Node { value, grad: None, parents, backward, sink, seg });
         Var(self.nodes.len() - 1)
     }
 
-    /// Tags every node appended inside `f` as owned by packing segment
-    /// `seg`: [`Tape::backward_into_segmented`] routes their parameter
-    /// sinks to the `seg`-th gradient buffer. Used by `BatchedTapeExec` to
-    /// record per-segment (per-sentence) subgraphs — decoder losses, char
-    /// compositions, attention cores — on a shared packed tape.
-    pub fn with_segment<R>(&mut self, seg: usize, f: impl FnOnce(&mut Tape) -> R) -> R {
-        let prev = self.cur_seg;
-        self.cur_seg = seg as u32;
-        let out = f(self);
-        self.cur_seg = prev;
-        out
-    }
-
-    /// Sets (or clears, with `None`) the segment tag applied to subsequently
-    /// pushed nodes. Plain-setter form of [`Tape::with_segment`] for callers
-    /// that cannot hand the tape to a closure (e.g. `BatchedTapeExec`, which
-    /// holds the tape behind `&mut self` while scoping).
+    /// Sets (or clears, with `None`) the packing segment that owns every
+    /// node pushed from now on: [`Tape::backward_into_segmented`] routes
+    /// their parameter sinks to the `seg`-th gradient buffer. Used by
+    /// `BatchedTapeExec` to record per-segment (per-sentence) subgraphs —
+    /// decoder losses, char compositions, attention cores — on a shared
+    /// packed tape.
     pub fn set_segment(&mut self, seg: Option<usize>) {
         self.cur_seg = match seg {
             Some(s) => s as u32,
@@ -322,55 +307,22 @@ impl Tape {
 
     /// A leaf holding a constant (no gradient is tracked through it).
     pub fn constant(&mut self, value: Tensor) -> Var {
-        self.push(
-            OpClass::Constant,
-            Node {
-                value,
-                grad: None,
-                parents: vec![],
-                backward: None,
-                sink: None,
-                seg: SEG_NONE,
-                seg_backward: None,
-            },
-        )
+        self.push(OpClass::Constant, value, &[], None, None)
     }
 
     /// A differentiable leaf for parameter `id`: its value is the parameter's
     /// current value and its gradient is delivered to the store on
     /// [`Tape::backward`].
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(
-            OpClass::Param,
-            Node {
-                value: store.value(id).clone(),
-                grad: None,
-                parents: vec![],
-                backward: None,
-                sink: Some(Sink::Param(id)),
-                seg: SEG_NONE,
-                seg_backward: None,
-            },
-        )
+        self.push(OpClass::Param, store.value(id).clone(), &[], None, Some(Sink::Param(id)))
     }
 
     /// An embedding-lookup leaf: gathers `indices` rows of parameter `id`
     /// without cloning the whole table; gradients scatter-add back into the
     /// selected rows. This is the input-representation workhorse.
     pub fn param_rows(&mut self, store: &ParamStore, id: ParamId, indices: &[usize]) -> Var {
-        let table = store.value(id);
-        self.push(
-            OpClass::Embedding,
-            Node {
-                value: table.gather_rows(indices),
-                grad: None,
-                parents: vec![],
-                backward: None,
-                sink: Some(Sink::ParamRows(id, indices.to_vec())),
-                seg: SEG_NONE,
-                seg_backward: None,
-            },
-        )
+        let value = store.value(id).gather_rows(indices);
+        self.push(OpClass::Embedding, value, &[], None, Some(Sink::ParamRows(id, indices.to_vec())))
     }
 
     /// Appends a custom differentiable operation. `backward` receives the
@@ -395,49 +347,26 @@ impl Tape {
         parents: &[Var],
         backward: impl Fn(&Tensor) -> Vec<Option<Tensor>> + 'static,
     ) -> Var {
-        debug_assert!(parents.iter().all(|p| p.0 < self.nodes.len()), "parent from another tape");
-        self.push(
-            class,
-            Node {
-                value,
-                grad: None,
-                parents: parents.iter().map(|p| p.0).collect(),
-                backward: Some(Box::new(backward)),
-                sink: None,
-                seg: SEG_NONE,
-                seg_backward: None,
-            },
-        )
+        let rule: BackFn = Box::new(move |g: &Tensor, _: &mut SegEmitter<'_>| backward(g));
+        self.push(class, value, parents, Some(rule), None)
     }
 
-    /// A packed multi-segment differentiable operation. `seg_backward` is
+    /// A packed multi-segment differentiable operation. `backward` is
     /// [`Tape::custom`]'s backward rule plus a [`SegEmitter`]: parameter
     /// gradients must be computed *per segment* — with the same formulas
     /// and fold orders the per-sentence oracle uses — and emitted rather
     /// than returned, so [`Tape::backward_into_segmented`] can keep one
-    /// gradient buffer per segment bit-identical to the oracle's. Nodes
-    /// appended here are only valid on tapes driven through the segmented
-    /// backward.
+    /// gradient buffer per segment bit-identical to the oracle's. A
+    /// one-segment node is also valid through [`Tape::backward_into`],
+    /// whose one sink is segment 0's.
     pub fn custom_segmented(
         &mut self,
         class: OpClass,
         value: Tensor,
         parents: &[Var],
-        seg_backward: impl Fn(&Tensor, &mut SegEmitter) -> Vec<Option<Tensor>> + 'static,
+        backward: impl Fn(&Tensor, &mut SegEmitter<'_>) -> Vec<Option<Tensor>> + 'static,
     ) -> Var {
-        debug_assert!(parents.iter().all(|p| p.0 < self.nodes.len()), "parent from another tape");
-        self.push(
-            class,
-            Node {
-                value,
-                grad: None,
-                parents: parents.iter().map(|p| p.0).collect(),
-                backward: None,
-                sink: None,
-                seg: SEG_NONE,
-                seg_backward: Some(Box::new(seg_backward)),
-            },
-        )
+        self.push(class, value, parents, Some(Box::new(backward)), None)
     }
 
     /// The forward value of a node.
@@ -463,11 +392,36 @@ impl Tape {
 
     /// [`Tape::backward`] with an arbitrary [`GradSink`] — data-parallel
     /// workers pass a [`GradBuffer`] here so backpropagation needs no
-    /// mutable access to the shared parameters.
+    /// mutable access to the shared parameters. Every parameter leaf, and
+    /// segment 0 of every packed node, delivers to `sink`.
     ///
     /// # Panics
-    /// Panics if `loss` is not a `1 × 1` tensor.
+    /// Panics if `loss` is not a `1 × 1` tensor, or if a packed node emits
+    /// for a segment other than 0.
     pub fn backward_into(&mut self, loss: Var, sink: &mut impl GradSink) {
+        self.sweep(loss, SegEmitter { sinks: vec![sink as &mut dyn GradSink], segmented: false });
+    }
+
+    /// Segmented variant of [`Tape::backward_into`] for packed batched
+    /// training: one [`GradBuffer`] per packing segment (sentence). The
+    /// sweep is the same — reverse node order, identical parent-delta
+    /// folds — but packed nodes emit per-segment contributions through
+    /// their [`SegEmitter`] and scoped leaves deliver to the segment that
+    /// owns them, each straight into that segment's buffer. Applying the
+    /// buffers in segment order then reproduces the per-sentence oracle's
+    /// gradient floats bit for bit (DESIGN.md "Batched training").
+    ///
+    /// # Panics
+    /// Panics if `loss` is not `1 × 1`, if a segment index is out of range
+    /// for `buffers`, or if a parameter gradient reaches a leaf no segment
+    /// owns (a packed node should have emitted it instead).
+    pub fn backward_into_segmented(&mut self, loss: Var, buffers: &mut [GradBuffer]) {
+        let sinks = buffers.iter_mut().map(|b| b as &mut dyn GradSink).collect();
+        self.sweep(loss, SegEmitter { sinks, segmented: true });
+    }
+
+    /// The one reverse sweep behind both backward entry points.
+    fn sweep(&mut self, loss: Var, mut em: SegEmitter<'_>) {
         assert_eq!(
             self.nodes[loss.0].value.shape(),
             (1, 1),
@@ -482,7 +436,7 @@ impl Tape {
             let Some(grad_out) = node.grad.as_ref() else { continue };
 
             if let Some(back) = node.backward.as_ref() {
-                let deltas = back(grad_out);
+                let deltas = back(grad_out, &mut em);
                 debug_assert_eq!(deltas.len(), node.parents.len());
                 for (slot, delta) in node.parents.iter().zip(deltas) {
                     let Some(delta) = delta else { continue };
@@ -500,97 +454,11 @@ impl Tape {
             }
 
             match node.sink.as_ref() {
-                Some(Sink::Param(id)) => sink.accumulate(*id, node.grad.as_ref().unwrap()),
+                Some(Sink::Param(id)) => em.leaf(node.seg, "parameter").accumulate(*id, grad_out),
                 Some(Sink::ParamRows(id, ix)) => {
-                    sink.accumulate_rows(*id, ix, node.grad.as_ref().unwrap())
+                    em.leaf(node.seg, "embedding").accumulate_rows(*id, ix, grad_out)
                 }
                 None => {}
-            }
-        }
-    }
-
-    /// Segmented variant of [`Tape::backward_into`] for packed batched
-    /// training: one [`GradBuffer`] per packing segment (sentence). The
-    /// sweep itself is unchanged — reverse node order, identical
-    /// parent-delta folds — but parameter gradients are *collected* per
-    /// segment instead of sunk directly: packed nodes emit per-segment
-    /// contributions through their [`SegEmitter`] rule, scoped leaves
-    /// emit to the segment that owns them, and a second phase drains each
-    /// segment's list in emission order into its buffer. Applying the
-    /// buffers in segment order then reproduces the per-sentence oracle's
-    /// gradient floats bit for bit (DESIGN.md "Batched training").
-    ///
-    /// # Panics
-    /// Panics if `loss` is not `1 × 1`, if a segment index is out of range
-    /// for `buffers`, or if a parameter gradient reaches a leaf no segment
-    /// owns (a packed node should have emitted it instead).
-    pub fn backward_into_segmented(&mut self, loss: Var, buffers: &mut [GradBuffer]) {
-        assert_eq!(
-            self.nodes[loss.0].value.shape(),
-            (1, 1),
-            "backward requires a scalar loss node"
-        );
-        self.nodes[loss.0].grad = Some(Tensor::scalar(1.0));
-        let mut emitter = SegEmitter::new(buffers.len());
-
-        for i in (0..self.nodes.len()).rev() {
-            // Split so we can read node `i` while mutating earlier parents.
-            let (before, rest) = self.nodes.split_at_mut(i);
-            let node = &mut rest[0];
-            let Some(grad_out) = node.grad.as_ref() else { continue };
-
-            let deltas = match (node.seg_backward.as_ref(), node.backward.as_ref()) {
-                (Some(back), _) => Some(back(grad_out, &mut emitter)),
-                (None, Some(back)) => Some(back(grad_out)),
-                (None, None) => None,
-            };
-            if let Some(deltas) = deltas {
-                debug_assert_eq!(deltas.len(), node.parents.len());
-                for (slot, delta) in node.parents.iter().zip(deltas) {
-                    let Some(delta) = delta else { continue };
-                    let parent = &mut before[*slot];
-                    debug_assert_eq!(
-                        parent.value.shape(),
-                        delta.shape(),
-                        "gradient shape mismatch for parent"
-                    );
-                    match parent.grad.as_mut() {
-                        Some(g) => g.add_scaled(&delta, 1.0),
-                        None => parent.grad = Some(delta),
-                    }
-                }
-            }
-
-            match node.sink.as_ref() {
-                Some(Sink::Param(id)) => {
-                    assert_ne!(
-                        node.seg, SEG_NONE,
-                        "segmented backward reached an unscoped parameter leaf"
-                    );
-                    emitter.dense(node.seg as usize, *id, node.grad.as_ref().unwrap().clone());
-                }
-                Some(Sink::ParamRows(id, ix)) => {
-                    assert_ne!(
-                        node.seg, SEG_NONE,
-                        "segmented backward reached an unscoped embedding leaf"
-                    );
-                    emitter.rows(
-                        node.seg as usize,
-                        *id,
-                        ix.clone(),
-                        node.grad.as_ref().unwrap().clone(),
-                    );
-                }
-                None => {}
-            }
-        }
-
-        for (list, buf) in emitter.lists.iter_mut().zip(buffers.iter_mut()) {
-            for e in list.drain(..) {
-                match e {
-                    Emit::Dense(id, g) => buf.accumulate(id, &g),
-                    Emit::Rows(id, ix, g) => buf.accumulate_rows(id, &ix, &g),
-                }
             }
         }
     }
@@ -632,18 +500,72 @@ mod tests {
         }
     }
 
+    /// A buffer's contents as bits: dense slots by parameter, then the
+    /// sparse row updates in insertion order.
+    type BufferBits = (Vec<Option<Vec<u32>>>, Vec<(usize, Vec<usize>, Vec<u32>)>);
+
+    fn buffer_bits(buf: &GradBuffer) -> BufferBits {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let dense = buf.dense.iter().map(|g| g.as_ref().map(bits)).collect();
+        let sparse = buf.sparse.iter().map(|(id, ix, g)| (id.0, ix.clone(), bits(g))).collect();
+        (dense, sparse)
+    }
+
     #[test]
-    fn grad_buffer_scale_averages_gradients() {
+    fn one_segment_packed_node_backpropagates_through_the_plain_entry() {
         let mut store = ParamStore::new();
-        let p = store.register("w", Tensor::scalar(3.0));
+        let emb =
+            store.register("emb", Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.25], &[-0.75, 1.5]]));
+        let w = store.register("w", Tensor::from_rows(&[&[1.5], &[-0.5]]));
+        let build = |tape: &mut Tape| {
+            tape.set_segment(Some(0));
+            // A packed one-segment lookup that emits its rows, beside a
+            // segment-0 leaf that gathers a repeated row.
+            let ids = vec![1, 0];
+            let looked = tape.custom_segmented(
+                OpClass::Embedding,
+                store.value(emb).gather_rows(&ids),
+                &[],
+                move |g, em| {
+                    em.rows(0, emb, ids.clone(), g.clone());
+                    vec![]
+                },
+            );
+            let leaf_rows = tape.param_rows(&store, emb, &[2, 0, 2]);
+            let rows = tape.concat_rows(&[looked, leaf_rows]);
+            // A packed one-segment projection that emits its weight
+            // gradient; the weight leaf also fans out into a product.
+            let wv = tape.param(&store, w);
+            let (vr, vw) = (tape.value(rows).clone(), tape.value(wv).clone());
+            let y = tape.custom_segmented(
+                OpClass::MatMul,
+                vr.matmul(&vw),
+                &[rows, wv],
+                move |g, em| {
+                    em.dense(0, w, vr.matmul_tn(g));
+                    vec![Some(g.matmul_nt(&vw)), None]
+                },
+            );
+            let sq = tape.mul(y, y);
+            let ww = tape.mul(wv, wv);
+            let (a, b) = (tape.sum(sq), tape.sum(ww));
+            tape.add(a, b)
+        };
+
         let mut tape = Tape::new();
-        let w = tape.param(&store, p);
-        let y = tape.mul(w, w); // dy/dw = 2w = 6
-        let mut buf = GradBuffer::new(store.len());
-        tape.backward_into(y, &mut buf);
-        buf.scale(0.5);
-        buf.apply_to(&mut store);
-        assert_eq!(store.grad(p).item(), 3.0);
+        let loss = build(&mut tape);
+        let mut plain = GradBuffer::new(store.len());
+        tape.backward_into(loss, &mut plain);
+
+        let mut tape = Tape::new();
+        let loss = build(&mut tape);
+        let mut segmented = vec![GradBuffer::new(store.len())];
+        tape.backward_into_segmented(loss, &mut segmented);
+
+        let got = buffer_bits(&plain);
+        assert!(got.0[w.0].is_some(), "the weight gets a dense gradient");
+        assert_eq!(got.1.len(), 2, "the packed lookup and the leaf each scatter once");
+        assert_eq!(got, buffer_bits(&segmented[0]));
     }
 
     #[test]
