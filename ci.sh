@@ -23,6 +23,13 @@
 #      prop_batched pins packed-batch predictions to the tape across the
 #      zoo, which is what lets every layer keep a single forward whose
 #      one-segment case is the tape)
+#      + checkpoints across SIMD levels (`neural-ner generate`, then
+#      `neural-ner train` of charcnn-bilstm-crf and bigru-crf for 2 epochs
+#      at a fixed seed and NER_THREADS=2, at NER_SIMD=off, sse2 and — when
+#      the CPU has it — avx2; the checkpoints must be byte-identical, so a
+#      whole trained model, every weight and the vocabulary, does not
+#      depend on the lane width: the LSTM/GRU gates, softmax and every
+#      activation run the workspace's own exp/tanh/sigmoid across lanes)
 #   4. kernel smoke     (exp_kernels --smoke exits non-zero on any
 #      blocked/SIMD/parallel-vs-naive kernel divergence, run at both the
 #      default SIMD level and NER_SIMD=off; the committed
@@ -87,6 +94,23 @@ for threads in 1 4; do
     NER_SIMD=sse2 NER_THREADS=$threads cargo test --release -p ner-core --test plan_parity -q
     NER_SIMD=sse2 NER_THREADS=$threads cargo test --release -p ner-core --test prop_batched -q
 done
+
+echo "== checkpoints: charcnn-bilstm-crf and bigru-crf train to identical bytes at every SIMD level =="
+levels="off sse2"
+if grep -qw avx2 /proc/cpuinfo; then
+    levels="$levels avx2"
+fi
+gate_dir=$(mktemp -d)
+target/release/neural-ner generate --out "$gate_dir/corpus.conll" --n 80 --seed 7
+for preset in charcnn-bilstm-crf bigru-crf; do
+    for level in $levels; do
+        NER_SIMD=$level NER_THREADS=2 target/release/neural-ner train --quiet \
+            --train "$gate_dir/corpus.conll" --model "$gate_dir/$preset.$level.json" \
+            --preset "$preset" --epochs 2 --seed 7
+        cmp "$gate_dir/$preset.off.json" "$gate_dir/$preset.$level.json"
+    done
+done
+rm -rf "$gate_dir"
 
 echo "== kernel smoke: blocked/SIMD/parallel must match the naive oracle =="
 cargo run --release -p ner-bench --bin exp_kernels -- --smoke

@@ -32,10 +32,11 @@ impl SelectorPolicy {
         SelectorPolicy { w: [0.0, 0.0, 0.0, 1.0] }
     }
 
-    /// Keep probability for a feature vector.
+    /// Keep probability for a feature vector: the workspace's one
+    /// sigmoid, [`ner_tensor::math::sigmoid`], on the `f32`-rounded score.
     pub fn keep_prob(&self, phi: &[f64; POLICY_DIM]) -> f64 {
         let z: f64 = self.w.iter().zip(phi).map(|(w, x)| w * x).sum();
-        1.0 / (1.0 + (-z).exp())
+        ner_tensor::math::sigmoid(z as f32) as f64
     }
 }
 

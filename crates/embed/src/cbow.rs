@@ -4,13 +4,10 @@
 
 use crate::pretrained::WordEmbeddings;
 use crate::skipgram::{index_counts, NegativeTable, SkipGramConfig};
+use ner_tensor::math::sigmoid;
 use ner_tensor::Tensor;
 use ner_text::Vocab;
 use rand::Rng;
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
 
 /// Trains CBOW embeddings on a tokenized corpus. Shares the configuration
 /// struct with skip-gram (the hyperparameters have identical meanings).

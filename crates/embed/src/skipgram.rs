@@ -6,6 +6,7 @@
 //! magnitude faster than a dense graph.
 
 use crate::pretrained::WordEmbeddings;
+use ner_tensor::math::sigmoid;
 use ner_tensor::Tensor;
 use ner_text::Vocab;
 use rand::Rng;
@@ -74,10 +75,6 @@ pub(crate) fn index_counts(corpus: &[Vec<String>], vocab: &Vocab) -> Vec<usize> 
         }
     }
     counts
-}
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// Trains skip-gram embeddings on a tokenized corpus.

@@ -33,7 +33,7 @@
 
 use crate::fused::{self, Activation};
 use crate::kernels::{self, Fold};
-use crate::{simd, OpClass, ParamId, ParamStore, Tape, Tensor, Var};
+use crate::{simd, OpClass, ParamId, ParamStore, SimdLevel, Tape, Tensor, Var};
 use rand::Rng;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -808,7 +808,9 @@ impl Exec for BatchedExec<'_> {
             assert_eq!(pv.shape(), (1, 4 * hidden), "lstm_gates pre-activation shape");
             let mut h_new = Tensor::zeros(1, hidden);
             let mut c_new = cv.clone();
-            lstm_cell(pv.row(0), c_new.row_mut(0), h_new.row_mut(0), |_, _, _, _| {});
+            let (mut gates, mut ct) = (pv.row(0).to_vec(), vec![0.0f32; hidden]);
+            let lvl = simd::active();
+            lstm_cell(lvl, &mut gates, c_new.row_mut(0), &mut ct, h_new.row_mut(0));
             (h_new, c_new)
         };
         let h = self.push(h_new);
@@ -827,7 +829,9 @@ impl Exec for BatchedExec<'_> {
             let (xv, hv, prev) = (self.tensor(xp), self.tensor(hp), self.tensor(h_prev));
             assert_eq!(xv.shape(), (1, 3 * hidden), "gru_gates projection shape");
             let mut out = Tensor::zeros(1, hidden);
-            gru_cell(xv.row(0), hv.row(0), prev.row(0), out.row_mut(0), |_, _| {});
+            let mut gates = vec![0.0f32; 3 * hidden];
+            let lvl = simd::active();
+            gru_cell(lvl, xv.row(0), hv.row(0), prev.row(0), &mut gates, out.row_mut(0));
             out
         };
         self.push(out)
@@ -863,7 +867,7 @@ impl Exec for BatchedExec<'_> {
             let xsv = self.tensor(xs);
             let runs = self.runs(xsv.rows(), "lstm_sequence");
             let (w_ih, w_hh, b) = (store.value(w_ih), store.value(w_hh), store.value(b));
-            lstm_sweep(xsv, w_ih, w_hh, b, &runs, |_, _, _, _, _| {})
+            lstm_sweep(xsv, w_ih, w_hh, b, &runs, |_, _, _, _| {})
         };
         self.push(out)
     }
@@ -883,7 +887,7 @@ impl Exec for BatchedExec<'_> {
             let runs = self.runs(xsv.rows(), "gru_sequence");
             let (w_ih, w_hh) = (store.value(w_ih), store.value(w_hh));
             let (b_ih, b_hh) = (store.value(b_ih), store.value(b_hh));
-            gru_sweep(xsv, w_ih, w_hh, b_ih, b_hh, &runs, |_, _, _, _| {})
+            gru_sweep(xsv, w_ih, w_hh, b_ih, b_hh, &runs, |_, _, _| {})
         };
         self.push(out)
     }
@@ -1025,50 +1029,52 @@ fn stacked_pe(runs: &[(usize, usize)], n: usize, d: usize, cache: Option<&PeCach
 }
 
 /// One LSTM cell on the pre-activation `pre [4·h]` (gate order i, f, g, o):
-/// the same scalar expressions the tape's expanded gate chain computes,
-/// associated identically — cₙ = f·c + i·g, h = o·tanh(cₙ). Updates `c` to
-/// cₙ in place, writes h into `h_out`, and hands `stash` each element's
-/// post-activation gates, cₙ and tanh(cₙ).
-#[inline(always)]
-fn lstm_cell(
-    pre: &[f32],
-    c: &mut [f32],
-    h_out: &mut [f32],
-    mut stash: impl FnMut(usize, [f32; 4], f32, f32),
-) {
+/// the same expressions the tape's expanded gate chain computes, associated
+/// identically — cₙ = f·c + i·g, h = o·tanh(cₙ). The gate activations and
+/// tanh(cₙ) are [`crate::math`]'s, swept across `lvl`'s lanes. Leaves the
+/// post-activation gates in `pre`, cₙ in `c` and tanh(cₙ) in `ct`, and
+/// writes h into `h_out`.
+fn lstm_cell(lvl: SimdLevel, pre: &mut [f32], c: &mut [f32], ct: &mut [f32], h_out: &mut [f32]) {
     let h = c.len();
+    let (ifg, o) = pre.split_at_mut(3 * h);
+    simd::sigmoid_in_place(lvl, &mut ifg[..2 * h]);
+    simd::tanh_in_place(lvl, &mut ifg[2 * h..]);
+    simd::sigmoid_in_place(lvl, o);
     for j in 0..h {
-        let i = Activation::Sigmoid.eval(pre[j]);
-        let f = Activation::Sigmoid.eval(pre[h + j]);
-        let g = Activation::Tanh.eval(pre[2 * h + j]);
-        let o = Activation::Sigmoid.eval(pre[3 * h + j]);
-        let cn = f * c[j] + i * g;
-        c[j] = cn;
-        let ct = cn.tanh();
-        h_out[j] = o * ct;
-        stash(j, [i, f, g, o], cn, ct);
+        c[j] = ifg[h + j] * c[j] + ifg[j] * ifg[2 * h + j];
+    }
+    ct.copy_from_slice(c);
+    simd::tanh_in_place(lvl, ct);
+    for j in 0..h {
+        h_out[j] = o[j] * ct[j];
     }
 }
 
 /// One GRU cell on the bias-added projections `x`/`hp [3·h]` (gate order
 /// z, r, n) and the previous state: h' = (n − z⊙n) + z⊙h, associated
-/// exactly as the tape's sub-then-add chain. Writes h' into `out` and hands
-/// `stash` each element's post-activation gates.
-#[inline(always)]
+/// exactly as the tape's sub-then-add chain, with [`crate::math`]'s
+/// activations swept across `lvl`'s lanes. Leaves the post-activation
+/// gates in `gates [3·h]` and writes h' into `out`.
 fn gru_cell(
+    lvl: SimdLevel,
     x: &[f32],
     hp: &[f32],
     h_prev: &[f32],
+    gates: &mut [f32],
     out: &mut [f32],
-    mut stash: impl FnMut(usize, [f32; 3]),
 ) {
     let h = out.len();
+    let (zr, n) = gates.split_at_mut(2 * h);
+    zr.copy_from_slice(&x[..2 * h]);
+    simd::add_in_place(lvl, zr, &hp[..2 * h]);
+    simd::sigmoid_in_place(lvl, zr);
     for j in 0..h {
-        let z = Activation::Sigmoid.eval(x[j] + hp[j]);
-        let r = Activation::Sigmoid.eval(x[h + j] + hp[h + j]);
-        let n = (x[2 * h + j] + r * hp[2 * h + j]).tanh();
-        out[j] = (n - z * n) + z * h_prev[j];
-        stash(j, [z, r, n]);
+        n[j] = x[2 * h + j] + zr[h + j] * hp[2 * h + j];
+    }
+    simd::tanh_in_place(lvl, n);
+    for j in 0..h {
+        let (z, nj) = (zr[j], n[j]);
+        out[j] = (nj - z * nj) + z * h_prev[j];
     }
 }
 
@@ -1079,15 +1085,16 @@ fn gru_cell(
 /// association (the tape's add-then-add_bias) and the cell equal the tape's
 /// per-step chain — the kernels keep per-output-element accumulation order
 /// independent of GEMM height, so every output row is bit-identical to
-/// running its sentence alone. `stash(r, j, gates, c, tanh c)` sees every
-/// cell element of output row `r`; the eager backend passes a no-op.
+/// running its sentence alone. `stash(r, gates, c, tanh c)` sees output row
+/// `r`'s post-activation gates `[4h]`, cell state and its tanh `[h]`; the
+/// eager backend passes a no-op.
 fn lstm_sweep(
     xs: &Tensor,
     w_ih: &Tensor,
     w_hh: &Tensor,
     b: &Tensor,
     runs: &[(usize, usize)],
-    mut stash: impl FnMut(usize, usize, [f32; 4], f32, f32),
+    mut stash: impl FnMut(usize, &[f32], &[f32], &[f32]),
 ) -> Tensor {
     let h = w_hh.rows();
     let xp = xs.matmul(w_ih); // [N, 4h]
@@ -1096,10 +1103,10 @@ fn lstm_sweep(
     // shrinks, so positions are stable for a run's lifetime.
     let mut hstate = Tensor::zeros(runs.len(), h);
     let mut c = vec![0.0f32; runs.len() * h];
-    // The pre-activation build `(x + h) + b` runs across SIMD lanes (same
-    // two-add sequence per element); the cell is transcendental-bound and
-    // stays scalar for bit-identity.
+    // The pre-activation build `(x + h) + b` and the cell's activations
+    // run across SIMD lanes; every lane repeats the scalar sequence.
     let mut pre = vec![0.0f32; 4 * h];
+    let mut ct = vec![0.0f32; h];
     let lvl = simd::active();
     for t in 0..runs[0].1 {
         let live = live_at(runs, t);
@@ -1112,7 +1119,8 @@ fn lstm_sweep(
             let r = off + t;
             simd::add3(lvl, &mut pre, xp.row(r), hp.row(p), b.data());
             let cs = &mut c[p * h..(p + 1) * h];
-            lstm_cell(&pre, cs, out.row_mut(r), |j, gates, cn, ct| stash(r, j, gates, cn, ct));
+            lstm_cell(lvl, &mut pre, cs, &mut ct, out.row_mut(r));
+            stash(r, &pre, cs, &ct);
             hstate.row_mut(p).copy_from_slice(out.row(r));
         }
     }
@@ -1121,9 +1129,9 @@ fn lstm_sweep(
 
 /// The packed GRU forward, same contract as [`lstm_sweep`]: one
 /// bias-added `[N, 3h]` input projection, then one `[live, 3h]` recurrent
-/// GEMM per timestep over the live prefix. `stash(r, j, gates, hn)` sees
-/// every cell element of output row `r` with the recurrent n-projection
-/// `hn` it used.
+/// GEMM per timestep over the live prefix. `stash(r, gates, hn)` sees
+/// output row `r`'s post-activation gates `[3h]` with the recurrent
+/// n-projection `hn [h]` it used.
 fn gru_sweep(
     xs: &Tensor,
     w_ih: &Tensor,
@@ -1131,13 +1139,15 @@ fn gru_sweep(
     b_ih: &Tensor,
     b_hh: &Tensor,
     runs: &[(usize, usize)],
-    mut stash: impl FnMut(usize, usize, [f32; 3], f32),
+    mut stash: impl FnMut(usize, &[f32], &[f32]),
 ) -> Tensor {
     let h = w_hh.rows();
     let mut xp = xs.matmul(w_ih); // [N, 3h]
     fused::add_bias_in_place(&mut xp, b_ih);
     let mut out = Tensor::zeros(xs.rows(), h);
     let mut hstate = Tensor::zeros(runs.len(), h);
+    let mut gates = vec![0.0f32; 3 * h];
+    let lvl = simd::active();
     for t in 0..runs[0].1 {
         let live = live_at(runs, t);
         if live < hstate.rows() {
@@ -1148,9 +1158,8 @@ fn gru_sweep(
         for (p, &(off, _)) in runs[..live].iter().enumerate() {
             let r = off + t;
             let h_row = hp.row(p);
-            gru_cell(xp.row(r), h_row, hstate.row(p), out.row_mut(r), |j, gates| {
-                stash(r, j, gates, h_row[2 * h + j])
-            });
+            gru_cell(lvl, xp.row(r), h_row, hstate.row(p), &mut gates, out.row_mut(r));
+            stash(r, &gates, &h_row[2 * h..]);
             hstate.row_mut(p).copy_from_slice(out.row(r));
         }
     }
@@ -1603,13 +1612,10 @@ impl Exec for BatchedTapeExec<'_> {
         let mut gates = Tensor::zeros(total, 4 * h); // i | f | g | o, post-activation
         let mut cells = Tensor::zeros(total, h); // c after the update
         let mut cts = Tensor::zeros(total, h); // tanh(c)
-        let out = lstm_sweep(&xs_c, &w_ih_v, &w_hh_v, store.value(b), runs, |r, j, g, c, ct| {
-            let gates_row = gates.row_mut(r);
-            for (q, v) in g.into_iter().enumerate() {
-                gates_row[q * h + j] = v;
-            }
-            cells.row_mut(r)[j] = c;
-            cts.row_mut(r)[j] = ct;
+        let out = lstm_sweep(&xs_c, &w_ih_v, &w_hh_v, store.value(b), runs, |r, g, c, ct| {
+            gates.row_mut(r).copy_from_slice(g);
+            cells.row_mut(r).copy_from_slice(c);
+            cts.row_mut(r).copy_from_slice(ct);
         });
 
         let out_c = out.clone();
@@ -1712,12 +1718,9 @@ impl Exec for BatchedTapeExec<'_> {
         let (b_ih_v, b_hh_v) = (store.value(b_ih), store.value(b_hh));
         let mut gates = Tensor::zeros(total, 3 * h); // z | r | n, post-activation
         let mut hns = Tensor::zeros(total, h); // recurrent n-projection, post-bias
-        let out = gru_sweep(&xs_c, &w_ih_v, &w_hh_v, b_ih_v, b_hh_v, runs, |r, j, g, hn| {
-            let gates_row = gates.row_mut(r);
-            for (q, v) in g.into_iter().enumerate() {
-                gates_row[q * h + j] = v;
-            }
-            hns.row_mut(r)[j] = hn;
+        let out = gru_sweep(&xs_c, &w_ih_v, &w_hh_v, b_ih_v, b_hh_v, runs, |r, g, hn| {
+            gates.row_mut(r).copy_from_slice(g);
+            hns.row_mut(r).copy_from_slice(hn);
         });
 
         let out_c = out.clone();

@@ -15,7 +15,7 @@
 //! DESIGN.md) — the property `tests/prop_fused.rs` checks at 1/2/4
 //! threads.
 
-use crate::{simd, Tensor};
+use crate::{math, simd, Tensor};
 
 /// A nonlinearity fused into [`affine_act`] / [`conv1d_act`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,41 +24,39 @@ pub enum Activation {
     None,
     /// `v.max(0.0)`, exactly as `Tape::relu`.
     Relu,
-    /// `f32::tanh`, exactly as `Tape::tanh`.
+    /// [`math::tanh`], exactly as `Tape::tanh`.
     Tanh,
-    /// `1 / (1 + e^{-v})`, exactly as `Tape::sigmoid`.
+    /// [`math::sigmoid`] (`1 / (1 + e^{-v})`), exactly as `Tape::sigmoid`.
     Sigmoid,
 }
 
 impl Activation {
-    /// Applies the activation to a scalar (the same expressions the tape's
-    /// elementwise ops map over their inputs).
+    /// Applies the activation to a scalar (the same functions the tape's
+    /// elementwise ops apply to their inputs).
     #[inline]
     pub fn eval(self, v: f32) -> f32 {
         match self {
             Activation::None => v,
             Activation::Relu => v.max(0.0),
-            Activation::Tanh => v.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+            Activation::Tanh => math::tanh(v),
+            Activation::Sigmoid => math::sigmoid(v),
         }
     }
 
-    /// Applies the activation elementwise in place.
+    /// Applies the activation elementwise in place, across [`simd`] lanes.
     ///
-    /// `Relu` runs across [`simd`] lanes (`MAXPS` with the value as first
-    /// operand reproduces scalar `v.max(0.0)` bit-for-bit, including the
-    /// NaN and `-0.0` cases — pinned by a unit test in `simd.rs`); `Tanh`
-    /// and `Sigmoid` are transcendental and stay scalar so the bits match
-    /// the tape ops exactly.
+    /// Each lane reproduces [`Activation::eval`] bit for bit: `Relu` is
+    /// `MAXPS` with the value as first operand (scalar `v.max(0.0)`,
+    /// including the NaN and `-0.0` cases), and `Tanh` and `Sigmoid` run
+    /// [`math`]'s operation sequence per lane — both pinned by unit tests
+    /// in `simd.rs`.
     pub fn apply(self, t: &mut Tensor) {
+        let lvl = simd::active();
         match self {
             Activation::None => {}
-            Activation::Relu => simd::relu_in_place(simd::active(), t.data_mut()),
-            Activation::Tanh | Activation::Sigmoid => {
-                for v in t.data_mut() {
-                    *v = self.eval(*v);
-                }
-            }
+            Activation::Relu => simd::relu_in_place(lvl, t.data_mut()),
+            Activation::Tanh => simd::tanh_in_place(lvl, t.data_mut()),
+            Activation::Sigmoid => simd::sigmoid_in_place(lvl, t.data_mut()),
         }
     }
 }
@@ -90,20 +88,23 @@ pub fn affine_act(x: &Tensor, w: &Tensor, b: &Tensor, act: Activation) -> Tensor
 }
 
 /// Row-wise softmax in place — the exact loop behind `Tape::softmax_rows`
-/// (max-subtraction, exponentiation with a running sum, then one multiply
-/// by the reciprocal), without the output clone.
+/// (max-subtraction, [`math::exp`], an ascending running sum, then one
+/// multiply by the reciprocal), without the output clone.
 pub fn softmax_rows_in_place(t: &mut Tensor) {
     let lvl = simd::active();
     for r in 0..t.rows() {
         let row = t.row_mut(r);
-        // The max fold and the exp with its running sum are sequential
-        // reductions — they stay scalar to keep the bits; only the final
-        // reciprocal scale is an independent-lane sweep.
+        // The max fold and the running sum are sequential reductions —
+        // they stay scalar to keep the bits; the exp and the reciprocal
+        // scale are independent-lane sweeps.
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            z += *v;
+            *v -= max;
+        }
+        simd::exp_in_place(lvl, row);
+        let mut z = 0.0;
+        for &v in row.iter() {
+            z += v;
         }
         let inv = 1.0 / z;
         simd::scale_in_place(lvl, row, inv);

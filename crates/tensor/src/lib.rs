@@ -19,6 +19,9 @@
 //!   losses.
 //! * [`optim`] — Adam, the global-norm clip bound every trainer uses, and
 //!   the per-example training loop.
+//! * [`math`] — the deterministic `f32` `exp`, `tanh` and `sigmoid` every
+//!   op, fused kernel and recurrent cell calls, whose [`simd`] lanes
+//!   reproduce the scalar bits.
 //! * [`init`] — Xavier/Glorot, He/Kaiming and uniform initializers.
 //!
 //! The design favours clarity and determinism: graphs are built per sentence
@@ -66,6 +69,7 @@ pub mod exec;
 pub mod fused;
 pub mod init;
 pub mod kernels;
+pub mod math;
 pub mod nn;
 pub mod ops;
 pub mod optim;

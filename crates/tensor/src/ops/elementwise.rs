@@ -1,6 +1,7 @@
 //! Elementwise arithmetic, broadcasting bias addition and nonlinearities.
 
-use crate::{OpClass, Tape, Tensor, Var};
+use crate::fused::Activation;
+use crate::{simd, OpClass, Tape, Tensor, Var};
 
 impl Tape {
     /// Elementwise `a + b` (same shape).
@@ -84,9 +85,10 @@ impl Tape {
         })
     }
 
-    /// Hyperbolic tangent, elementwise.
+    /// Hyperbolic tangent, elementwise ([`crate::math::tanh`]).
     pub fn tanh(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(f32::tanh);
+        let mut out = self.value(a).clone();
+        Activation::Tanh.apply(&mut out);
         let y = out.clone();
         self.custom_in_class(OpClass::Elementwise, out, &[a], move |g| {
             let mut ga = g.clone();
@@ -97,9 +99,10 @@ impl Tape {
         })
     }
 
-    /// Logistic sigmoid, elementwise.
+    /// Logistic sigmoid, elementwise ([`crate::math::sigmoid`]).
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let mut out = self.value(a).clone();
+        Activation::Sigmoid.apply(&mut out);
         let y = out.clone();
         self.custom_in_class(OpClass::Elementwise, out, &[a], move |g| {
             let mut ga = g.clone();
@@ -125,9 +128,10 @@ impl Tape {
         })
     }
 
-    /// Natural exponential, elementwise.
+    /// Natural exponential, elementwise ([`crate::math::exp`]).
     pub fn exp(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(f32::exp);
+        let mut out = self.value(a).clone();
+        simd::exp_in_place(simd::active(), out.data_mut());
         let y = out.clone();
         self.custom_in_class(OpClass::Elementwise, out, &[a], move |g| {
             let mut ga = g.clone();

@@ -1,7 +1,7 @@
 //! Softmax family: softmax, log-softmax and log-sum-exp, all row-wise and
 //! numerically stabilized by max subtraction.
 
-use crate::{OpClass, Tape, Tensor, Var};
+use crate::{simd, OpClass, SimdLevel, Tape, Tensor, Var};
 
 pub(crate) fn softmax_rows_tensor(x: &Tensor) -> Tensor {
     // One implementation shared with the tape-free inference path: the
@@ -9,6 +9,16 @@ pub(crate) fn softmax_rows_tensor(x: &Tensor) -> Tensor {
     let mut out = x.clone();
     crate::fused::softmax_rows_in_place(&mut out);
     out
+}
+
+/// `max + ln Σ exp(x − max)` over one row: the shifted exponentials run
+/// across `lvl`'s lanes into `scratch`, and the sum stays in row order.
+fn logsumexp(lvl: SimdLevel, row: &[f32], scratch: &mut Vec<f32>) -> f32 {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    scratch.clear();
+    scratch.extend(row.iter().map(|&x| x - max));
+    simd::exp_in_place(lvl, scratch);
+    max + scratch.iter().sum::<f32>().ln()
 }
 
 impl Tape {
@@ -33,14 +43,16 @@ impl Tape {
     /// Row-wise log-softmax (the numerically preferred input to NLL losses).
     pub fn log_softmax_rows(&mut self, a: Var) -> Var {
         let v = self.value(a);
+        let lvl = simd::active();
         let mut out = v.clone();
+        let mut shifted = Vec::with_capacity(out.cols());
         for r in 0..out.rows() {
             let row = out.row_mut(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let lse = max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
+            let lse = logsumexp(lvl, row, &mut shifted);
             row.iter_mut().for_each(|x| *x -= lse);
         }
-        let probs = out.map(f32::exp);
+        let mut probs = out.clone();
+        simd::exp_in_place(lvl, probs.data_mut());
         self.custom_in_class(OpClass::Softmax, out, &[a], move |g| {
             // dL/dx = g − softmax(x) · rowsum(g)
             let mut ga = g.clone();
@@ -58,11 +70,11 @@ impl Tape {
     pub fn logsumexp_rows(&mut self, a: Var) -> Var {
         let v = self.value(a);
         let (n, d) = v.shape();
+        let lvl = simd::active();
         let mut out = Tensor::zeros(n, 1);
+        let mut shifted = Vec::with_capacity(d);
         for r in 0..n {
-            let row = v.row(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            out.set2(r, 0, max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln());
+            out.set2(r, 0, logsumexp(lvl, v.row(r), &mut shifted));
         }
         let probs = softmax_rows_tensor(v);
         self.custom_in_class(OpClass::Softmax, out, &[a], move |g| {

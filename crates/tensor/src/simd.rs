@@ -18,10 +18,18 @@
 //!   round twice, so an FMA kernel would diverge from the scalar oracle in
 //!   the last bit. The CPU's FMA units are detected and reported (see
 //!   [`cpu_features`]) but deliberately unused.
-//! - **Transcendentals and sequential reductions stay scalar.** `tanh`,
-//!   `exp`, `sigmoid`, softmax's running sum and layer-norm's mean/variance
-//!   have no lane-exact vector equivalent, so those loops keep the scalar
-//!   code and the vector win comes from the surrounding streaming stages.
+//! - **Transcendentals are the workspace's own.** `exp`, `tanh` and
+//!   `sigmoid` are [`crate::math`]'s functions, written as a fixed chain of
+//!   IEEE `mul`/`add`/`sub`/`div`, sign-bit operations, compare-selects and
+//!   an integer exponent add — every one of which SSE2 and AVX2 have as a
+//!   lane instruction. The `*_in_place` lane kernels run that chain per
+//!   lane (computing both of `tanh`'s branches and blending them by mask),
+//!   so they reproduce the scalar bits, including NaN, `±inf`, `±0` and
+//!   subnormals.
+//! - **Sequential reductions stay scalar.** Softmax's running sum and
+//!   layer-norm's mean/variance fold in one order that lanes would change,
+//!   so those loops keep the scalar code and the vector win comes from the
+//!   surrounding streaming stages.
 //!
 //! Dispatch is resolved once per process from `NER_SIMD`
 //! (`off`/`sse2`/`avx2`, default: best level the CPU supports — threaded
@@ -30,6 +38,7 @@
 //! once at entry on the calling thread and pass it into the row-parallel
 //! bodies, so a forced level propagates to `ner-par` workers.
 
+use crate::math;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -215,6 +224,7 @@ mod lanes {
 
     /// 4-lane SSE2 primitives with the uniform names the kernel macro uses.
     pub(crate) mod p128 {
+        use crate::math::ROUND;
         use core::arch::x86_64::*;
         pub(crate) const W: usize = 4;
         pub(crate) type V = __m128;
@@ -246,26 +256,61 @@ mod lanes {
         pub(crate) unsafe fn sub(a: V, b: V) -> V {
             _mm_sub_ps(a, b)
         }
-        /// `MAXPS v, 0`: with the value as the *first* operand this returns
-        /// the second operand on NaN and on `-0.0` vs `+0.0` ties — exactly
-        /// the bits scalar `v.max(0.0)` produces (pinned by a unit test).
         #[inline(always)]
-        pub(crate) unsafe fn relu(v: V) -> V {
-            _mm_max_ps(v, _mm_setzero_ps())
+        pub(crate) unsafe fn div(a: V, b: V) -> V {
+            _mm_div_ps(a, b)
         }
-        /// Lane-wise `if cur > best { cur } else { best }` — the exact
-        /// predicate of the scalar max-over-rows fold (NaN never wins,
-        /// `+0.0` never replaces `-0.0`), built from cmp/and/or because
-        /// blendv needs SSE4.1.
+        /// `MINPS a, b`: lane-wise `if a < b { a } else { b }` — `b` when
+        /// either is NaN, the scalar clamp `if HI < x { HI } else { x }`
+        /// with `HI` first.
         #[inline(always)]
-        pub(crate) unsafe fn pick_gt(cur: V, best: V) -> V {
-            let m = _mm_cmpgt_ps(cur, best);
-            _mm_or_ps(_mm_and_ps(m, cur), _mm_andnot_ps(m, best))
+        pub(crate) unsafe fn min(a: V, b: V) -> V {
+            _mm_min_ps(a, b)
+        }
+        /// `MAXPS a, b`: lane-wise `if a > b { a } else { b }` — `b` when
+        /// either is NaN and on `-0.0` vs `+0.0` ties, so `max(v, 0)` has
+        /// the bits of scalar `v.max(0.0)` (pinned by a unit test).
+        #[inline(always)]
+        pub(crate) unsafe fn max(a: V, b: V) -> V {
+            _mm_max_ps(a, b)
+        }
+        #[inline(always)]
+        pub(crate) unsafe fn and(a: V, b: V) -> V {
+            _mm_and_ps(a, b)
+        }
+        #[inline(always)]
+        pub(crate) unsafe fn or(a: V, b: V) -> V {
+            _mm_or_ps(a, b)
+        }
+        #[inline(always)]
+        pub(crate) unsafe fn xor(a: V, b: V) -> V {
+            _mm_xor_ps(a, b)
+        }
+        /// Lane-wise `if a < b { x } else { y }` (NaN compares false),
+        /// built from cmp/and/or because blendv needs SSE4.1.
+        #[inline(always)]
+        pub(crate) unsafe fn select_lt(a: V, b: V, x: V, y: V) -> V {
+            let m = _mm_cmplt_ps(a, b);
+            _mm_or_ps(_mm_and_ps(m, x), _mm_andnot_ps(m, y))
+        }
+        /// `math::pow2_split` across lanes: the same wrapping integer
+        /// subtract, arithmetic shift, add and exponent-field shift.
+        #[inline(always)]
+        pub(crate) unsafe fn pow2_split(t: V) -> (V, V) {
+            let n = _mm_sub_epi32(_mm_castps_si128(t), _mm_set1_epi32(ROUND.to_bits() as i32));
+            let n1 = _mm_srai_epi32::<1>(n);
+            let n2 = _mm_sub_epi32(n, n1);
+            let bias = _mm_set1_epi32(127);
+            (
+                _mm_castsi128_ps(_mm_slli_epi32::<23>(_mm_add_epi32(n1, bias))),
+                _mm_castsi128_ps(_mm_slli_epi32::<23>(_mm_add_epi32(n2, bias))),
+            )
         }
     }
 
     /// 8-lane AVX2 primitives; same contract as [`p128`].
     pub(crate) mod p256 {
+        use crate::math::ROUND;
         use core::arch::x86_64::*;
         pub(crate) const W: usize = 8;
         pub(crate) type V = __m256;
@@ -304,21 +349,76 @@ mod lanes {
         pub(crate) unsafe fn sub(a: V, b: V) -> V {
             _mm256_sub_ps(a, b)
         }
-        /// See [`p128::relu`]: value first, zero second, same tie bits as
-        /// scalar `v.max(0.0)`.
         #[target_feature(enable = "avx2")]
         #[inline]
-        pub(crate) unsafe fn relu(v: V) -> V {
-            _mm256_max_ps(v, _mm256_setzero_ps())
+        pub(crate) unsafe fn div(a: V, b: V) -> V {
+            _mm256_div_ps(a, b)
         }
-        /// See [`p128::pick_gt`]; `GT_OQ` is the quiet ordered `>` — NaN
-        /// compares false, matching the scalar predicate.
+        /// See [`p128::min`].
         #[target_feature(enable = "avx2")]
         #[inline]
-        pub(crate) unsafe fn pick_gt(cur: V, best: V) -> V {
-            let m = _mm256_cmp_ps::<_CMP_GT_OQ>(cur, best);
-            _mm256_blendv_ps(best, cur, m)
+        pub(crate) unsafe fn min(a: V, b: V) -> V {
+            _mm256_min_ps(a, b)
         }
+        /// See [`p128::max`].
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        pub(crate) unsafe fn max(a: V, b: V) -> V {
+            _mm256_max_ps(a, b)
+        }
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        pub(crate) unsafe fn and(a: V, b: V) -> V {
+            _mm256_and_ps(a, b)
+        }
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        pub(crate) unsafe fn or(a: V, b: V) -> V {
+            _mm256_or_ps(a, b)
+        }
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        pub(crate) unsafe fn xor(a: V, b: V) -> V {
+            _mm256_xor_ps(a, b)
+        }
+        /// See [`p128::select_lt`]; `LT_OQ` is the quiet ordered `<`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        pub(crate) unsafe fn select_lt(a: V, b: V, x: V, y: V) -> V {
+            _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_LT_OQ>(a, b))
+        }
+        /// See [`p128::pow2_split`].
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        pub(crate) unsafe fn pow2_split(t: V) -> (V, V) {
+            let n =
+                _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_set1_epi32(ROUND.to_bits() as i32));
+            let n1 = _mm256_srai_epi32::<1>(n);
+            let n2 = _mm256_sub_epi32(n, n1);
+            let bias = _mm256_set1_epi32(127);
+            (
+                _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(n1, bias))),
+                _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(n2, bias))),
+            )
+        }
+    }
+
+    /// `out[i] = scalar(out[i])` with whole vectors through `lanes` and
+    /// the remainder through the scalar function itself.
+    macro_rules! map_in_place {
+        ($out:expr, $lanes:ident, $scalar:path) => {
+            let op = $out.as_mut_ptr();
+            let len = $out.len();
+            let mut c = 0usize;
+            while c + p::W <= len {
+                p::store(op.add(c), $lanes(p::load(op.add(c))));
+                c += p::W;
+            }
+            while c < len {
+                *op.add(c) = $scalar(*op.add(c));
+                c += 1;
+            }
+        };
     }
 
     /// Expands the full kernel set for one lane width. The generated loops
@@ -329,6 +429,10 @@ mod lanes {
             pub(crate) mod $modname {
                 use super::$prim as p;
                 use super::{MC, NC, RB};
+                use crate::math::{
+                    self, EXP_HI, EXP_LO, EXP_POLY, LN2_HI, LN2_LO, LOG2E, ROUND, SIGMOID_TAIL,
+                    TANH_POLY, TANH_SMALL,
+                };
 
                 /// Register-tile width in columns: two vectors per row keep
                 /// `RB × 2` accumulators resident across a full `p` sweep.
@@ -703,7 +807,7 @@ mod lanes {
                     let len = out.len();
                     let mut c = 0usize;
                     while c + p::W <= len {
-                        p::store(op.add(c), p::relu(p::load(op.add(c))));
+                        p::store(op.add(c), p::max(p::load(op.add(c)), p::zero()));
                         c += p::W;
                     }
                     while c < len {
@@ -779,6 +883,92 @@ mod lanes {
                     }
                 }
 
+                /// [`math::exp`] on one vector: the scalar function's
+                /// operation sequence, lane for lane.
+                ///
+                /// # Safety
+                /// Requires the target feature.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                unsafe fn exp_v(x: p::V) -> p::V {
+                    let x = p::min(p::set1(EXP_HI), x);
+                    let x = p::max(p::set1(EXP_LO), x);
+                    let t = p::add(p::mul(x, p::set1(LOG2E)), p::set1(ROUND));
+                    let n = p::sub(t, p::set1(ROUND));
+                    let r =
+                        p::sub(p::sub(x, p::mul(n, p::set1(LN2_HI))), p::mul(n, p::set1(LN2_LO)));
+                    let mut q = p::set1(EXP_POLY[0]);
+                    for &c in &EXP_POLY[1..] {
+                        q = p::add(p::mul(q, r), p::set1(c));
+                    }
+                    let y = p::add(p::add(p::mul(q, p::mul(r, r)), r), p::set1(1.0));
+                    let (s1, s2) = p::pow2_split(t);
+                    p::mul(p::mul(y, s1), s2)
+                }
+
+                /// [`math::tanh`] on one vector: both branches, blended
+                /// by the `|x| < 0.625` mask, then the input's sign.
+                ///
+                /// # Safety
+                /// Requires the target feature.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                unsafe fn tanh_v(x: p::V) -> p::V {
+                    let sign = p::and(x, p::set1(-0.0));
+                    let z = p::xor(x, sign);
+                    let s = p::mul(z, z);
+                    let mut q = p::set1(TANH_POLY[0]);
+                    for &c in &TANH_POLY[1..] {
+                        q = p::add(p::mul(q, s), p::set1(c));
+                    }
+                    let small = p::add(p::mul(p::mul(q, s), z), z);
+                    let one = p::set1(1.0);
+                    let e = exp_v(p::add(z, z));
+                    let large = p::sub(one, p::div(p::set1(2.0), p::add(e, one)));
+                    p::or(p::select_lt(z, p::set1(TANH_SMALL), small, large), sign)
+                }
+
+                /// [`math::sigmoid`] on one vector.
+                ///
+                /// # Safety
+                /// Requires the target feature.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                unsafe fn sigmoid_v(x: p::V) -> p::V {
+                    let one = p::set1(1.0);
+                    let e = exp_v(p::or(x, p::set1(-0.0)));
+                    let num = p::select_lt(x, p::zero(), e, one);
+                    let q = p::div(num, p::add(one, e));
+                    p::select_lt(x, p::set1(SIGMOID_TAIL), p::sub(e, p::mul(e, q)), q)
+                }
+
+                /// `out[i] = math::exp(out[i])` across lanes.
+                ///
+                /// # Safety
+                /// Requires the target feature.
+                #[target_feature(enable = $feat)]
+                pub(crate) unsafe fn exp_in_place(out: &mut [f32]) {
+                    map_in_place!(out, exp_v, math::exp);
+                }
+
+                /// `out[i] = math::tanh(out[i])` across lanes.
+                ///
+                /// # Safety
+                /// Requires the target feature.
+                #[target_feature(enable = $feat)]
+                pub(crate) unsafe fn tanh_in_place(out: &mut [f32]) {
+                    map_in_place!(out, tanh_v, math::tanh);
+                }
+
+                /// `out[i] = math::sigmoid(out[i])` across lanes.
+                ///
+                /// # Safety
+                /// Requires the target feature.
+                #[target_feature(enable = $feat)]
+                pub(crate) unsafe fn sigmoid_in_place(out: &mut [f32]) {
+                    map_in_place!(out, sigmoid_v, math::sigmoid);
+                }
+
                 /// `best[i] = if row[i] > best[i] { row[i] } else { best[i] }`
                 /// across lanes — one fold step of max-over-rows with the
                 /// exact scalar `>` predicate.
@@ -792,10 +982,10 @@ mod lanes {
                     let len = best.len();
                     let mut c = 0usize;
                     while c + p::W <= len {
-                        p::store(
-                            bp.add(c),
-                            p::pick_gt(p::load(row.as_ptr().add(c)), p::load(bp.add(c))),
-                        );
+                        let (v, b) = (p::load(row.as_ptr().add(c)), p::load(bp.add(c)));
+                        // `b < v` is the scalar `v > best`: NaN never wins
+                        // and `+0.0` never replaces `-0.0`.
+                        p::store(bp.add(c), p::select_lt(b, v, v, b));
                         c += p::W;
                     }
                     while c < len {
@@ -970,6 +1160,30 @@ pub(crate) fn add3(lvl: SimdLevel, dst: &mut [f32], x: &[f32], h: &[f32], b: &[f
     }
 }
 
+/// `out[i] = math::exp(out[i])`, lane-parallel when `lvl` allows.
+pub(crate) fn exp_in_place(lvl: SimdLevel, out: &mut [f32]) {
+    dispatch!(lvl, exp_in_place(out));
+    for o in out.iter_mut() {
+        *o = math::exp(*o);
+    }
+}
+
+/// `out[i] = math::tanh(out[i])`, lane-parallel when `lvl` allows.
+pub(crate) fn tanh_in_place(lvl: SimdLevel, out: &mut [f32]) {
+    dispatch!(lvl, tanh_in_place(out));
+    for o in out.iter_mut() {
+        *o = math::tanh(*o);
+    }
+}
+
+/// `out[i] = math::sigmoid(out[i])`, lane-parallel when `lvl` allows.
+pub(crate) fn sigmoid_in_place(lvl: SimdLevel, out: &mut [f32]) {
+    dispatch!(lvl, sigmoid_in_place(out));
+    for o in out.iter_mut() {
+        *o = math::sigmoid(*o);
+    }
+}
+
 /// One max-over-rows fold step, lane-parallel when `lvl` allows.
 pub(crate) fn colmax_in_place(lvl: SimdLevel, best: &mut [f32], row: &[f32]) {
     assert_eq!(best.len(), row.len());
@@ -1088,6 +1302,73 @@ mod tests {
                 let mut got = x.clone();
                 colmax_in_place(lvl, &mut got, &h);
                 assert_eq!(got, want, "colmax len {len}");
+            }
+        }
+    }
+
+    /// Arguments for the transcendental lane tests: the special values,
+    /// dense windows around the branch points and clamp edges, and random
+    /// bit patterns (so NaNs of both signs, subnormals and huge values).
+    fn transcendental_args() -> Vec<f32> {
+        use rand::{Rng, SeedableRng};
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xff80_0001),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::MAX,
+            f32::MIN,
+        ];
+        for edge in [0.625f32, -0.625, 88.72, -87.34, -103.97, -1.0, 89.0, -104.0] {
+            for d in -64i32..=64 {
+                xs.push(f32::from_bits((edge.to_bits() as i32 + d) as u32));
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        for _ in 0..20_000 {
+            xs.push(f32::from_bits(rng.gen::<u32>()));
+            xs.push(rng.gen_range(-12.0f32..12.0));
+        }
+        xs
+    }
+
+    #[test]
+    fn transcendental_lanes_match_scalar_bits_at_every_level_and_width() {
+        type Case = (&'static str, fn(SimdLevel, &mut [f32]), fn(f32) -> f32);
+        let fns: [Case; 3] = [
+            ("exp", exp_in_place, math::exp),
+            ("tanh", tanh_in_place, math::tanh),
+            ("sigmoid", sigmoid_in_place, math::sigmoid),
+        ];
+        let xs = transcendental_args();
+        for lvl in levels() {
+            for (name, lanes, scalar) in fns {
+                // Every remainder width, over windows that slide through the
+                // whole argument list, so each value meets every lane slot.
+                for width in 0..=17usize {
+                    for start in (0..xs.len().saturating_sub(width)).step_by(width.max(1) + 5) {
+                        let chunk = &xs[start..start + width];
+                        let mut got = chunk.to_vec();
+                        lanes(lvl, &mut got);
+                        for (&x, &g) in chunk.iter().zip(&got) {
+                            assert_eq!(
+                                g.to_bits(),
+                                scalar(x).to_bits(),
+                                "{name}({x:e} = {:#010x}) at level {} width {width}",
+                                x.to_bits(),
+                                lvl.name()
+                            );
+                        }
+                    }
+                }
             }
         }
     }

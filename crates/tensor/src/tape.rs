@@ -55,13 +55,13 @@ impl SegEmitter<'_> {
     /// Accumulates a whole-tensor gradient contribution for `id` on
     /// segment `seg`.
     pub fn dense(&mut self, seg: usize, id: ParamId, delta: Tensor) {
-        self.sinks[seg].accumulate(id, &delta);
+        self.sinks[seg].accumulate_owned(id, delta);
     }
 
     /// Accumulates a row-scattered embedding gradient for `id` on segment
     /// `seg`: row `i` of `delta` lands in table row `indices[i]`.
     pub fn rows(&mut self, seg: usize, id: ParamId, indices: Vec<usize>, delta: Tensor) {
-        self.sinks[seg].accumulate_rows(id, &indices, &delta);
+        self.sinks[seg].accumulate_rows_owned(id, indices, delta);
     }
 
     /// The sink a leaf tagged `seg` delivers to.
@@ -159,6 +159,18 @@ pub trait GradSink {
     /// Scatter-adds row `i` of `delta` into gradient row `indices[i]` of
     /// parameter `id` (embedding lookups).
     fn accumulate_rows(&mut self, id: ParamId, indices: &[usize], delta: &Tensor);
+
+    /// [`GradSink::accumulate`] for a contribution the caller no longer
+    /// needs, so a sink that stores it can move it in rather than copy it.
+    /// The default borrows.
+    fn accumulate_owned(&mut self, id: ParamId, delta: Tensor) {
+        self.accumulate(id, &delta);
+    }
+
+    /// [`GradSink::accumulate_rows`] by value; the default borrows.
+    fn accumulate_rows_owned(&mut self, id: ParamId, indices: Vec<usize>, delta: Tensor) {
+        self.accumulate_rows(id, &indices, &delta);
+    }
 }
 
 impl GradSink for ParamStore {
@@ -223,6 +235,18 @@ impl GradSink for GradBuffer {
 
     fn accumulate_rows(&mut self, id: ParamId, indices: &[usize], delta: &Tensor) {
         self.sparse.push((id, indices.to_vec(), delta.clone()));
+    }
+
+    // A slot's first contribution and every sparse update move in whole.
+    fn accumulate_owned(&mut self, id: ParamId, delta: Tensor) {
+        match &mut self.dense[id.0] {
+            Some(g) => g.add_scaled(&delta, 1.0),
+            slot => *slot = Some(delta),
+        }
+    }
+
+    fn accumulate_rows_owned(&mut self, id: ParamId, indices: Vec<usize>, delta: Tensor) {
+        self.sparse.push((id, indices, delta));
     }
 }
 
